@@ -28,6 +28,7 @@ from .empirical import (
     SurvivalCurve,
     empirical_survival,
     stop_loss,
+    stoploss_dominance,
     verify_cx,
     verify_icx,
     verify_orthant,

@@ -52,7 +52,10 @@ import numpy as np
 
 from .cones import dual_pairing, is_completely_positive, is_copositive, is_psd
 from .distributions import LseDistribution
-from .empirical import DominanceResult, McConfig, SurvivalCurve, verify_cx, verify_icx, verify_orthant, verify_st
+from .empirical import (
+    DominanceResult, McConfig, SurvivalCurve, stoploss_dominance, verify_cx, verify_icx,
+    verify_orthant, verify_st,
+)
 from .errors import LsemixError, ScenarioError
 from .generators import DensityGenerator, GeneratorFamily, limit_ratio
 from .mixing import (
@@ -560,9 +563,13 @@ def _monte_carlo_blocks(
             blocks["st"] = _dominance_node(result, cfg)
             curve = result.curve
         if OrderKind.ICX in requested:
-            result = verify_icx(d1, d2, cfg)
+            # one scan answers both: reuse the st pass when there was one
+            if curve is None:
+                result = verify_icx(d1, d2, cfg)
+            else:
+                result = stoploss_dominance(curve, cfg.confidence_multiplier)
             blocks["icx"] = _dominance_node(result, cfg)
-            curve = curve or result.curve
+            curve = result.curve
     if OrderKind.CX in requested:
         result = verify_cx(d1, d2, cfg, _canonical_directions(d1.dim))
         blocks["cx"] = _dominance_node(result, cfg)

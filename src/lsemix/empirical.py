@@ -18,10 +18,29 @@ Design notes
   a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  The
   accumulated statistics are sums, so merging is associative and
   order-independent, and identical configs give bit-identical estimates.
+* The st and icx scans make one binned pass over the draws.  Each draw x
+  falls in bin k = ``searchsorted(grid, x)``, the number of grid points
+  strictly below it, so x > t_j exactly when j < k; no sort is needed.  Per
+  bin, ``bincount`` sums the count and the offset x - t_{k-1}; the paired
+  differences bin min(x1, x2), and a (G+1) x (G+1) table over the bins of
+  (min, max) holds the offsets of the max.  After the pass the bins expand
+  to the grid by suffix sums: (x - t_j) = (x - t_{k-1}) + (t_{k-1} - t_j)
+  for k > j, and the squared payoff differences expand the same way.  Every
+  accumulated term is a sum of nonnegative parts, so no (x - t)^2 expansion
+  cancels; an identical pair still gives a difference of exactly zero, and
+  the exceedance counts are integers, equal to a direct comparison.  The
+  cost is O(N log G + G^2) for N draws and G grid points; no N x G array is
+  formed.
+* One pass yields a ``SurvivalCurve`` that carries both paired standard
+  errors, so ``lsemix check`` reads the icx verdict off the curve of its st
+  scan (``stoploss_dominance``) instead of sampling the pair a second time.
 * A dominance failure on a grid is only *confirmed* when the statistical band
   is exceeded at two adjacent grid points; an isolated single-point excursion
   is treated as noise (it is still reported via ``max_violation``).  A
-  one-point grid therefore cannot confirm a failure.
+  one-point grid therefore cannot confirm a failure.  Under an ordered pair
+  the false-alarm rate is at most about (G - 1)(1 - Phi(c)) for the
+  multiplier c: the union bound over the G - 1 adjacent pairs, with each z
+  taken as normal.
 """
 
 from __future__ import annotations
@@ -42,6 +61,7 @@ __all__ = [
     "stop_loss",
     "verify_st",
     "verify_icx",
+    "stoploss_dominance",
     "verify_cx",
     "verify_orthant",
 ]
@@ -94,7 +114,12 @@ class McConfig:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Per-grid-point survival and stop-loss estimates for the two laws."""
+    """Per-grid-point survival and stop-loss estimates for the two laws.
+
+    ``survival_diff_se`` and ``stoploss_diff_se`` are the standard errors of
+    the paired differences survival_1 - survival_2 and stoploss_1 -
+    stoploss_2 under the coupling; the st and icx verdicts are read off them.
+    """
 
     t: np.ndarray
     survival_1: np.ndarray
@@ -103,6 +128,8 @@ class SurvivalCurve:
     se_2: np.ndarray
     stoploss_1: np.ndarray
     stoploss_2: np.ndarray
+    survival_diff_se: np.ndarray
+    stoploss_diff_se: np.ndarray
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
@@ -245,9 +272,10 @@ def _require_univariate(d1: LseDistribution, d2: LseDistribution) -> None:
         )
 
 
-def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig):
-    """One coupled pass over the sample budget, accumulating everything the
-    survival and stop-loss dominance checks need on a shared grid."""
+def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> SurvivalCurve:
+    """One coupled pass over the sample budget, binning every draw against a
+    shared grid; the bins hold everything the survival and stop-loss
+    dominance checks need (see the design notes above)."""
     _require_univariate(d1, d2)
     pilot, chunks = _chunk_plan(cfg)
     if cfg.grid is not None:
@@ -255,47 +283,62 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig):
     else:
         y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
         grid = _auto_grid(np.concatenate([y1.ravel(), y2.ravel()]))
-    g = grid[None, :]
+    bins = grid.size + 1
+    # floor[k] = t_{k-1}, the grid point below bin k; bin 0 is never read.
+    floor = np.concatenate([grid[:1], grid])
 
-    exceed1 = np.zeros(grid.size, dtype=np.int64)
-    exceed2 = np.zeros(grid.size, dtype=np.int64)
-    joint = np.zeros(grid.size, dtype=np.int64)
-    sl_sums = np.zeros((2, grid.size))
-    sl_sq = np.zeros((2, grid.size))
-    sld_sum = np.zeros(grid.size)
-    sld_sq = np.zeros(grid.size)
+    counts = np.zeros((2, bins), dtype=np.int64)
+    sums = np.zeros((2, bins))
+    joint = np.zeros(bins, dtype=np.int64)
+    both_sq = np.zeros(bins)
+    # (bin of min(x1, x2), bin of max(x1, x2)) table of the max's offset
+    split_counts = np.zeros(bins * bins, dtype=np.int64)
+    split_sums = np.zeros(bins * bins)
+    split_squares = np.zeros(bins * bins)
 
     for rng, size in chunks:
         y1, y2 = sample_coupled(d1, d2, rng, size)
-        x1, x2 = y1[:, 0], y2[:, 0]
-        e1 = x1[:, None] > g
-        e2 = x2[:, None] > g
-        exceed1 += e1.sum(axis=0)
-        exceed2 += e2.sum(axis=0)
-        joint += (e1 & e2).sum(axis=0)
-        pay1 = np.maximum(x1[:, None] - g, 0.0)
-        pay2 = np.maximum(x2[:, None] - g, 0.0)
-        sl_sums[0] += pay1.sum(axis=0)
-        sl_sums[1] += pay2.sum(axis=0)
-        sl_sq[0] += np.square(pay1).sum(axis=0)
-        sl_sq[1] += np.square(pay2).sum(axis=0)
-        d = pay1 - pay2
-        sld_sum += d.sum(axis=0)
-        sld_sq += np.square(d).sum(axis=0)
+        x1, x2 = y1.ravel(), y2.ravel()
+        k1 = np.searchsorted(grid, x1)
+        k2 = np.searchsorted(grid, x2)
+        off1 = x1 - floor[k1]
+        off2 = x2 - floor[k2]
+        for i, (k, off) in enumerate(((k1, off1), (k2, off2))):
+            counts[i] += np.bincount(k, minlength=bins)
+            sums[i] += np.bincount(k, off, bins)
+        low = np.minimum(k1, k2)
+        cell = low * bins + np.maximum(k1, k2)
+        top = np.where(x1 >= x2, off1, off2)
+        joint += np.bincount(low, minlength=bins)
+        both_sq += np.bincount(low, np.square(x1 - x2), bins)
+        split_counts += np.bincount(cell, minlength=bins * bins)
+        split_sums += np.bincount(cell, top, bins * bins)
+        split_squares += np.bincount(cell, np.square(top), bins * bins)
+
+    # Expand to the grid.  Bin i + 1 lies above t_j exactly when i >= j, and
+    # its draws exceed t_j by their offset plus gap[j, i] = t_i - t_j >= 0.
+    above = np.triu(np.ones((grid.size, grid.size), dtype=bool))
+    gap = np.where(above, grid[None, :] - grid[:, None], 0.0)
+    exceed = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    joint = np.cumsum(joint[::-1])[::-1][1:]
+    sl_sums = np.where(above, sums[:, None, 1:] + gap * counts[:, None, 1:], 0.0).sum(axis=-1)
+    # Paired d = (x1 - t)+ - (x2 - t)+.  Where min(x1, x2) > t_j, d^2 is
+    # (x1 - x2)^2; where only the max exceeds t_j (bin of the min <= j < bin
+    # of the max), d^2 = (top + gap)^2, gathered over the min's bins <= j.
+    c, s, q = (np.cumsum(a.reshape(bins, bins), axis=0)[:-1, 1:]
+               for a in (split_counts, split_sums, split_squares))
+    sld_sq = np.where(above, both_sq[1:] + q + gap * (2.0 * s + gap * c), 0.0).sum(axis=-1)
 
     n = float(cfg.sample_count)
-    p1, p2, p12 = exceed1 / n, exceed2 / n, joint / n
+    p1, p2, p12 = exceed[0] / n, exceed[1] / n, joint / n
     se1 = np.sqrt(p1 * (1.0 - p1) / n)
     se2 = np.sqrt(p2 * (1.0 - p2) / n)
     # paired indicator difference: var = p1 + p2 - 2 p12 - (p1 - p2)^2
     surv_var = np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None)
-    surv_se = np.sqrt(surv_var / n)
     sl_mean = sl_sums / n
-    sld_mean = sld_sum / n
+    sld_mean = sl_mean[0] - sl_mean[1]
     sld_var = np.clip(sld_sq / n - np.square(sld_mean), 0.0, None)
-    sld_se = np.sqrt(sld_var / n)
-
-    curve = SurvivalCurve(
+    return SurvivalCurve(
         t=grid,
         survival_1=p1,
         survival_2=p2,
@@ -303,23 +346,32 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig):
         se_2=se2,
         stoploss_1=sl_mean[0],
         stoploss_2=sl_mean[1],
+        survival_diff_se=np.sqrt(surv_var / n),
+        stoploss_diff_se=np.sqrt(sld_var / n),
     )
-    return curve, (p1 - p2, surv_se), (sl_mean[0] - sl_mean[1], sld_se)
 
 
 def verify_st(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
     """Check survival dominance F_bar_1(t) <= F_bar_2(t) across the grid."""
-    curve, (diff, se), _ = _dominance_scan(d1, d2, cfg)
+    curve = _dominance_scan(d1, d2, cfg)
     return _summarize(
-        curve.t, diff, se, cfg.confidence_multiplier, adjacency=True, curve=curve
+        curve.t, curve.survival_1 - curve.survival_2, curve.survival_diff_se,
+        cfg.confidence_multiplier, adjacency=True, curve=curve,
     )
 
 
 def verify_icx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
     """Check stop-loss dominance E(Y1 - t)_+ <= E(Y2 - t)_+ across the grid."""
-    curve, _, (diff, se) = _dominance_scan(d1, d2, cfg)
+    return stoploss_dominance(_dominance_scan(d1, d2, cfg), cfg.confidence_multiplier)
+
+
+def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResult:
+    """The stop-loss (icx) verdict of ``verify_icx``, read off a curve that a
+    scan has already produced, such as ``verify_st(...).curve``: one pass
+    then answers both st and icx."""
     return _summarize(
-        curve.t, diff, se, cfg.confidence_multiplier, adjacency=True, curve=curve
+        curve.t, curve.stoploss_1 - curve.stoploss_2, curve.stoploss_diff_se,
+        multiplier, adjacency=True, curve=curve,
     )
 
 

@@ -4,19 +4,29 @@ Statistical assertions use 3-standard-error tolerances or constructions
 where common-random-number coupling makes the comparison exact.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lsemix.distributions import LseDistribution
+from scipy.stats import binom, norm
+
+from lsemix.distributions import sample_coupled
 from lsemix.empirical import (
     DEFAULT_GRID_SIZE,
     DominanceResult,
     McConfig,
     SurvivalCurve,
+    _auto_grid,
+    _chunk_plan,
+    _dominance_scan,
+    _pilot_draws,
+    _require_univariate,
     empirical_survival,
     stop_loss,
+    stoploss_dominance,
     verify_cx,
     verify_icx,
     verify_orthant,
@@ -24,20 +34,21 @@ from lsemix.empirical import (
 )
 from lsemix.errors import UsageError
 from lsemix.generators import DensityGenerator, GeneratorFamily
-from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate
+from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate, DiscreteWeighted
 from lsemix.orders import Verdict, check_icx, check_st
 
 NORMAL = DensityGenerator(GeneratorFamily.NORMAL)
+CAUCHY = DensityGenerator(GeneratorFamily.CAUCHY)
 
 
-def mk(mu, sigma, delta=None, ab=None, mix=None):
+def mk(mu, sigma, delta=None, ab=None, mix=None, gen=NORMAL):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     n = mu.size
     if delta is None:
         delta = np.zeros(n)
     return LseDistribution(mu, np.asarray(sigma, float).reshape(n, n),
                            np.atleast_1d(np.asarray(delta, float)),
-                           NORMAL, ab or AlphaBetaMap.plain(),
+                           gen, ab or AlphaBetaMap.plain(),
                            mix or Degenerate(1.0))
 
 
@@ -209,6 +220,115 @@ def test_verify_icx_scale_shrink_fails_at_large_t():
     assert r.violation_point > 0.3  # violation surfaces in the upper tail
 
 
+def test_stoploss_dominance_of_st_curve_matches_verify_icx():
+    d1, d2 = mk(0.0, [[2.0]]), mk(0.3, [[1.0]])
+    shared = stoploss_dominance(verify_st(d1, d2, CFG).curve, CFG.confidence_multiplier)
+    alone = verify_icx(d1, d2, CFG)
+    assert not shared.passed and not alone.passed
+    assert shared.max_violation == alone.max_violation
+    assert shared.violation_point == alone.violation_point
+    assert shared.standard_error_at_violation == alone.standard_error_at_violation
+
+
+# --- the binned scan against the N x G broadcast it replaced ---------------------------
+
+
+def broadcast_scan(d1, d2, cfg):
+    """Reference: every chunk broadcast against the whole grid, O(N G)."""
+    _require_univariate(d1, d2)
+    pilot, chunks = _chunk_plan(cfg)
+    if cfg.grid is not None:
+        grid = np.asarray(cfg.grid, dtype=float)
+    else:
+        y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
+        grid = _auto_grid(np.concatenate([y1.ravel(), y2.ravel()]))
+    g = grid[None, :]
+
+    exceed1 = np.zeros(grid.size, dtype=np.int64)
+    exceed2 = np.zeros(grid.size, dtype=np.int64)
+    joint = np.zeros(grid.size, dtype=np.int64)
+    sl_sums = np.zeros((2, grid.size))
+    sld_sum = np.zeros(grid.size)
+    sld_sq = np.zeros(grid.size)
+
+    for rng, size in chunks:
+        y1, y2 = sample_coupled(d1, d2, rng, size)
+        x1, x2 = y1[:, 0], y2[:, 0]
+        e1 = x1[:, None] > g
+        e2 = x2[:, None] > g
+        exceed1 += e1.sum(axis=0)
+        exceed2 += e2.sum(axis=0)
+        joint += (e1 & e2).sum(axis=0)
+        pay1 = np.maximum(x1[:, None] - g, 0.0)
+        pay2 = np.maximum(x2[:, None] - g, 0.0)
+        sl_sums[0] += pay1.sum(axis=0)
+        sl_sums[1] += pay2.sum(axis=0)
+        d = pay1 - pay2
+        sld_sum += d.sum(axis=0)
+        sld_sq += np.square(d).sum(axis=0)
+
+    n = float(cfg.sample_count)
+    p1, p2, p12 = exceed1 / n, exceed2 / n, joint / n
+    surv_var = np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None)
+    sld_mean = sld_sum / n
+    sld_var = np.clip(sld_sq / n - np.square(sld_mean), 0.0, None)
+    return SurvivalCurve(
+        t=grid,
+        survival_1=p1,
+        survival_2=p2,
+        se_1=np.sqrt(p1 * (1.0 - p1) / n),
+        se_2=np.sqrt(p2 * (1.0 - p2) / n),
+        stoploss_1=sl_sums[0] / n,
+        stoploss_2=sl_sums[1] / n,
+        survival_diff_se=np.sqrt(surv_var / n),
+        stoploss_diff_se=np.sqrt(sld_var / n),
+    )
+
+
+TWO_ATOMS = DiscreteWeighted(((0.5, 0.5), (1.5, 0.5)))
+
+
+def draws_as_grid(d1, d2, cfg):
+    """Grid points taken from the first chunk's draws of both laws."""
+    _, chunks = _chunk_plan(cfg)
+    rng, size = chunks[0]
+    y1, y2 = sample_coupled(d1, d2, rng, size)
+    return tuple(np.sort(np.concatenate([y1[:15, 0], y2[:15, 0]])))
+
+
+def scan_cases():
+    cfg = McConfig(sample_count=10_000, seed=31, chunk_size=4_000)
+    discrete = (mk(0.0, [[1.0]], [0.5], ab=AlphaBetaMap.location_mixture(), mix=TWO_ATOMS),
+                mk(0.1, [[1.2]], [0.8], ab=AlphaBetaMap.location_mixture(), mix=TWO_ATOMS))
+    return {
+        "normal": (mk(0.0, [[1.0]]), mk(0.2, [[1.5]]), cfg),
+        "cauchy": (mk(0.0, [[1.0]], gen=CAUCHY), mk(0.1, [[2.0]], gen=CAUCHY), cfg),
+        "offset": (ghss(1e6, [[1.0]], [0.2]), ghss(1e6 + 0.3, [[1.0]], [0.5]), cfg),
+        "repeated_grid": (mk(0.0, [[1.0]]), mk(0.2, [[1.5]]),
+                          McConfig(sample_count=10_000, seed=32, grid=(-1.0, 0.0, 0.0, 0.5, 2.0))),
+        "draws_on_grid": (*discrete, dataclasses.replace(cfg, grid=draws_as_grid(*discrete, cfg))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(scan_cases()))
+def test_binned_scan_matches_broadcast_reference(case):
+    d1, d2, cfg = scan_cases()[case]
+    got, ref = _dominance_scan(d1, d2, cfg), broadcast_scan(d1, d2, cfg)
+    for name in ("t", "survival_1", "survival_2", "se_1", "se_2", "survival_diff_se"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for name in ("stoploss_1", "stoploss_2", "stoploss_diff_se"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-9, atol=0,
+                                   err_msg=name)
+
+
+def test_draws_on_grid_case_hits_grid_points():
+    d1, d2, cfg = scan_cases()["draws_on_grid"]
+    _, chunks = _chunk_plan(cfg)
+    rng, size = chunks[0]
+    y1, _ = sample_coupled(d1, d2, rng, size)
+    assert np.isin(np.asarray(cfg.grid), y1[:, 0]).sum() == 15
+
+
 # --- convex functionals ---------------------------------------------------------------
 
 
@@ -318,6 +438,51 @@ def test_calibration_no_false_failures_under_coupling():
         if not verify_st(d, d, cfg).passed:
             failures += 1
     assert failures == 0
+
+
+def boundary_pair(eps):
+    """Y2 = Y1 + eps in law, with coupled draws that are not ordered.
+
+    Y1 = W + Z and Y2 = 3 + eps + W - Z with Z = 1 or 2 equally likely:
+    both are the mixture (1 + W, 2 + W), so Y1 <=st Y2 and Y1 <=icx Y2, but
+    the coupling pairs Z = 1 in Y1 with Z = 2 in Y2, so the paired
+    differences are noisy at every grid point."""
+    atoms = DiscreteWeighted(((1.0, 0.5), (2.0, 0.5)))
+    ab = AlphaBetaMap.location_mixture()
+    return (mk(0.0, [[1.0]], [1.0], ab=ab, mix=atoms),
+            mk(3.0 + eps, [[1.0]], [-1.0], ab=ab, mix=atoms))
+
+
+def test_false_alarm_rate_at_the_boundary():
+    # A confirmed failure needs two adjacent flagged grid points, so some
+    # point j < G - 1 is flagged; under an ordered pair each z_j > 3 has
+    # chance at most 1 - Phi(3), and the union bound over those G - 1 points
+    # bounds the false-alarm rate.  The failure count over K seeds must stay
+    # within the 1e-6 upper quantile of Binomial(K, that bound).
+    eps, draws, k = 0.01, 10_000, 200
+    d1, d2 = boundary_pair(eps)
+    p_alarm = (DEFAULT_GRID_SIZE - 1) * norm.sf(CFG.confidence_multiplier)
+    limit = binom.isf(1e-6, k, p_alarm)
+
+    # eps is small enough that the expected z is within 1 at every point
+    curve = verify_st(d1, d2, McConfig(sample_count=draws, seed=0)).curve
+    t = curve.t[:, None] - np.array([1.0, 2.0])
+    survival_gap = 0.5 * (norm.sf(t) - norm.sf(t - eps)).sum(axis=1)
+
+    def stoploss(u):
+        return norm.pdf(u) - u * norm.sf(u)
+
+    stoploss_gap = 0.5 * (stoploss(t) - stoploss(t - eps)).sum(axis=1)
+    assert np.all(np.abs(survival_gap) < curve.survival_diff_se)
+    assert np.all(np.abs(stoploss_gap) < curve.stoploss_diff_se)
+
+    st_failures = icx_failures = 0
+    for seed in range(k):
+        cfg = McConfig(sample_count=draws, seed=seed)
+        st_failures += not verify_st(d1, d2, cfg).passed
+        icx_failures += not verify_icx(d1, d2, cfg).passed
+    assert st_failures <= limit, (st_failures, limit)
+    assert icx_failures <= limit, (icx_failures, limit)
 
 
 def test_agreement_with_analytic_verdicts():
