@@ -5,13 +5,10 @@ entrywise nonnegative ("doubly nonnegative"), and every PSD or entrywise
 nonnegative matrix is copositive.  The completely positive cone is the dual
 of the copositive cone under the trace inner product <A, B> = tr(A'B).
 
-Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general.  The
-implementation is exact for n <= 2, and for 3 <= n <= 10 uses a dense simplex
-grid followed by projected-gradient descent from the most promising seeds; a
-negative value found anywhere is a certificate of non-membership, while the
-exhaustive search coming up empty is reported as Inside (the procedure is a
-heuristic decision, see the module tests for its calibration against brute
-force).  Complete positivity is decided by a ladder of exact rules with a
+Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general; for
+n <= 10 ``is_copositive`` decides it exactly by solving the KKT systems of
+all 2^n - 1 supports (quadratic programming over the simplex, Bomze 1998).
+Complete positivity is decided by a ladder of exact rules with a
 nonnegative-factorization search as the last resort; when the search fails
 the honest answer is Unknown rather than a guess.
 """
@@ -22,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -38,18 +34,11 @@ __all__ = [
     "is_copositive",
     "is_completely_positive",
     "dual_pairing",
-    "simplex_grid",
 ]
 
 #: Default absolute tolerance on normalized quadratic-form values.
 DEFAULT_TOL = 1e-9
 
-#: Simplex-grid resolution (denominator) by dimension; finer is exponentially
-#: more expensive, so large n fall back to coarser seeding plus descent.
-_GRID_RESOLUTION = {3: 24, 4: 24, 5: 24, 6: 24, 7: 16, 8: 12, 9: 10, 10: 8}
-
-_DESCENT_SEEDS = 256
-_DESCENT_STEPS = 300
 _FACTORIZATION_RESTARTS = 200
 _FACTORIZATION_POLISH = 6
 
@@ -135,66 +124,24 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
 # Copositivity ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """All points x >= 0 with sum(x) = 1 on the lattice with spacing 1/resolution.
-
-    Compositions of ``resolution`` into ``n`` parts, enumerated as gaps between
-    bar positions (the classical stars-and-bars bijection).  Cached and
-    read-only; the grid has C(resolution + n - 1, n - 1) rows.
-    """
-    if n < 1 or resolution < 1:
-        raise UsageError("dimension and resolution must be positive")
-    if n == 1:
-        grid = np.ones((1, 1))
-    else:
-        bars = np.array(
-            list(itertools.combinations(range(resolution + n - 1), n - 1)),
-            dtype=np.int64,
-        )
-        padded = np.column_stack(
-            [
-                np.full(bars.shape[0], -1, dtype=np.int64),
-                bars,
-                np.full(bars.shape[0], resolution + n - 1, dtype=np.int64),
-            ]
-        )
-        grid = (np.diff(padded, axis=1) - 1) / float(resolution)
-    grid.setflags(write=False)
-    return grid
-
-
-def _project_to_simplex(points: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    n = points.shape[1]
-    u = np.sort(points, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    denom = np.arange(1, n + 1)
-    cond = u - css / denom > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(points.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(points - theta[:, None], 0.0)
-
-
-def _quad_values(a: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", points, a, points)
-
-
-def _descend_on_simplex(a: np.ndarray, seeds: np.ndarray, steps: int) -> np.ndarray:
-    """Projected gradient descent of x'Ax from each seed; returns final points."""
-    spectral = float(np.linalg.norm(a, 2))
-    step = 1.0 / max(2.0 * spectral, 1e-12)
-    x = seeds.copy()
-    for _ in range(steps):
-        x = _project_to_simplex(x - step * 2.0 * (x @ a))
-    return x
-
-
 def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Test x'Ax >= 0 for all x >= 0.
+    """Test x'Ax >= 0 for all x >= 0, exactly for n <= 10.
 
-    Exact for n <= 2; for 3 <= n <= 10, simplex-grid seeding plus projected
-    descent.  Outside verdicts always carry a violating simplex point.
+    Entrywise nonnegative matrices are Inside at once.  Otherwise the test
+    finds the minimum m of x'Ax over the simplex and answers Outside iff
+    m < -tol_abs = -tol * max(1, max|a_ij|); either way the witness is the
+    minimising simplex point, and m is x'Ax evaluated there.
+
+    A minimiser x of minimal support S solves the bordered KKT system
+    [[A_S, -1], [1', 0]] (x_S; m) = (0; 1), and that system is nonsingular:
+    a null vector (v, mu) has 1'v = 0 and A_S v = mu 1, so x'Ax changes by
+    2 t mu along x + t v; both signs of t are feasible, so mu = 0, and moving
+    until a coordinate of x + t v reaches zero gives a minimiser of smaller
+    support.  Solving the nonsingular systems of all 2^n - 1 supports
+    (batched by size, each at most (n+1) x (n+1)), keeping the solutions
+    with x_S >= 0 and evaluating x'Ax at each therefore finds the exact
+    minimum; singular faces, such as those on which the Horn matrix attains
+    its zero minimum, are skipped.
     """
     a, tol_abs = _prepare(a, tol)
     n = a.shape[0]
@@ -205,58 +152,30 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     # Entrywise nonnegative matrices are copositive outright.
     if np.all(a >= -tol_abs):
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
-    if n == 1:
-        # Already handled by the shortcut unless a11 < 0.
-        return ConeVerdict(
-            ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=np.array([1.0])
-        )
-    if n == 2:
-        return _copositive_2x2(a, tol_abs)
-
-    grid = simplex_grid(n, _GRID_RESOLUTION[n])
-    values = _quad_values(a, grid)
-    i = int(np.argmin(values))
-    best_value = float(values[i])
-    best_point = grid[i].copy()
-    if best_value < -tol_abs:
-        return ConeVerdict(
-            ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=best_point
-        )
-    keep = min(_DESCENT_SEEDS, values.size)
-    seeds = grid[np.argpartition(values, keep - 1)[:keep]]
-    finals = _descend_on_simplex(a, seeds, _DESCENT_STEPS)
-    values = _quad_values(a, finals)
-    i = int(np.argmin(values))
-    if values[i] < best_value:
-        best_value = float(values[i])
-        best_point = finals[i].copy()
-    if best_value < -tol_abs:
-        return ConeVerdict(
-            ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=best_point
-        )
-    return ConeVerdict(
-        ConeStatus.INSIDE, CertificateKind.SIMPLEX_POINT, witness=best_point
-    )
-
-
-def _copositive_2x2(a: np.ndarray, tol_abs: float) -> ConeVerdict:
-    """Closed-form 2x2 criterion: a11 >= 0, a22 >= 0, a12 + sqrt(a11 a22) >= 0."""
-    a11, a22, a12 = a[0, 0], a[1, 1], a[0, 1]
-    if a11 < -tol_abs:
-        return ConeVerdict(
-            ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=np.array([1.0, 0.0])
-        )
-    if a22 < -tol_abs:
-        return ConeVerdict(
-            ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=np.array([0.0, 1.0])
-        )
-    root = math.sqrt(max(a11, 0.0) * max(a22, 0.0))
-    if a12 + root >= -tol_abs:
-        return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EXACT_SMALL_N)
-    # Interior minimizer of the quadratic on the segment (t, 1-t).
-    t = (a22 - a12) / (a11 + a22 - 2.0 * a12)
-    witness = np.array([t, 1.0 - t])
-    return ConeVerdict(ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=witness)
+    unit = a / float(np.abs(a).max())  # on the scale of the border; same minimisers
+    best_value, best_point = math.inf, None
+    for k in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(n), k)))
+        bordered = np.zeros((len(supports), k + 1, k + 1))
+        bordered[:, :k, :k] = unit[supports[:, :, None], supports[:, None, :]]
+        bordered[:, :k, k] = -1.0
+        bordered[:, k, :k] = 1.0
+        # The SVD flags singular systems (numpy's matrix_rank rule) and solves the rest.
+        u, s, vt = np.linalg.svd(bordered)
+        regular = s[:, -1] > s[:, 0] * (k + 1) * np.finfo(float).eps
+        z = np.einsum("mji,mj->mi", vt[regular], u[regular, k, :] / s[regular])
+        keep = np.all(z[:, :k] >= 0.0, axis=1)
+        if not keep.any():
+            continue
+        x = np.zeros((int(keep.sum()), n))
+        np.put_along_axis(x, supports[regular][keep], z[keep, :k], axis=1)
+        x /= x.sum(axis=1, keepdims=True)
+        values = np.einsum("mi,ij,mj->m", x, a, x)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_value, best_point = float(values[i]), x[i]
+    status = ConeStatus.OUTSIDE if best_value < -tol_abs else ConeStatus.INSIDE
+    return ConeVerdict(status, CertificateKind.SIMPLEX_POINT, witness=best_point)
 
 
 # Complete positivity ---------------------------------------------------------
@@ -352,9 +271,9 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
 
     Ladder: negative entry or not PSD -> Outside with a dual copositive
     certificate; doubly nonnegative with n <= 4 -> Inside (exact equality of
-    the cones in low dimension); nonnegative diagonally dominant -> Inside
-    with an explicit factor; otherwise a factorization search, whose failure
-    yields Unknown (the membership problem is NP-hard).
+    the cones in low dimension); rank one or nonnegative diagonally
+    dominant -> Inside with an explicit factor; otherwise a factorization
+    search, whose failure yields Unknown (the membership problem is NP-hard).
     """
     a, tol_abs = _prepare(a, tol)
     n = a.shape[0]
@@ -376,6 +295,14 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         )
     if n <= 4:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EXACT_SMALL_N)
+    # Rank one: A = bb' with b = sqrt(lambda_max) |v_max| >= 0.
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    if eigenvalues[-2] <= tol_abs:
+        b = math.sqrt(max(eigenvalues[-1], 0.0)) * np.abs(eigenvectors[:, -1])
+        if float(np.abs(np.outer(b, b) - a).max()) <= tol_abs:
+            return ConeVerdict(
+                ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE, witness=b[None, :]
+            )
     factor = _diagonally_dominant_factor(a, tol_abs)
     if factor is not None:
         return ConeVerdict(

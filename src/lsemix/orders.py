@@ -39,12 +39,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.stats import qmc
 
-from .cones import ConeStatus, is_completely_positive, is_copositive, is_psd
+from .cones import (
+    ConeStatus,
+    ConeVerdict,
+    is_completely_positive,
+    is_copositive,
+    is_psd,
+)
 from .distributions import LseDistribution
 from .errors import IncomparableFamiliesError, SizeLimitError, UsageError
 from .generators import LimitRatioResult, assumption_profile
@@ -317,28 +324,41 @@ class _Pair:
         return self.mu_equal() and self.delta_equal() and self.diag_equal()
 
     # cone primitives; None encodes "undecided" -------------------------------
+    # Each verdict is computed once per pair and read by every clause.
+
+    @cached_property
+    def psd_verdict(self) -> ConeVerdict:
+        return is_psd(self.sigma_diff)
+
+    @cached_property
+    def copositive_verdict(self) -> ConeVerdict | None:
+        """None when Sigma2 - Sigma1 exceeds the copositivity size cap."""
+        try:
+            return is_copositive(self.sigma_diff)
+        except SizeLimitError:
+            return None
+
+    @cached_property
+    def completely_positive_verdict(self) -> ConeVerdict:
+        return is_completely_positive(self.sigma_diff)
 
     def psd_diff(self) -> bool:
-        return is_psd(self.sigma_diff).status is ConeStatus.INSIDE
+        return self.psd_verdict.status is ConeStatus.INSIDE
 
     def copositive_diff(self) -> bool | None:
-        try:
-            verdict = is_copositive(self.sigma_diff)
-        except SizeLimitError:
+        verdict = self.copositive_verdict
+        if verdict is None:
             return None
         return verdict.status is ConeStatus.INSIDE
 
     def copositive_witness(self) -> np.ndarray | None:
-        try:
-            verdict = is_copositive(self.sigma_diff)
-        except SizeLimitError:
-            return None
-        if verdict.status is ConeStatus.OUTSIDE:
+        verdict = self.copositive_verdict
+        if verdict is not None and verdict.status is ConeStatus.OUTSIDE:
             return np.asarray(verdict.witness)
         return None
 
     def completely_positive_diff(self) -> bool | None:
-        verdict = is_completely_positive(self.sigma_diff)
+        verdict = self.completely_positive_verdict
         if verdict.status is ConeStatus.UNKNOWN:
             return None
         return verdict.status is ConeStatus.INSIDE

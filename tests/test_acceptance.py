@@ -7,7 +7,6 @@ loosened; every reference value here is computed by an oracle that is
 independent of the library path it validates.
 """
 
-import itertools
 import json
 import math
 import sys
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from simplex_oracle import simplex_minimum
 
 from lsemix.cli import main as cli_main
 from lsemix.cones import HORN_MATRIX, ConeStatus, is_copositive, is_psd, dual_pairing
@@ -395,36 +395,11 @@ def test_acceptance_7_empirical_concordance():
 
 
 # --------------------------------------------------------------------------
-# 8. Cone module vs brute force, Horn matrix, duality
-
-
-_BRUTE_GRIDS: dict[tuple[int, int], np.ndarray] = {}
-
-
-def brute_simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """Independent stars-and-bars enumeration of the probability simplex."""
-    key = (n, resolution)
-    if key not in _BRUTE_GRIDS:
-        combos = np.array(
-            list(itertools.combinations(range(resolution + n - 1), n - 1)),
-            dtype=np.int64,
-        ).reshape(-1, n - 1)
-        padded = np.hstack([
-            np.full((combos.shape[0], 1), -1, dtype=np.int64),
-            combos,
-            np.full((combos.shape[0], 1), resolution + n - 1, dtype=np.int64),
-        ])
-        _BRUTE_GRIDS[key] = (np.diff(padded, axis=1) - 1) / resolution
-    return _BRUTE_GRIDS[key]
-
-
-def brute_simplex_min(a: np.ndarray, resolution: int = 50) -> float:
-    grid = brute_simplex_grid(a.shape[0], resolution)
-    return float(np.min(np.einsum("ij,jk,ik->i", grid, a, grid)))
+# 8. Cone module vs exact simplex enumeration, Horn matrix, duality
 
 
 def test_acceptance_8_cone_module():
-    with criterion(8, "copositivity vs brute force, Horn, duality"):
+    with criterion(8, "copositivity vs exact enumeration, Horn, duality"):
         rng = np.random.default_rng(880)
         checked = 0
         for _ in range(500):
@@ -432,13 +407,13 @@ def test_acceptance_8_cone_module():
             a = rng.uniform(-1.0, 1.0, size=(n, n))
             a = 0.5 * (a + a.T)
             verdict = is_copositive(a)
-            brute = brute_simplex_min(a, resolution=50)
+            exact, _ = simplex_minimum(a)
             if verdict.status is ConeStatus.OUTSIDE:
-                assert brute < 0.0 or float(
-                    verdict.witness @ a @ verdict.witness) < 0.0, (a, brute)
+                assert exact < 0.0 or float(
+                    verdict.witness @ a @ verdict.witness) < 0.0, (a, exact)
             else:
                 assert verdict.status is ConeStatus.INSIDE
-                assert brute >= -1e-12, (a, brute)
+                assert exact >= -1e-12, (a, exact)
             checked += 1
         assert checked == 500
 

@@ -1,19 +1,17 @@
 """Tests for matrix cone membership.
 
-The reference oracle here is an independent brute-force minimizer of x'Ax
-over a fine simplex lattice, written directly in this file (it deliberately
-does not reuse the library's grid helper).  Closed-form examples (Horn
-matrix, 2x2 criteria, cycle matrices with known eigenvalues) pin the exact
-boundary behaviour.
+The reference oracle is ``simplex_oracle.simplex_minimum``, an exact
+minimizer of x'Ax over the simplex that enumerates faces one at a time by
+eigendecomposition, a different method from the library's batched bordered
+KKT systems.  Closed-form examples (Horn matrix, 2x2 criteria, cycle
+matrices with known eigenvalues) pin the exact boundary behaviour.
 """
-
-import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from simplex_oracle import cp_trap_matrices, simplex_minimum
 
 from lsemix.cones import (
     HORN_MATRIX,
@@ -23,22 +21,32 @@ from lsemix.cones import (
     is_completely_positive,
     is_copositive,
     is_psd,
-    simplex_grid,
 )
 from lsemix.errors import SizeLimitError, UsageError
 
 
-def brute_force_simplex_min(a, resolution=50):
-    """Minimum of x'Ax over the lattice {x >= 0, sum x = 1, x_i in k/resolution}."""
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    best = math.inf
-    for bars in itertools.combinations(range(resolution + n - 1), n - 1):
-        parts = np.diff(np.array((-1,) + bars + (resolution + n - 1,))) - 1
-        x = parts / resolution
-        best = min(best, float(x @ a @ x))
-    return best
+def band(a):
+    """The tolerance band around 0 outside which a verdict must match the oracle."""
+    return 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
+def assert_matches_oracle(a):
+    """Status agrees with the exact minimum outside the band, and the
+    library's witness attains that minimum within the band."""
+    verdict = is_copositive(a)
+    reference, _ = simplex_minimum(a)
+    if reference < -band(a):
+        assert verdict.status is ConeStatus.OUTSIDE, (a, reference)
+    elif reference > band(a):
+        assert verdict.status is ConeStatus.INSIDE, (a, reference)
+    if verdict.witness is not None:
+        x = verdict.witness
+        assert np.all(x >= 0.0) and abs(x.sum() - 1.0) < 1e-12
+        assert abs(float(x @ a @ x) - reference) <= band(a), (a, reference)
+    else:
+        assert verdict.certificate_kind is CertificateKind.SUFFICIENT_RULE
+        assert reference >= -band(a)
+    return verdict
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -125,16 +133,7 @@ def test_copositive_witness_is_violating_simplex_point():
 def test_copositive_2x2_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(300):
-        a = random_symmetric(rng, 2)
-        verdict = is_copositive(a)
-        reference = brute_force_simplex_min(a, resolution=400)
-        tol = 1e-9 * max(1.0, np.abs(a).max())
-        if reference < -1e-4:
-            assert verdict.status is ConeStatus.OUTSIDE
-        elif reference > 1e-4:
-            assert verdict.status is ConeStatus.INSIDE, a
-        # near-boundary cases may legitimately flip within tolerance
-        del tol
+        assert_matches_oracle(random_symmetric(rng, 2))
 
 
 def test_copositive_2x2_interior_minimum():
@@ -162,15 +161,78 @@ def test_copositive_agrees_with_brute_force_small():
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(3, 6))
-        a = random_symmetric(rng, n)
-        verdict = is_copositive(a)
-        reference = brute_force_simplex_min(a, resolution=30)
-        if verdict.status is ConeStatus.INSIDE:
-            assert reference >= -1e-6
+        assert_matches_oracle(random_symmetric(rng, n))
+
+
+def horn_like(rng, n):
+    """P (D H D + E) P' with H the Horn matrix in the leading 5x5 block, D a
+    positive diagonal, E a random PSD block on the other coordinates and P a
+    permutation: copositive, with simplex minimum exactly 0."""
+    d = rng.uniform(0.5, 2.0, 5)
+    a = np.zeros((n, n))
+    a[:5, :5] = d[:, None] * HORN_MATRIX * d[None, :]
+    g = rng.normal(size=(n - 5, n - 5))
+    a[5:, 5:] = g @ g.T
+    p = rng.permutation(n)
+    return a[np.ix_(p, p)]
+
+
+def test_copositive_matches_exact_oracle_up_to_n10():
+    rng = np.random.default_rng(47)
+    outside = inside = 0
+    for trial in range(160):
+        n = int(rng.integers(1, 11))
+        kind = trial % 4
+        margin = rng.choice([-1e-6, 1e-6])
+        if kind == 0:
+            a = random_symmetric(rng, n)
+        elif kind == 1:
+            # singular PSD (minimum 0), and the same pushed off or into the cone
+            b = rng.normal(size=(n, max(n - 2, 1)))
+            a = b @ b.T
+            if trial % 8 == 5:
+                a = a - margin * np.abs(a).max() * np.ones((n, n))
+        elif kind == 2 and n >= 5:
+            a = horn_like(rng, n)
+            if trial % 8 == 6:
+                a = a - margin * np.abs(a).max() * np.ones((n, n))
         else:
-            # library found a violation; brute force need not, but the
-            # witness itself is checked in another test
-            pass
+            # the cp-trap recipe with an exact minimum of -1e-6 or +1e-6 max|a|
+            c = np.abs(rng.standard_cauchy((n, n)))
+            a = random_symmetric(rng, n) + rng.uniform(0.0, 20.0) * 0.5 * (c + c.T)
+            m, _ = simplex_minimum(a)
+            a = a - (m - margin * np.abs(a).max()) * np.ones((n, n))
+        verdict = assert_matches_oracle(a)
+        outside += verdict.status is ConeStatus.OUTSIDE
+        inside += verdict.status is ConeStatus.INSIDE
+    assert outside > 30 and inside > 30
+
+
+def test_copositive_cp_trap_matrices_are_outside():
+    # matrices a grid-and-descent search called copositive
+    traps = cp_trap_matrices()
+    assert [a.shape[0] for a in traps] == [8, 10, 9]
+    for a in traps:
+        verdict = is_copositive(a)
+        assert verdict.status is ConeStatus.OUTSIDE
+        x = verdict.witness
+        assert np.all(x >= 0.0)
+        assert float(x @ a @ x) < -band(a)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_copositive_invariant_under_permutation_and_rescaling(n):
+    rng = np.random.default_rng(100 + n)
+    for shift in (0.0, 1e-6):
+        a = horn_like(rng, n)
+        a = a - shift * np.abs(a).max() * np.ones((n, n))
+        status = is_copositive(a).status
+        assert status is (ConeStatus.OUTSIDE if shift else ConeStatus.INSIDE)
+        for _ in range(3):
+            p = rng.permutation(n)
+            d = rng.uniform(0.5, 2.0, n)
+            assert is_copositive(a[np.ix_(p, p)]).status is status
+            assert is_copositive(d[:, None] * a * d[None, :]).status is status
 
 
 def test_copositive_psd_implies_copositive():
@@ -193,7 +255,7 @@ def test_copositive_dimension_eleven_message_names_cap():
 
 
 def test_copositive_large_dimension_inside():
-    # n = 10: the coarse grid plus descent still certifies clear cases
+    # n = 10, the largest size the exact test accepts
     rng = np.random.default_rng(3)
     b = rng.normal(size=(10, 10))
     assert is_copositive(b @ b.T + np.eye(10)).status is ConeStatus.INSIDE
@@ -211,24 +273,6 @@ def test_copositive_deterministic():
     assert first.status is second.status
     if first.witness is not None:
         np.testing.assert_array_equal(first.witness, second.witness)
-
-
-# --- simplex grid ---------------------------------------------------------------
-
-
-def test_simplex_grid_counts_and_sums():
-    grid = simplex_grid(3, 4)
-    assert grid.shape == (math.comb(4 + 2, 2), 3)
-    np.testing.assert_allclose(grid.sum(axis=1), 1.0)
-    assert np.all(grid >= 0.0)
-    # contains every vertex
-    for i in range(3):
-        assert np.any(np.all(grid == np.eye(3)[i], axis=1))
-
-
-def test_simplex_grid_validates():
-    with pytest.raises(UsageError):
-        simplex_grid(0, 4)
 
 
 # --- complete positivity --------------------------------------------------------
@@ -304,6 +348,18 @@ def test_cp_factorization_search_five_dimensional():
     assert np.all(w >= 0.0)
     tol = 1e-8 * max(1.0, np.abs(a).max())
     assert np.abs(w.T @ w - a).max() <= tol
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("c", [0.1, 0.125])
+def test_cp_rank_one_is_inside_with_factor(n, c):
+    d = np.random.default_rng(n).uniform(0.5, 2.0, n)
+    for a in (c * np.ones((n, n)), c * np.outer(d, d)):
+        verdict = is_completely_positive(a)
+        assert verdict.status is ConeStatus.INSIDE
+        b = verdict.witness
+        assert np.all(b >= 0.0)
+        np.testing.assert_allclose(b.T @ b, a, rtol=0.0, atol=1e-9)
 
 
 def test_cp_certified_negative_case_is_not_inside():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from simplex_oracle import cp_trap_matrices
 
 import lsemix.orders as orders_module
 from lsemix.cones import HORN_MATRIX
@@ -411,6 +412,27 @@ def test_cop_undecided_membership_inconclusive():
     assert r.verdict is Verdict.INCONCLUSIVE
     # the same difference is entrywise nonnegative, hence cp-ordered
     assert check_order(d1, d2, OrderKind.CP).verdict is Verdict.ORDERED
+
+
+def test_cp_trap_difference_not_ordered():
+    # Sigma2 - Sigma1 is not copositive by about 100 times the tolerance,
+    # which a search for a violating point can miss
+    for diff in cp_trap_matrices():
+        n = diff.shape[0]
+        c = 1.0 + max(0.0, -float(np.linalg.eigvalsh(diff)[0]))
+        d1, d2 = mk(np.zeros(n), c * np.eye(n)), mk(np.zeros(n), c * np.eye(n) + diff)
+        assert check_order(d1, d2, OrderKind.CP).verdict is Verdict.NOT_ORDERED
+
+
+def test_cop_rank_one_difference_ordered_under_rescaling():
+    # Sigma2 - Sigma1 = 0.1 J is completely positive; so is D (0.1 J) D
+    n = 5
+    d = np.array([0.5, 1.0, 1.5, 2.0, 1.0])
+    sigma1, sigma2 = np.eye(n), np.eye(n) + 0.1 * np.ones((n, n))
+    for scale in (np.ones(n), d):
+        d1 = mk(np.zeros(n), scale[:, None] * sigma1 * scale[None, :])
+        d2 = mk(np.zeros(n), scale[:, None] * sigma2 * scale[None, :])
+        assert check_order(d1, d2, OrderKind.COP).verdict is Verdict.ORDERED
 
 
 # --- derived (projection) orders ----------------------------------------------------------
