@@ -73,12 +73,11 @@ from .orders import (
     NecessaryStatus,
     OrderKind,
     OrderReport,
+    SkipReason,
     SufficientStatus,
     Verdict,
     check_collective_risk,
-    check_derived,
     check_order,
-    check_sme_table,
     compare,
 )
 from .cli import ScenarioSpec, parse_scenario, run_check, serialize_scenario

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from simplex_oracle import simplex_minimum
+from sme_oracle import sme_table
 
 from lsemix.cli import main as cli_main
 from lsemix.cones import HORN_MATRIX, ConeStatus, is_copositive, is_psd, dual_pairing
@@ -35,10 +36,7 @@ from lsemix.orders import (
     OrderKind,
     SufficientStatus,
     Verdict,
-    check_icx,
     check_order,
-    check_sme_table,
-    check_st,
 )
 
 NORMAL = DensityGenerator(GeneratorFamily.NORMAL)
@@ -374,17 +372,19 @@ def test_acceptance_7_empirical_concordance():
     with criterion(7, "empirical concordance with the lemmas"):
         start = time.perf_counter()
         for index, (d1, d2) in enumerate(ST_SCENARIOS):
-            assert check_st(d1, d2).verdict is Verdict.ORDERED, ("st", index)
+            assert check_order(d1, d2, OrderKind.ST).verdict is Verdict.ORDERED, (
+                "st", index)
             cfg = McConfig(sample_count=1_000_000, seed=9200 + index)
             result = verify_st(d1, d2, cfg)
             assert result.passed, ("st", index, result.max_violation)
         for index, (d1, d2) in enumerate(ICX_SCENARIOS):
-            assert check_icx(d1, d2).verdict is Verdict.ORDERED, ("icx", index)
+            assert check_order(d1, d2, OrderKind.ICX).verdict is Verdict.ORDERED, (
+                "icx", index)
             cfg = McConfig(sample_count=1_000_000, seed=9300 + index)
             result = verify_icx(d1, d2, cfg)
             assert result.passed, ("icx", index, result.max_violation)
         for index, (d1, d2) in enumerate(CROSSING_SCENARIOS):
-            assert check_icx(d1, d2).verdict is Verdict.NOT_ORDERED, (
+            assert check_order(d1, d2, OrderKind.ICX).verdict is Verdict.NOT_ORDERED, (
                 "crossing", index)
             cfg = McConfig(sample_count=1_000_000, seed=9400 + index)
             result = verify_icx(d1, d2, cfg)
@@ -442,7 +442,7 @@ def test_acceptance_8_cone_module():
 
 
 # --------------------------------------------------------------------------
-# 9. Scale-mixture degeneration: router vs general checker
+# 9. Scale-mixture degeneration: general checker vs the scale-mixture oracle
 
 
 def random_sme_pair(rng):
@@ -482,11 +482,8 @@ def test_acceptance_9_sme_degeneration():
             d1, d2 = random_sme_pair(rng)
             for order in OrderKind:
                 general = check_order(d1, d2, order)
-                routed = check_sme_table(d1, d2, order)
                 assert (general.sufficient, general.necessary,
-                        general.verdict) == (routed.sufficient,
-                                             routed.necessary,
-                                             routed.verdict), (
+                        general.verdict) == sme_table(d1, d2, order), (
                     order, d1.describe(), d2.describe())
 
 

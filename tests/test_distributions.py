@@ -224,9 +224,28 @@ class TestPdf:
         np.testing.assert_allclose(d_ep.pdf(pts), d_n.pdf(pts), rtol=1e-12)
 
     def test_univariate_normalization(self):
-        d = ghss(3.0, 0.2, 1.1, 0.6)
-        total, err = integrate.quad(lambda y: d.pdf(y), -np.inf, np.inf, limit=400)
-        assert total == pytest.approx(1.0, abs=1e-6)
+        # The Laplace pair is the heavy-tailed one: under Beta(1.5) skew-slash
+        # mixing 0.18 % of its mass lies beyond mu + 50, where the density
+        # falls like y^-1.5.  Midpoint rule on [mu - 50, mu + 50], and on the
+        # tails in u with y = mu +- 50 / u^2, which makes a y^-1.5 tail a
+        # bounded integrand in u.
+        heavy = LseDistribution(
+            mu=np.array([0.35224598802261176]),
+            sigma=np.array([[0.7281496854319769]]),
+            delta=np.array([0.7316133792079745]),
+            generator=LAPLACE,
+            ab_map=AlphaBetaMap.skew_slash(),
+            mixing=BetaLambdaOne(1.5),
+        )
+        nodes, half_width = 50_000, 50.0
+        mid = (np.arange(nodes) + 0.5) / nodes
+        for d in (ghss(3.0, 0.2, 1.1, 0.6), heavy):
+            c = float(d.mu[0])
+            total = 2.0 * half_width / nodes * d.pdf(c + half_width * (2.0 * mid - 1.0)).sum()
+            for sign in (1.0, -1.0):
+                tail = d.pdf(c + sign * half_width / mid**2)
+                total += (2.0 * half_width / mid**3 * tail).sum() / nodes
+            assert total == pytest.approx(1.0, abs=1e-6), d.describe()
 
     def test_bivariate_normalization_student(self):
         d = LseDistribution(

@@ -35,7 +35,7 @@ from lsemix.empirical import (
 from lsemix.errors import UsageError
 from lsemix.generators import DensityGenerator, GeneratorFamily
 from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate, DiscreteWeighted
-from lsemix.orders import Verdict, check_icx, check_st
+from lsemix.orders import OrderKind, Verdict, check_order
 
 NORMAL = DensityGenerator(GeneratorFamily.NORMAL)
 CAUCHY = DensityGenerator(GeneratorFamily.CAUCHY)
@@ -491,14 +491,14 @@ def test_agreement_with_analytic_verdicts():
         (ghss(0.0, [[1.0]], [0.1]), ghss(0.2, [[1.0]], [0.3])),
     ]
     for d1, d2 in pairs:
-        assert check_st(d1, d2).verdict is Verdict.ORDERED
+        assert check_order(d1, d2, OrderKind.ST).verdict is Verdict.ORDERED
         assert verify_st(d1, d2, CFG).passed
     icx_pairs = [
         (mk(0.0, [[1.0]]), mk(0.2, [[1.8]])),
         (ghss(0.0, [[1.0]], [0.1]), ghss(0.1, [[1.5]], [0.1])),
     ]
     for d1, d2 in icx_pairs:
-        assert check_icx(d1, d2).verdict is Verdict.ORDERED
+        assert check_order(d1, d2, OrderKind.ICX).verdict is Verdict.ORDERED
         assert verify_icx(d1, d2, CFG).passed
 
 

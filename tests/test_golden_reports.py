@@ -38,3 +38,8 @@ def test_reports_match_golden(case):
     reports = compare(spec.block_1.build(), spec.block_2.build())
     got = {kind.value: _json_safe(_order_node(r)) for kind, r in reports.items()}
     assert got == case["reports"]
+    for report in reports.values():
+        for clause in report.clauses:
+            if clause.tag.startswith("necessary/") and clause.passed is None:
+                assert clause.skip is not None, clause
+                assert clause.text.endswith(clause.skip.value), clause

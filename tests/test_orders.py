@@ -7,11 +7,17 @@ with a necessary violation — is asserted inside OrderReport itself, so the
 random batteries here both exercise and rely on that check.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 from simplex_oracle import cp_trap_matrices
+from sme_oracle import sme_table
 
 import lsemix.orders as orders_module
 from lsemix.cones import HORN_MATRIX
@@ -30,17 +36,11 @@ from lsemix.orders import (
     NecessaryStatus,
     OrderKind,
     OrderReport,
+    SkipReason,
     SufficientStatus,
     Verdict,
     check_collective_risk,
-    check_cx,
-    check_derived,
-    check_icx,
     check_order,
-    check_sm,
-    check_sme_table,
-    check_st,
-    check_uo,
     compare,
 )
 
@@ -90,7 +90,7 @@ def test_report_rejects_inconsistent_verdict():
 
 
 def test_clause_tags_split_by_group():
-    r = check_st(mk(0.0, [[1.0]]), mk(0.5, [[1.0]]))
+    r = check_order(mk(0.0, [[1.0]]), mk(0.5, [[1.0]]), OrderKind.ST)
     assert any(c.tag.startswith("sufficient/") for c in r.clauses)
     assert any(c.tag.startswith("necessary/") for c in r.clauses)
 
@@ -100,23 +100,24 @@ def test_clause_tags_split_by_group():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(UsageError):
-        check_st(mk([0.0], [[1.0]]), mk([0.0, 0.0], np.eye(2)))
+        check_order(mk([0.0], [[1.0]]), mk([0.0, 0.0], np.eye(2)), OrderKind.ST)
 
 
 def test_generator_mismatch_rejected():
     with pytest.raises(IncomparableFamiliesError):
-        check_st(mk(0.0, [[1.0]]), mk(0.0, [[1.0]], gen=STUDENT5))
+        check_order(mk(0.0, [[1.0]]), mk(0.0, [[1.0]], gen=STUDENT5), OrderKind.ST)
 
 
 def test_mixing_mismatch_rejected():
     with pytest.raises(IncomparableFamiliesError):
-        check_st(mk(0.0, [[1.0]], mix=Degenerate(1.0)),
-                 mk(0.0, [[1.0]], mix=Degenerate(2.0)))
+        check_order(mk(0.0, [[1.0]], mix=Degenerate(1.0)),
+                    mk(0.0, [[1.0]], mix=Degenerate(2.0)), OrderKind.ST)
 
 
 def test_map_mismatch_rejected():
     with pytest.raises(IncomparableFamiliesError):
-        check_st(mk(0.0, [[1.0]], ab=PLAIN), mk(0.0, [[1.0]], ab=MEANVAR))
+        check_order(mk(0.0, [[1.0]], ab=PLAIN), mk(0.0, [[1.0]], ab=MEANVAR),
+                    OrderKind.ST)
 
 
 # --- usual stochastic order ---------------------------------------------------------
@@ -124,24 +125,25 @@ def test_map_mismatch_rejected():
 
 def test_st_reflexive():
     d = mk([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
-    r = check_st(d, d)
+    r = check_order(d, d, OrderKind.ST)
     assert r.verdict is Verdict.ORDERED
     assert r.sufficient is SufficientStatus.HOLDS
 
 
 def test_st_skewed_location_pair_ordered():
-    r = check_st(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.0]], [0.5]))
+    r = check_order(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.0]], [0.5]), OrderKind.ST)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_st_unequal_scales_not_ordered():
-    r = check_st(mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], 2.0 * np.eye(2)))
+    r = check_order(mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], 2.0 * np.eye(2)),
+                    OrderKind.ST)
     assert r.verdict is Verdict.NOT_ORDERED
     assert r.necessary is NecessaryStatus.VIOLATED
 
 
 def test_st_mean_violation_not_ordered():
-    r = check_st(mk(1.0, [[1.0]]), mk(0.0, [[1.0]]))
+    r = check_order(mk(1.0, [[1.0]]), mk(0.0, [[1.0]]), OrderKind.ST)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
@@ -151,7 +153,7 @@ def test_st_compensated_shift_inconclusive():
     # the bottom of the range while the mean ordering holds.
     d1 = ghss(0.0, [[1.0]], [0.2])
     d2 = ghss(-0.6, [[1.0]], [0.7])
-    r = check_st(d1, d2)
+    r = check_order(d1, d2, OrderKind.ST)
     assert r.sufficient is SufficientStatus.FAILS
     assert r.necessary is NecessaryStatus.HOLDS
     assert r.verdict is Verdict.INCONCLUSIVE
@@ -162,7 +164,7 @@ def test_st_divergent_shift_mean_not_applicable():
     # mean clause cannot be evaluated; scale equality still holds.
     d1 = mk(0.0, [[1.0]], [0.2], ab=SKEW, mix=BetaLambdaOne(0.5))
     d2 = mk(0.5, [[1.0]], [0.5], ab=SKEW, mix=BetaLambdaOne(0.5))
-    r = check_st(d1, d2)
+    r = check_order(d1, d2, OrderKind.ST)
     assert r.necessary is NecessaryStatus.NOT_APPLICABLE
     mean_clause = [c for c in r.clauses if c.tag == "necessary/mean-ordering"][0]
     assert mean_clause.passed is None
@@ -173,20 +175,32 @@ def test_st_divergent_shift_equal_deltas_still_decided():
     # the location vectors exactly
     d1 = mk(1.0, [[1.0]], [0.4], ab=SKEW, mix=BetaLambdaOne(0.5))
     d2 = mk(0.0, [[1.0]], [0.4], ab=SKEW, mix=BetaLambdaOne(0.5))
-    r = check_st(d1, d2)
+    r = check_order(d1, d2, OrderKind.ST)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_st_assumption_gate(monkeypatch):
     monkeypatch.setattr(orders_module, "assumption_profile",
                         lambda gen: (False, False, ()))
-    r = check_st(mk(0.0, [[1.0]]), mk(0.0, [[2.0]]))
+    r = check_order(mk(0.0, [[1.0]]), mk(0.0, [[2.0]]), OrderKind.ST)
     assert r.necessary is NecessaryStatus.ASSUMPTION_UNMET
     assert r.verdict is Verdict.INCONCLUSIVE
 
 
+def test_assumption_skips_carry_over_to_projection_orders(monkeypatch):
+    monkeypatch.setattr(orders_module, "assumption_profile",
+                        lambda gen: (False, False, ()))
+    d1, d2 = mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], 2.0 * np.eye(2))
+    for order in (OrderKind.PLST, OrderKind.IPLCX):
+        r = check_order(d1, d2, order)
+        assert r.necessary is NecessaryStatus.ASSUMPTION_UNMET
+        necessary = [c for c in r.clauses if c.tag.startswith("necessary/")]
+        assert necessary[-1].tag == "necessary/projection-directions"
+        assert all(c.skip is SkipReason.ASSUMPTION for c in necessary)
+
+
 def test_st_assumption_checks_recorded():
-    r = check_st(mk(0.0, [[1.0]]), mk(0.5, [[1.0]]))
+    r = check_order(mk(0.0, [[1.0]]), mk(0.5, [[1.0]]), OrderKind.ST)
     assert len(r.assumption_checks) == 2
     assert all(p.satisfies_assumption1 for p in r.assumption_checks)
 
@@ -197,7 +211,7 @@ def test_st_unbounded_beta_range_requires_shift_ordering():
     mix = GeneralizedInverseGaussian(lam=1.0, chi=1.0, tau=2.0)
     d1 = mk(0.0, [[1.0]], [0.5], ab=AlphaBetaMap.location_mixture(), mix=mix)
     d2 = mk(1.0, [[1.0]], [0.4], ab=AlphaBetaMap.location_mixture(), mix=mix)
-    r = check_st(d1, d2)
+    r = check_order(d1, d2, OrderKind.ST)
     assert r.sufficient is SufficientStatus.FAILS
     # mean ordering still holds, so no violation is certified
     assert r.verdict is Verdict.INCONCLUSIVE
@@ -209,26 +223,26 @@ def test_st_unbounded_beta_range_requires_shift_ordering():
 def test_cx_psd_increase_ordered():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.0, 0.0], np.eye(2) + np.diag([1.0, 0.0]))
-    r = check_cx(d1, d2)
+    r = check_order(d1, d2, OrderKind.CX)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_cx_unequal_shifts_not_ordered():
-    r = check_cx(ghss(0.0, [[1.0]], [0.2]), ghss(0.0, [[1.0]], [0.5]))
+    r = check_order(ghss(0.0, [[1.0]], [0.2]), ghss(0.0, [[1.0]], [0.5]), OrderKind.CX)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_cx_non_psd_difference_not_ordered():
     d1 = mk([0.0, 0.0], 2.0 * np.eye(2))
     d2 = mk([0.0, 0.0], np.diag([3.0, 1.0]))
-    r = check_cx(d1, d2)
+    r = check_order(d1, d2, OrderKind.CX)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_cx_no_premise_not_applicable():
     d1 = ghss(0.0, [[1.0]], [0.2])
     d2 = ghss(0.3, [[1.0]], [0.5])
-    r = check_cx(d1, d2)
+    r = check_order(d1, d2, OrderKind.CX)
     assert r.necessary is NecessaryStatus.NOT_APPLICABLE
     assert r.verdict is Verdict.INCONCLUSIVE
 
@@ -238,7 +252,7 @@ def test_cx_divergent_covariance_gates_psd_clause():
     # cannot be certified; with equal means the verdict stays inconclusive
     d1 = mk([0.0, 0.0], 2.0 * np.eye(2), gen=CAUCHY)
     d2 = mk([0.0, 0.0], np.diag([3.0, 1.0]), gen=CAUCHY)
-    r = check_cx(d1, d2)
+    r = check_order(d1, d2, OrderKind.CX)
     assert r.sufficient is SufficientStatus.FAILS
     assert r.necessary is NecessaryStatus.NOT_APPLICABLE
 
@@ -247,26 +261,28 @@ def test_cx_divergent_covariance_gates_psd_clause():
 
 
 def test_icx_univariate_scale_growth_ordered():
-    r = check_icx(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[2.0]], [0.2]))
+    r = check_order(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[2.0]], [0.2]), OrderKind.ICX)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_icx_univariate_scale_shrink_not_ordered():
-    r = check_icx(mk(0.0, [[2.0]]), mk(0.5, [[1.0]]))
+    r = check_order(mk(0.0, [[2.0]]), mk(0.5, [[1.0]]), OrderKind.ICX)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_icx_cauchy_scale_shrink_still_decided():
     # the scale necessity for icx rests on tail ratios, not moments, so the
     # divergent-covariance family still certifies the violation
-    r = check_icx(mk(0.0, [[2.0]], gen=CAUCHY), mk(0.5, [[1.0]], gen=CAUCHY))
+    r = check_order(mk(0.0, [[2.0]], gen=CAUCHY), mk(0.5, [[1.0]], gen=CAUCHY),
+                    OrderKind.ICX)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_icx_copositive_not_psd_inconclusive():
     sigma1 = 3.0 * np.eye(5)
     sigma2 = sigma1 + 0.5 * np.asarray(HORN_MATRIX)
-    r = check_icx(mk(np.zeros(5), sigma1), mk(0.1 * np.ones(5), sigma2))
+    r = check_order(mk(np.zeros(5), sigma1), mk(0.1 * np.ones(5), sigma2),
+                    OrderKind.ICX)
     assert r.sufficient is SufficientStatus.FAILS
     assert r.necessary is NecessaryStatus.HOLDS
     assert r.verdict is Verdict.INCONCLUSIVE
@@ -275,7 +291,7 @@ def test_icx_copositive_not_psd_inconclusive():
 def test_icx_multivariate_psd_ordered():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.2, 0.1], np.eye(2) + 0.5 * np.ones((2, 2)))
-    assert check_icx(d1, d2).verdict is Verdict.ORDERED
+    assert check_order(d1, d2, OrderKind.ICX).verdict is Verdict.ORDERED
 
 
 # --- directionally and componentwise convex -----------------------------------------
@@ -313,12 +329,13 @@ def corr(rho):
 
 
 def test_sm_correlation_increase_ordered():
-    r = check_sm(mk([0.0, 0.0], corr(0.2)), mk([0.0, 0.0], corr(0.5)))
+    r = check_order(mk([0.0, 0.0], corr(0.2)), mk([0.0, 0.0], corr(0.5)), OrderKind.SM)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_sm_unequal_diagonals_not_ordered():
-    r = check_sm(mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], np.diag([2.0, 1.0])))
+    r = check_order(mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], np.diag([2.0, 1.0])),
+                    OrderKind.SM)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
@@ -326,31 +343,32 @@ def test_sm_exchange_consistency():
     # ordered both ways forces equal scale matrices
     d1 = mk([0.0, 0.0], corr(0.3))
     d2 = mk([0.0, 0.0], corr(0.3))
-    assert check_sm(d1, d2).verdict is Verdict.ORDERED
-    assert check_sm(d2, d1).verdict is Verdict.ORDERED
+    assert check_order(d1, d2, OrderKind.SM).verdict is Verdict.ORDERED
+    assert check_order(d2, d1, OrderKind.SM).verdict is Verdict.ORDERED
     rng = np.random.default_rng(2)
     for _ in range(20):
         rho1, rho2 = rng.uniform(-0.9, 0.9, size=2)
         a, b = mk([0.0, 0.0], corr(rho1)), mk([0.0, 0.0], corr(rho2))
-        if (check_sm(a, b).verdict is Verdict.ORDERED
-                and check_sm(b, a).verdict is Verdict.ORDERED):
+        if (check_order(a, b, OrderKind.SM).verdict is Verdict.ORDERED
+                and check_order(b, a, OrderKind.SM).verdict is Verdict.ORDERED):
             assert abs(rho1 - rho2) < 1e-9
 
 
 def test_uo_same_marginal_correlation_increase_ordered():
-    r = check_uo(mk([0.0, 0.0], corr(0.1)), mk([0.1, 0.2], corr(0.4)))
+    r = check_order(mk([0.0, 0.0], corr(0.1)), mk([0.1, 0.2], corr(0.4)), OrderKind.UO)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_uo_unequal_diagonals_not_ordered():
-    r = check_uo(mk([0.0, 0.0], np.eye(2)), mk([0.1, 0.1], np.diag([2.0, 1.0])))
+    r = check_order(mk([0.0, 0.0], np.eye(2)), mk([0.1, 0.1], np.diag([2.0, 1.0])),
+                    OrderKind.UO)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
 def test_uo_offdiag_necessity_only_for_matching_marginals():
     # marginals match, off-diagonal decreases: certified not ordered without
     # any tail-assumption involvement
-    r = check_uo(mk([0.0, 0.0], corr(0.5)), mk([0.0, 0.0], corr(0.1)))
+    r = check_order(mk([0.0, 0.0], corr(0.5)), mk([0.0, 0.0], corr(0.1)), OrderKind.UO)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
@@ -360,7 +378,8 @@ def test_uo_matches_sm_for_bivariate_same_marginals():
     for _ in range(20):
         rho1, rho2 = rng.uniform(-0.8, 0.8, size=2)
         d1, d2 = mk([0.0, 1.0], corr(rho1)), mk([0.0, 1.0], corr(rho2))
-        assert check_sm(d1, d2).verdict == check_uo(d1, d2).verdict
+        assert (check_order(d1, d2, OrderKind.SM).verdict
+                == check_order(d1, d2, OrderKind.UO).verdict)
 
 
 # --- cone-based orders ------------------------------------------------------------------
@@ -439,16 +458,16 @@ def test_cop_rank_one_difference_ordered_under_rescaling():
 
 
 def test_plst_inherits_st():
-    r = check_derived(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.0]], [0.5]),
-                      OrderKind.PLST)
+    r = check_order(ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.0]], [0.5]),
+                    OrderKind.PLST)
     assert r.verdict is Verdict.ORDERED
 
 
 def test_lcx_ilcx_inherit_cx():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.0, 0.0], np.eye(2) + np.diag([1.0, 0.0]))
-    assert check_derived(d1, d2, OrderKind.LCX).verdict is Verdict.ORDERED
-    assert check_derived(d1, d2, OrderKind.ILCX).verdict is Verdict.ORDERED
+    assert check_order(d1, d2, OrderKind.LCX).verdict is Verdict.ORDERED
+    assert check_order(d1, d2, OrderKind.ILCX).verdict is Verdict.ORDERED
 
 
 def test_iplcx_negative_direction_not_ordered():
@@ -456,7 +475,7 @@ def test_iplcx_negative_direction_not_ordered():
     # necessity even though locations are ordered
     d1 = mk([0.0, 0.0], np.diag([1.0, 2.0]))
     d2 = mk([0.1, 0.1], np.diag([1.0, 1.0]))
-    r = check_derived(d1, d2, OrderKind.IPLCX)
+    r = check_order(d1, d2, OrderKind.IPLCX)
     assert r.verdict is Verdict.NOT_ORDERED
 
 
@@ -467,27 +486,35 @@ def test_lcx_direction_premise_sharper_than_parent():
     # certifies a violation
     d1 = ghss([0.5, -0.5], np.eye(2), [0.3, 0.0])
     d2 = ghss([0.0, 0.0], np.eye(2), [0.8, 0.1])
-    parent = check_cx(d1, d2)
+    parent = check_order(d1, d2, OrderKind.CX)
     assert parent.necessary is NecessaryStatus.NOT_APPLICABLE
-    r = check_derived(d1, d2, OrderKind.LCX)
+    r = check_order(d1, d2, OrderKind.LCX)
     assert r.verdict is Verdict.NOT_ORDERED
     projection = [c for c in r.clauses
                   if c.tag == "necessary/projection-directions"][0]
     assert projection.passed is False
 
 
-def test_derived_rejects_direct_orders():
-    d = mk(0.0, [[1.0]])
-    with pytest.raises(UsageError):
-        check_derived(d, d, OrderKind.ST)
-
-
 def test_derived_reports_are_deterministic():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.1, 0.2], np.eye(2))
-    first = check_derived(d1, d2, OrderKind.IPLCX)
-    second = check_derived(d1, d2, OrderKind.IPLCX)
+    first = check_order(d1, d2, OrderKind.IPLCX)
+    second = check_order(d1, d2, OrderKind.IPLCX)
     assert first == second
+
+
+def test_halton_points_match_scipy():
+    for n in range(1, 41):
+        reference = qmc.Halton(d=n, scramble=False).random(33)[1:]
+        assert np.array_equal(orders_module._halton_points(n), reference), n
+
+
+def test_import_loads_no_scipy_stats():
+    code = "import sys, lsemix; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 # --- collective risk -------------------------------------------------------------------
@@ -519,7 +546,7 @@ def test_collective_risk_unit_weight_matches_marginal_check():
     d1 = mk([0.0, 1.0], np.diag([1.0, 2.0]))
     d2 = mk([0.5, 1.0], np.diag([1.0, 2.0]))
     r = check_collective_risk(d1, d2, [1.0, 0.0], OrderKind.ST)
-    m = check_st(d1.marginal([0]), d2.marginal([0]))
+    m = check_order(d1.marginal([0]), d2.marginal([0]), OrderKind.ST)
     assert r.verdict == m.verdict
 
 
@@ -533,33 +560,26 @@ def test_collective_risk_validations():
         check_collective_risk(d, d, [0.5], OrderKind.ST)
 
 
-# --- scale-mixture table router -------------------------------------------------------
-
-
-def test_sme_table_rejects_skewed_inputs():
-    with pytest.raises(UsageError):
-        check_sme_table(ghss(0.0, [[1.0]], [0.2]), ghss(0.0, [[1.0]], [0.2]),
-                        OrderKind.ST)
+# --- scale-mixture oracle ---------------------------------------------------------------
 
 
 def test_sme_table_st_row():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.1, 0.2], np.eye(2))
-    assert check_sme_table(d1, d2, OrderKind.ST).verdict is Verdict.ORDERED
+    assert sme_table(d1, d2, OrderKind.ST)[2] is Verdict.ORDERED
 
 
 def test_sme_table_cx_row():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.0, 0.0], np.eye(2) + 0.3 * np.ones((2, 2)))
-    assert check_sme_table(d1, d2, OrderKind.CX).verdict is Verdict.ORDERED
+    assert sme_table(d1, d2, OrderKind.CX)[2] is Verdict.ORDERED
 
 
 def test_sme_table_icx_gap_inconclusive():
     sigma1 = 3.0 * np.eye(5)
     sigma2 = sigma1 + 0.5 * np.asarray(HORN_MATRIX)
     d1, d2 = mk(np.zeros(5), sigma1), mk(0.1 * np.ones(5), sigma2)
-    r = check_sme_table(d1, d2, OrderKind.ICX)
-    assert r.verdict is Verdict.INCONCLUSIVE
+    assert sme_table(d1, d2, OrderKind.ICX)[2] is Verdict.INCONCLUSIVE
 
 
 def random_sme_pair(rng, n):
@@ -596,9 +616,8 @@ def test_sme_router_agrees_with_general_checker():
         d1, d2 = random_sme_pair(rng, n)
         for order in OrderKind:
             general = check_order(d1, d2, order)
-            routed = check_sme_table(d1, d2, order)
             assert (general.sufficient, general.necessary, general.verdict) == (
-                routed.sufficient, routed.necessary, routed.verdict
+                sme_table(d1, d2, order)
             ), (order, d1.describe(), d2.describe())
 
 
