@@ -379,6 +379,18 @@ def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResu
 # Convex test functionals (cx)
 
 
+def _accumulate(block: np.ndarray, sums: np.ndarray, sqs: np.ndarray) -> None:
+    """Add the column sums and square sums of ``block`` to ``sums`` and
+    ``sqs``, squaring ``block`` in place.
+
+    numpy sums each column of a block at least two columns wide row by row,
+    in the same order whatever the width, but a lone column pairwise; every
+    block here has two or more columns.
+    """
+    sums += block.sum(axis=0)
+    sqs += np.square(block, out=block).sum(axis=0)
+
+
 def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, directions) -> DominanceResult:
     """Check E f(Y1) <= E f(Y2) for a battery of convex test functions.
 
@@ -414,15 +426,21 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
         x1, x2 = sample_coupled(d1, d2, rng, size)
         proj1 = x1 @ dirs.T
         proj2 = x2 @ dirs.T
-        cols = [np.square(proj1) - np.square(proj2), np.abs(proj1) - np.abs(proj2)]
-        cols.append((x1.max(axis=1) - x2.max(axis=1))[:, None])
-        for c in thresholds:
-            cols.append(
-                (np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1))[:, None]
-            )
-        stacked = np.concatenate(cols, axis=1)
-        sums += stacked.sum(axis=0)
-        sqs += np.square(stacked).sum(axis=0)
+        # One group of functionals at a time: the directional ones, then max
+        # and the payoffs.
+        directional = np.empty((size, 2 * k))
+        np.square(proj1, out=directional[:, :k])
+        np.abs(proj1, out=directional[:, k:])
+        directional[:, :k] -= np.square(proj2, out=proj1)  # proj1 is spent: reuse it
+        directional[:, k:] -= np.abs(proj2, out=proj2)
+        del proj1, proj2
+        _accumulate(directional, sums[:2 * k], sqs[:2 * k])
+        del directional
+        tail = np.empty((size, 1 + thresholds.size))
+        tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
+        for j, c in enumerate(thresholds, start=1):
+            tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
+        _accumulate(tail, sums[2 * k:], sqs[2 * k:])
         dm = x1 - x2
         mean_sum += dm.sum(axis=0)
         mean_sq += np.square(dm).sum(axis=0)

@@ -195,9 +195,14 @@ def radial_profile_integral(gen: DensityGenerator, n: int, method: str = "auto")
 
     Closed forms exist for every family except logistic, which falls back to
     adaptive quadrature with automatic tail truncation.  ``method`` may force
-    ``"closed_form"`` or ``"quadrature"`` (used for cross-validation).
+    ``"closed_form"`` or ``"quadrature"`` (used for cross-validation).  Values
+    are cached by (generator, n, method).
     """
-    n = _validate_dimension(n)
+    return _radial_profile_integral(gen, _validate_dimension(n), method)
+
+
+@lru_cache(maxsize=None)
+def _radial_profile_integral(gen: DensityGenerator, n: int, method: str) -> float:
     if method not in ("auto", "closed_form", "quadrature"):
         raise ParameterError(f"unknown method {method!r}")
     if method == "quadrature":
@@ -235,9 +240,13 @@ def radial_second_moment(gen: DensityGenerator, n: int, method: str = "auto") ->
 
     Equals I_{n+2} / I_n where both integrals use the *same* profile g_n.
     Returns math.inf when the numerator diverges (cauchy for every n; student
-    when m <= 2).
+    when m <= 2).  Values are cached by (generator, n, method).
     """
-    n = _validate_dimension(n)
+    return _radial_second_moment(gen, _validate_dimension(n), method)
+
+
+@lru_cache(maxsize=None)
+def _radial_second_moment(gen: DensityGenerator, n: int, method: str) -> float:
     if method not in ("auto", "closed_form", "quadrature"):
         raise ParameterError(f"unknown method {method!r}")
     fam = gen.family

@@ -12,19 +12,32 @@ share (generator, map, mixing):
   the order outright, and its *necessary* entries, which must hold whenever
   the order holds (a failed one certifies Not Ordered).  Each necessary
   entry is a tag behind gates.
-* A gate maps the pair to a ``SkipReason`` or None: the two tail-ratio gates
-  (conditions A and B of the tail classification, on which the necessity
-  arguments for st/icx/uo rest), the equality premise of the equal-mean
-  orders, finite covariances, and uo's same marginals.  The first gate that
-  fails skips the clause; a skipped clause has ``passed`` None, names the
-  reason in ``Clause.skip`` and ends its text with the reason's value.
+* A gate is a predicate on the pair with the ``SkipReason`` it reports:
+  the two tail-ratio gates (conditions A and B of the tail classification,
+  on which the necessity arguments for st/icx/uo rest), the equality premise
+  of the equal-mean orders, finite covariances, and uo's same marginals.
+  The first gate that fails skips the clause; a skipped clause has
+  ``passed`` None, names the reason in ``Clause.skip`` and ends its text
+  with the reason's value.
 
 Sufficient Holds => Ordered; necessary Violated => NotOrdered; anything else
 is Inconclusive (the Monte Carlo module can probe the gap).  A necessary
 group with a tail-assumption skip reads AssumptionUnmet.  An order reports
-its tail-ratio probes exactly when one of its gates is a tail gate.  The
-projection orders (plst, lcx, ilcx, iplcx) evaluate their parent on the same
-pair and add the parent's univariate test along fixed directions.
+its tail-ratio probes exactly when one of its gates is a tail gate.
+
+The projection orders (plst, lcx, ilcx, iplcx) evaluate their parent on the
+same pair and add the parent's univariate test along fixed directions.  The
+family is closed under affine maps, so a'Y_i is the univariate mixture with
+a'mu_i, a'Sigma_i a and a'delta_i.  ``_Projections`` holds these for every
+direction as arrays, the parent's gates read it as they read a pair, and
+``_PROJECTED`` gives each parent condition in univariate form, with the
+tolerance vec_equal and vec_leq apply to a 1-vector and the 1x1 cone rule.
+No distribution is built per direction.
+
+All the orders of one compare() share one ``_Pair``, so each cone test of
+Sigma2 - Sigma1 runs once per call: ``_validate_pair`` returns the last pair
+again when it is called with the very same two (frozen) distributions, and
+compare() starts from an empty slot.
 
 Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
 difference is mu_2 - mu_1 even when E(beta) diverges.  Equalities and
@@ -38,12 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cones import (
+    DEFAULT_TOL,
     ConeStatus,
     ConeVerdict,
     is_completely_positive,
@@ -52,8 +66,8 @@ from .cones import (
 )
 from .distributions import LseDistribution
 from .errors import IncomparableFamiliesError, SizeLimitError, UsageError
-from .generators import LimitRatioResult, assumption_profile
-from .mixing import beta_mean, beta_range
+from .generators import LimitRatioResult, assumption_profile, radial_second_moment
+from .mixing import alpha_square_mean, beta_mean, beta_range, beta_variance
 
 __all__ = [
     "OrderKind",
@@ -213,6 +227,7 @@ class _Pair:
     def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
         return assumption_profile(self.d1.generator)
 
+    @cached_property
     def covariances_defined(self) -> bool:
         return (
             self.d1.moments().covariance is not None
@@ -316,7 +331,19 @@ def _inside(verdict: ConeVerdict | None) -> bool | None:
     return verdict.status is ConeStatus.INSIDE
 
 
+#: The last pair built, returned again for the very same two objects, so
+#: that the orders of one compare(), each checked through check_order, share
+#: the pair's cached cone verdicts.  Sound because LseDistribution is frozen
+#: and its arrays are read-only; compare() empties the slot, so each call
+#: builds one pair of its own.
+_last_pair: _Pair | None = None
+
+
 def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
+    global _last_pair
+    last = _last_pair
+    if last is not None and last.d1 is d1 and last.d2 is d2:
+        return last
     if d1.dim != d2.dim:
         raise UsageError(f"dimension mismatch: {d1.dim} vs {d2.dim}")
     if not d1.shares_family(d2):
@@ -325,7 +352,8 @@ def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
             "map, and mixing law; got "
             f"({d1.describe()}) vs ({d2.describe()})"
         )
-    return _Pair(d1, d2)
+    _last_pair = _Pair(d1, d2)
+    return _last_pair
 
 
 # --- the condition table -----------------------------------------------------
@@ -372,21 +400,22 @@ _CONDITIONS: dict[str, _Condition] = {
 }
 
 
-# --- gates: None lets the clause through, a reason skips it ------------------
-
-_Gate = Callable[[_Pair], SkipReason | None]
+# --- gates: a clause is evaluated only where every gate holds ----------------
 
 
-def _gate(holds: Callable[[_Pair], bool], reason: SkipReason) -> _Gate:
-    return lambda pair: None if holds(pair) else reason
+class _Gate(NamedTuple):
+    #: Read on a _Pair (a bool) and on _Projections (a bool per direction),
+    #: so it may use only what both provide, and ``|``, ``&`` for or, and.
+    holds: Callable[[_Pair], bool]
+    #: Why the clause is skipped where the gate does not hold.
+    reason: SkipReason
 
 
-_tail_one = _gate(lambda pair: pair.profile()[0], SkipReason.ASSUMPTION)
-_tail_two = _gate(lambda pair: pair.profile()[1], SkipReason.ASSUMPTION)
-_premise = _gate(lambda pair: pair.mu_equal or pair.delta_equal, SkipReason.PREMISE)
-_covariances = _gate(_Pair.covariances_defined, SkipReason.MOMENTS)
-_marginals = _gate(_Pair.same_marginals, SkipReason.MARGINALS)
-_TAIL_GATES = (_tail_one, _tail_two)
+_tail_one = _Gate(lambda pair: pair.profile()[0], SkipReason.ASSUMPTION)
+_tail_two = _Gate(lambda pair: pair.profile()[1], SkipReason.ASSUMPTION)
+_premise = _Gate(lambda pair: pair.mu_equal | pair.delta_equal, SkipReason.PREMISE)
+_covariances = _Gate(lambda pair: pair.covariances_defined, SkipReason.MOMENTS)
+_marginals = _Gate(_Pair.same_marginals, SkipReason.MARGINALS)
 
 
 # --- the order table ---------------------------------------------------------
@@ -481,9 +510,8 @@ def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
     tag = "necessary/" + entry.tag
     text = condition.text if entry.text is None else entry.text
     for gate in entry.gates:
-        reason = gate(pair)
-        if reason is not None:
-            return Clause(tag, text + reason.value, None, reason)
+        if not gate.holds(pair):
+            return Clause(tag, text + gate.reason.value, None, gate.reason)
     passed = condition.test(pair)
     if passed is None:
         return Clause(tag, text + condition.undecided.value, None, condition.undecided)
@@ -522,7 +550,8 @@ def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
         for tag in spec.sufficient
     ]
     necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
-    tail_gated = any(g in _TAIL_GATES for entry in spec.necessary for g in entry.gates)
+    tail_gated = any(gate.reason is SkipReason.ASSUMPTION
+                     for entry in spec.necessary for gate in entry.gates)
     probes = pair.profile()[2] if tail_gated else ()
     return _report(order, sufficient, necessary, probes)
 
@@ -571,32 +600,147 @@ def _halton_directions(n: int, signed: bool) -> np.ndarray:
     return points[keep] / norms[keep, None]
 
 
-def _projection_directions(pair: _Pair, signed: bool) -> list[np.ndarray]:
-    """Deterministic directions for the univariate necessary tests.
-
-    Axis vectors and pair sums identify the mean vector and the full scale
-    matrix by polarization; the low-discrepancy bundle and the adversarial
-    directions (most-negative eigenvector, copositivity violation point)
-    probe the cones away from the axes.
-    """
-    n = pair.d1.dim
+@lru_cache(maxsize=None)
+def _fixed_directions(n: int, signed: bool) -> np.ndarray:
+    """Axis vectors, pair sums (and, signed, differences) and the Halton
+    bundle, one per row; read-only, since it is cached."""
     eye = np.eye(n)
-    directions = [eye[i] for i in range(n)]
+    directions = list(eye)
     for i in range(n):
         for j in range(i + 1, n):
             directions.append((eye[i] + eye[j]) / math.sqrt(2.0))
             if signed:
                 directions.append((eye[i] - eye[j]) / math.sqrt(2.0))
     directions.extend(_halton_directions(n, signed))
+    fixed = np.array(directions)
+    fixed.setflags(write=False)
+    return fixed
+
+
+def _projection_directions(pair: _Pair, signed: bool) -> np.ndarray:
+    """Deterministic directions for the univariate necessary tests, one per row.
+
+    Axis vectors and pair sums identify the mean vector and the full scale
+    matrix by polarization; the low-discrepancy bundle and the adversarial
+    directions (most-negative eigenvector, copositivity violation point)
+    probe the cones away from the axes.
+    """
+    fixed = _fixed_directions(pair.d1.dim, signed)
     if signed:
         eigenvalues, eigenvectors = np.linalg.eigh(pair.sigma_diff)
         if eigenvalues[0] < 0.0:
-            directions.append(eigenvectors[:, 0])
+            return np.vstack([fixed, eigenvectors[:, 0]])
     else:
         witness = pair.copositive_witness()
         if witness is not None and float(np.linalg.norm(witness)) > 1e-9:
-            directions.append(witness / float(np.linalg.norm(witness)))
-    return directions
+            return np.vstack([fixed, witness / float(np.linalg.norm(witness))])
+    return fixed
+
+
+def _tol(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The tolerance vec_equal and vec_leq apply to the 1-vectors x_k, y_k."""
+    return RELATIVE_TOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+
+
+def _equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.abs(x - y) <= _tol(x, y)
+
+
+def _leq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x <= y + _tol(x, y)
+
+
+def _in_cone(d: np.ndarray) -> np.ndarray:
+    """The 1x1 matrix [d] is PSD, and copositive, exactly when is_psd and
+    is_copositive say so: d >= -DEFAULT_TOL * max(1, |d|)."""
+    return d >= -DEFAULT_TOL * np.maximum(np.abs(d), 1.0)
+
+
+class _Projections:
+    """The univariate pairs (a'Y1, a'Y2) for the rows a of a direction matrix.
+
+    The family is closed under affine maps, so a'Y_i has location a'mu_i,
+    scale a'Sigma_i a and shift a'delta_i, with the pair's generator, map and
+    mixing law: three numbers per direction and distribution, held here as
+    arrays.  The attributes the gates read give one value per direction, as
+    the _Pair of that direction's projected distributions would.
+    """
+
+    def __init__(self, pair: _Pair, directions: np.ndarray) -> None:
+        self.pair = pair
+        d1, d2 = pair.d1, pair.d2
+        self.mu1, self.mu2 = directions @ d1.mu, directions @ d2.mu
+        self.delta1 = directions @ d1.effective_delta()
+        self.delta2 = directions @ d2.effective_delta()
+        self.sigma1, self.sigma2 = (
+            np.einsum("ij,ij->i", directions @ d.sigma, directions) for d in (d1, d2))
+
+    def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
+        return self.pair.profile()
+
+    @cached_property
+    def mu_equal(self) -> np.ndarray:
+        return _equal(self.mu1, self.mu2)
+
+    @cached_property
+    def delta_equal(self) -> np.ndarray:
+        return _equal(self.delta1, self.delta2)
+
+    @cached_property
+    def covariances_defined(self) -> np.ndarray:
+        """Both univariate covariances exist: the radial second moment at
+        n = 1 and E(alpha^2) are finite, and so is Var(beta) unless both
+        projected shifts are exactly zero (as LseDistribution.moments)."""
+        d = self.pair.d1
+        finite = (math.isfinite(radial_second_moment(d.generator, 1))
+                  and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
+        unskewed = (self.delta1 == 0.0) & (self.delta2 == 0.0)
+        return finite & (math.isfinite(beta_variance(d.mixing, d.ab_map)) | unskewed)
+
+    def mean_test(self, relation: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """_Pair.mean_test per direction: 1.0 holds, 0.0 fails, NaN undecided."""
+        e_beta = beta_mean(self.pair.d1.mixing, self.pair.d1.ab_map)
+        shifted = (
+            relation(self.mu1 + e_beta * self.delta1, self.mu2 + e_beta * self.delta2)
+            if math.isfinite(e_beta) else np.nan)
+        return np.where(self.delta_equal, relation(self.mu1, self.mu2), shifted)
+
+
+#: The univariate form, over _Projections, of each condition that a parent
+#: order's necessary side names: 1.0 (or True) holds, 0.0 fails, NaN undecided.
+_PROJECTED: dict[str, Callable[[_Projections], np.ndarray]] = {
+    "mean-ordering": lambda q: q.mean_test(_leq),
+    "mean-equal": lambda q: q.mean_test(_equal),
+    "scale-equal": lambda q: _equal(q.sigma1, q.sigma2),
+    "psd-difference": lambda q: _in_cone(q.sigma2 - q.sigma1),
+    "copositive-difference": lambda q: _in_cone(q.sigma2 - q.sigma1),
+}
+
+
+def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[NecessaryStatus]:
+    """The necessary status of ``parent`` along each direction: what
+    ``_direct`` reports on the pair of that direction's projected
+    distributions, read off the parent's entries in ``_ORDERS``."""
+    count = projections.mu1.size
+    violated = np.zeros(count, dtype=bool)
+    assumption = np.zeros(count, dtype=bool)
+    undecided = np.zeros(count, dtype=bool)
+    for entry in _ORDERS[parent].necessary:
+        evaluated = np.ones(count, dtype=bool)
+        for gate in entry.gates:
+            skipped = evaluated & np.logical_not(gate.holds(projections))
+            undecided |= skipped
+            if gate.reason is SkipReason.ASSUMPTION:
+                assumption |= skipped
+            evaluated &= ~skipped
+        passed = np.asarray(_PROJECTED[entry.tag](projections), dtype=float)
+        violated |= evaluated & (passed == 0.0)
+        undecided |= evaluated & np.isnan(passed)
+    return [
+        NecessaryStatus.VIOLATED if v else NecessaryStatus.ASSUMPTION_UNMET if a
+        else NecessaryStatus.NOT_APPLICABLE if u else NecessaryStatus.HOLDS
+        for v, a, u in zip(violated, assumption, undecided)
+    ]
 
 
 def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
@@ -618,20 +762,14 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
 
     directions = _projection_directions(pair, order in (OrderKind.LCX, OrderKind.ILCX))
-    statuses = []
-    first_violation: int | None = None
-    for index, direction in enumerate(directions):
-        report = _direct(parent_kind, _Pair(
-            pair.d1.linear_functional(direction), pair.d2.linear_functional(direction)))
-        statuses.append(report.necessary)
-        if report.necessary is NecessaryStatus.VIOLATED and first_violation is None:
-            first_violation = index
+    statuses = _projected_statuses(parent_kind, _Projections(pair, directions))
     tag = "necessary/projection-directions"
     text = (
         f"univariate {parent_kind.value} necessary conditions along "
         f"{len(directions)} fixed directions"
     )
-    if first_violation is not None:
+    if NecessaryStatus.VIOLATED in statuses:
+        first_violation = statuses.index(NecessaryStatus.VIOLATED)
         clause = Clause(tag, f"{text} (violated at direction {first_violation})", False)
     elif NecessaryStatus.ASSUMPTION_UNMET in statuses:
         clause = Clause(tag, text + SkipReason.ASSUMPTION.value, None,
@@ -694,5 +832,7 @@ def compare(
     orders: list[OrderKind] | None = None,
 ) -> dict[OrderKind, OrderReport]:
     """Evaluate a batch of orders; defaults to all thirteen."""
+    global _last_pair
     selected = [OrderKind(o) for o in orders] if orders is not None else list(OrderKind)
+    _last_pair = None
     return {order: check_order(d1, d2, order) for order in selected}

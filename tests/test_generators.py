@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import lsemix.generators as generators_module
+from lsemix.distributions import LseDistribution
 from lsemix.errors import DomainError, ParameterError
 from lsemix.generators import (
     DensityGenerator,
@@ -30,6 +32,8 @@ from lsemix.generators import (
     radial_profile_integral,
     radial_second_moment,
 )
+from lsemix.mixing import AlphaBetaMap, BetaLambdaOne
+from lsemix.orders import compare
 
 ALL_FAMILIES = [
     DensityGenerator(GeneratorFamily.CAUCHY),
@@ -322,3 +326,44 @@ class TestLimitRatio:
             assert sat1, gen.describe()
             assert sat2, gen.describe()
             assert len(probes) == 2
+
+
+class TestRadialCache:
+    def test_logistic_quadrature_runs_once_per_dimension(self, monkeypatch):
+        logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
+        profile_runs, integrals = [], []
+        quadrature = generators_module._radial_profile_integral_quadrature
+        integral = generators_module.tail_truncated_integral
+
+        def counted_quadrature(gen, n):
+            profile_runs.append((gen, n))
+            return quadrature(gen, n)
+
+        def counted_integral(*args, **kwargs):
+            integrals.append(args)
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(
+            generators_module, "_radial_profile_integral_quadrature", counted_quadrature)
+        monkeypatch.setattr(generators_module, "tail_truncated_integral", counted_integral)
+        generators_module._radial_profile_integral.cache_clear()
+        generators_module._radial_second_moment.cache_clear()
+
+        def battery():
+            for n in (1, 2):
+                d1, d2 = (
+                    LseDistribution(np.full(n, mu), scale * np.eye(n), np.full(n, 0.3),
+                                    logistic, AlphaBetaMap.location_mixture(),
+                                    BetaLambdaOne(2.0))
+                    for mu, scale in ((0.0, 1.0), (0.2, 1.5)))
+                compare(d1, d2)
+                compare(d2, d1)
+                d1.pdf(np.zeros(n))
+
+        battery()
+        assert sorted(n for _, n in profile_runs) == [1, 2]
+        assert all(gen == logistic for gen, _ in profile_runs)
+        runs_after_first = len(integrals)
+        battery()
+        assert len(profile_runs) == 2
+        assert len(integrals) == runs_after_first

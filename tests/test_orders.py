@@ -503,6 +503,148 @@ def test_derived_reports_are_deterministic():
     assert first == second
 
 
+PROJECTION_ORDERS = (OrderKind.PLST, OrderKind.LCX, OrderKind.ILCX, OrderKind.IPLCX)
+
+
+def per_direction_statuses(parent, pair, directions):
+    """Reference: one pair of projected distributions per direction, run
+    through the direct interpreter (the path the arrays replaced)."""
+    return [
+        orders_module._direct(parent, orders_module._Pair(
+            pair.d1.linear_functional(a), pair.d2.linear_functional(a))).necessary
+        for a in directions
+    ]
+
+
+def projection_statuses(d1, d2):
+    """Per projection order: (array statuses, reference statuses, directions)."""
+    pair = orders_module._Pair(d1, d2)
+    out = {}
+    for order in PROJECTION_ORDERS:
+        parent = orders_module._PARENT_OF[order]
+        directions = orders_module._projection_directions(
+            pair, order in (OrderKind.LCX, OrderKind.ILCX))
+        got = orders_module._projected_statuses(
+            parent, orders_module._Projections(pair, directions))
+        out[order] = got, per_direction_statuses(parent, pair, directions), directions
+    return out
+
+
+def assert_projections_match(d1, d2):
+    """Every status and so the first violation index agree with the reference."""
+    results = projection_statuses(d1, d2)
+    for order, (got, reference, _) in results.items():
+        assert got == reference, order
+    return {order: got for order, (got, _, _) in results.items()}
+
+
+def test_projections_match_reference_in_one_dimension():
+    statuses = assert_projections_match(
+        ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.5]], [0.5]))
+    assert all(len(s) == 1 for s in statuses.values())
+    assert_projections_match(mk(0.0, [[2.0]]), mk(-0.1, [[1.0]]))
+
+
+def test_projections_match_reference_on_zero_projected_shift():
+    # Var(1/Z) diverges under Beta(1.5, 1), so a projected covariance exists
+    # only where a'delta = 0 exactly: along (e1 - e2)/sqrt 2, where the scale
+    # difference is negative.  (Shifts of 0.5 keep every product exact, so
+    # the zero does not hang on how the dot product rounds.)
+    mix = BetaLambdaOne(1.5)
+    d1 = mk([0.0, 0.0], np.eye(2), [0.5, 0.5], ab=SKEW, mix=mix)
+    d2 = mk([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5], ab=SKEW, mix=mix)
+    got, _, directions = projection_statuses(d1, d2)[OrderKind.LCX]
+    assert_projections_match(d1, d2)
+    # (e1 - e2)/sqrt 2 comes fourth; the appended eigenvector spans it too.
+    zero_shift = [i for i, a in enumerate(directions) if a @ d1.delta == 0.0]
+    assert zero_shift == [3, len(directions) - 1]
+    assert {got[i] for i in zero_shift} == {NecessaryStatus.VIOLATED}
+    assert {s for i, s in enumerate(got) if i not in zero_shift} == {
+        NecessaryStatus.NOT_APPLICABLE}
+    assert check_order(d1, d2, OrderKind.LCX).clauses[-1].text.endswith(
+        "(violated at direction 3)")
+
+
+def test_projections_match_reference_under_divergent_mean():
+    # E(1/Z) diverges under Beta(0.5, 1): the projected means are decided
+    # only where the projected shifts agree, along (e1 + e2)/sqrt 2.
+    mix = BetaLambdaOne(0.5)
+    d1 = mk([0.0, 0.0], np.eye(2), [0.2, 0.5], ab=SKEW, mix=mix)
+    d2 = mk([0.1, 0.1], np.eye(2), [0.5, 0.2], ab=SKEW, mix=mix)
+    statuses = assert_projections_match(d1, d2)
+    plst = statuses[OrderKind.PLST]
+    assert plst[2] is NecessaryStatus.HOLDS
+    assert NecessaryStatus.NOT_APPLICABLE in plst
+    clause = check_order(d1, d2, OrderKind.PLST).clauses[-1]
+    assert clause.skip is SkipReason.MOMENTS
+
+
+def test_projections_match_reference_with_tail_assumption_unmet(monkeypatch):
+    monkeypatch.setattr(orders_module, "assumption_profile",
+                        lambda gen: (False, False, ()))
+    statuses = assert_projections_match(
+        mk([0.0, 0.0], np.eye(2)), mk([0.1, -0.2], np.diag([2.0, 0.5])))
+    for order in (OrderKind.PLST, OrderKind.IPLCX):
+        assert set(statuses[order]) == {NecessaryStatus.ASSUMPTION_UNMET}
+    assert NecessaryStatus.VIOLATED in statuses[OrderKind.LCX]
+
+
+def test_projections_match_reference_along_adversarial_directions():
+    # An indefinite, non-copositive scale difference: the signed orders add
+    # the most-negative eigenvector, the others the copositivity witness.
+    d1 = mk([0.0, 0.0, 0.0], 2.0 * np.eye(3))
+    d2 = mk([0.0, 0.0, 0.0], [[2.5, -0.9, 0.0], [-0.9, 2.5, 0.0], [0.0, 0.0, 2.2]])
+    pair = orders_module._Pair(d1, d2)
+    assert pair.copositive_witness() is not None
+    results = projection_statuses(d1, d2)
+    eigenvector = np.linalg.eigh(pair.sigma_diff)[1][:, 0]
+    witness = pair.copositive_witness() / np.linalg.norm(pair.copositive_witness())
+    assert np.array_equal(results[OrderKind.LCX][2][-1], eigenvector)
+    assert np.array_equal(results[OrderKind.IPLCX][2][-1], witness)
+    for order, (got, reference, _) in results.items():
+        assert got == reference, order
+        assert got[-1] is NecessaryStatus.VIOLATED, order
+
+
+def test_one_compare_runs_each_cone_test_once(monkeypatch):
+    calls = {"is_psd": 0, "is_copositive": 0, "is_completely_positive": 0}
+    for name in calls:
+        original = getattr(orders_module, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            assert np.shape(a) == (5, 5)
+            calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(orders_module, name, counted)
+    # copositive_gap: Sigma2 - Sigma1 = Horn / 2, copositive but not PSD.
+    d1 = mk(np.zeros(5), 3.0 * np.eye(5))
+    d2 = mk(np.zeros(5), 3.0 * np.eye(5) + 0.5 * HORN_MATRIX)
+    compare(d1, d2)
+    assert calls == {"is_psd": 1, "is_copositive": 1, "is_completely_positive": 1}
+    compare(d1, d2)  # each call builds its own pair
+    assert calls == {"is_psd": 2, "is_copositive": 2, "is_completely_positive": 2}
+
+
+def test_shared_pair_is_never_stale():
+    def fresh(a, b):
+        reports = {}
+        for order in OrderKind:
+            orders_module._last_pair = None
+            reports[order] = check_order(a, b, order)
+        return reports
+
+    d1 = mk([0.0, 0.0], np.eye(2))
+    d2 = mk([0.1, 0.1], [[2.0, 0.3], [0.3, 2.0]])
+    d3 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
+    # Back to back, each pair shares one object, in one slot, with the last.
+    sequence = ((d1, d2), (d2, d1), (d1, d3), (d1, d2), (d3, d2))
+    expected = [fresh(a, b) for a, b in sequence]
+    assert [compare(a, b) for a, b in sequence] == expected
+    distinct = [expected[i] for i in (0, 1, 2, 4)]
+    assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
+
+
 def test_halton_points_match_scipy():
     for n in range(1, 41):
         reference = qmc.Halton(d=n, scramble=False).random(33)[1:]
