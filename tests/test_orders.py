@@ -637,10 +637,13 @@ def test_shared_pair_is_never_stale():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.1, 0.1], [[2.0, 0.3], [0.3, 2.0]])
     d3 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
-    # Back to back, each pair shares one object, in one slot, with the last.
+    # Back to back, each pair shares one object, in one slot, with the last;
+    # through compare() and through runs of check_order, as `lsemix check`
+    # makes them.
     sequence = ((d1, d2), (d2, d1), (d1, d3), (d1, d2), (d3, d2))
     expected = [fresh(a, b) for a, b in sequence]
     assert [compare(a, b) for a, b in sequence] == expected
+    assert [{k: check_order(a, b, k) for k in OrderKind} for a, b in sequence] == expected
     distinct = [expected[i] for i in (0, 1, 2, 4)]
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
