@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .errors import SizeLimitError, UsageError
 
@@ -141,7 +140,11 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     (batched by size, each at most (n+1) x (n+1)), keeping the solutions
     with x_S >= 0 and evaluating x'Ax at each therefore finds the exact
     minimum; singular faces, such as those on which the Horn matrix attains
-    its zero minimum, are skipped.
+    its zero minimum, are skipped.  The symmetric system
+    [[A_S, 1], [1', 0]] (x_S; -m) = (0; 1) is the same one times the
+    orthogonal diag(I, -1), so its eigenvalues have the singular values of
+    the first as their magnitudes, and one batched eigendecomposition both
+    flags the singular systems and solves the rest.
     """
     a, tol_abs = _prepare(a, tol)
     n = a.shape[0]
@@ -158,12 +161,14 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         supports = np.array(list(itertools.combinations(range(n), k)))
         bordered = np.zeros((len(supports), k + 1, k + 1))
         bordered[:, :k, :k] = unit[supports[:, :, None], supports[:, None, :]]
-        bordered[:, :k, k] = -1.0
+        bordered[:, :k, k] = 1.0
         bordered[:, k, :k] = 1.0
-        # The SVD flags singular systems (numpy's matrix_rank rule) and solves the rest.
-        u, s, vt = np.linalg.svd(bordered)
-        regular = s[:, -1] > s[:, 0] * (k + 1) * np.finfo(float).eps
-        z = np.einsum("mji,mj->mi", vt[regular], u[regular, k, :] / s[regular])
+        # numpy's matrix_rank rule on the singular values |eigenvalue|.
+        eigenvalues, vectors = np.linalg.eigh(bordered)
+        size = np.abs(eigenvalues)
+        regular = size.min(axis=1) > size.max(axis=1) * (k + 1) * np.finfo(float).eps
+        z = np.einsum("mij,mj->mi", vectors[regular],
+                      vectors[regular, k, :] / eigenvalues[regular])
         keep = np.all(z[:, :k] >= 0.0, axis=1)
         if not keep.any():
             continue
@@ -216,6 +221,8 @@ def _factorization_search(a: np.ndarray, tol_abs: float) -> np.ndarray | None:
     Multiplicative updates on a deterministic batch of random restarts,
     followed by bound-constrained quasi-Newton polish of the best candidates.
     """
+    from scipy import optimize  # on first use: most matrices never reach the search
+
     n = a.shape[0]
     r = n * (n + 1) // 2
     rng = np.random.default_rng(1234321)

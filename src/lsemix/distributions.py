@@ -64,6 +64,10 @@ __all__ = [
     "sample_coupled",
 ]
 
+#: pdf evaluates mixing nodes in blocks whose (nodes, n, points) array holds
+#: at most this many doubles (one node per block when n * points exceeds it).
+_PDF_BLOCK_DOUBLES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class MomentSummary:
@@ -221,11 +225,14 @@ class LseDistribution:
         white_delta = np.linalg.solve(chol, self.delta)[:, None]
         total = np.zeros(points.shape[0])
         log_base = self._log_norm_const - self._log_sqrt_det
-        for weight, alpha, beta in zip(weights, alphas, betas):
-            shifted = white_points - beta * white_delta
-            q = np.einsum("ij,ij->j", shifted, shifted) / (alpha * alpha)
-            log_term = log_base - n * math.log(alpha) + log_eval_generator(self.generator, q, n)
-            total += weight * np.exp(log_term)
+        block = max(1, _PDF_BLOCK_DOUBLES // (n * points.shape[0]))
+        for start in range(0, weights.size, block):
+            chunk = slice(start, start + block)
+            alpha = alphas[chunk, None]
+            shifted = white_points - betas[chunk, None, None] * white_delta
+            q = np.einsum("bij,bij->bj", shifted, shifted) / (alpha * alpha)
+            log_term = log_base - n * np.log(alpha) + log_eval_generator(self.generator, q, n)
+            total += weights[chunk] @ np.exp(log_term)
         return float(total[0]) if single else total
 
     def log_pdf(self, y) -> np.ndarray | float:

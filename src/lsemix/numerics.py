@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .errors import NonIntegrableError
 
@@ -55,6 +54,8 @@ def tail_truncated_integral(
     its peak (located by a logarithmic scan) and is doubled until two
     consecutive adaptive integrations agree to ``rel_stable`` relative error.
     """
+    from scipy import integrate  # on first use: only logistic radial integrals need it
+
     scan = np.concatenate([[0.0], np.geomspace(scan_lo, scan_hi, 321)])
     vals = np.asarray(f(scan), dtype=float)
     if not np.all(np.isfinite(vals)):

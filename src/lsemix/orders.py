@@ -34,10 +34,17 @@ direction as arrays, the parent's gates read it as they read a pair, and
 tolerance vec_equal and vec_leq apply to a 1-vector and the 1x1 cone rule.
 No distribution is built per direction.
 
-All the orders of one compare() share one ``_Pair``, so each cone test of
-Sigma2 - Sigma1 runs once per call: ``_validate_pair`` returns the last pair
-again when it is called with the very same two (frozen) distributions, and
-compare() starts from an empty slot.
+All the orders of one compare() share one ``_Pair``: ``_validate_pair``
+returns the last pair again when it is called with the very same two (frozen)
+distributions, and compare() starts from an empty slot.  Everything the
+orders have in common is computed once per pair and kept on it: each cone
+test of Sigma2 - Sigma1, each condition of ``_CONDITIONS`` (read by every
+clause that names its tag), each order's report (a projection order reads
+its parent's, so the parent's necessary clauses are the very same objects),
+one ``_Projections`` per direction set (signed for lcx and ilcx, unsigned
+for plst and iplcx) and, on it, the projected statuses of each parent (ilcx
+reads lcx's).  The same holds for runs of check_order on one pair, as
+``lsemix check`` makes them.
 
 Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
 difference is mu_2 - mu_1 even when E(beta) diverges.  Equalities and
@@ -218,6 +225,10 @@ class _Pair:
     mu_shift: np.ndarray = field(init=False)  # mu2 - mu1
     delta_shift: np.ndarray = field(init=False)  # effective delta2 - delta1
     sigma_diff: np.ndarray = field(init=False)  # Sigma2 - Sigma1
+    # Filled on first use, so each piece of work runs once per pair.
+    conditions: dict[str, bool | None] = field(init=False, default_factory=dict)
+    reports: dict[OrderKind, OrderReport] = field(init=False, default_factory=dict)
+    projections: dict[bool, _Projections] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.mu_shift = self.d2.mu - self.d1.mu
@@ -226,6 +237,10 @@ class _Pair:
 
     def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
         return assumption_profile(self.d1.generator)
+
+    def condition(self, tag: str) -> bool | None:
+        """The ``_CONDITIONS`` predicate of ``tag`` on this pair, evaluated once."""
+        return _once(self.conditions, tag, _CONDITIONS[tag].test, self)
 
     @cached_property
     def covariances_defined(self) -> bool:
@@ -322,6 +337,13 @@ class _Pair:
         if verdict is not None and verdict.status is ConeStatus.OUTSIDE:
             return np.asarray(verdict.witness)
         return None
+
+
+def _once(memo: dict, key, compute: Callable, *args):
+    """memo[key], set to compute(*args) on first use."""
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
 
 
 def _inside(verdict: ConeVerdict | None) -> bool | None:
@@ -512,7 +534,7 @@ def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
     for gate in entry.gates:
         if not gate.holds(pair):
             return Clause(tag, text + gate.reason.value, None, gate.reason)
-    passed = condition.test(pair)
+    passed = pair.condition(entry.tag)
     if passed is None:
         return Clause(tag, text + condition.undecided.value, None, condition.undecided)
     return Clause(tag, text, passed)
@@ -546,7 +568,7 @@ def _report(
 def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     spec = _ORDERS[order]
     sufficient = [
-        Clause("sufficient/" + tag, _CONDITIONS[tag].text, _CONDITIONS[tag].test(pair))
+        Clause("sufficient/" + tag, _CONDITIONS[tag].text, pair.condition(tag))
         for tag in spec.sufficient
     ]
     necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
@@ -667,7 +689,13 @@ class _Projections:
     """
 
     def __init__(self, pair: _Pair, directions: np.ndarray) -> None:
-        self.pair = pair
+        # d1 carries the family both share; no reference back to the pair,
+        # whose memo holds this object, so that a pair is freed without a
+        # cycle collection.
+        self.d1 = pair.d1
+        self.directions = directions
+        #: The parent necessary statuses along each direction, by parent.
+        self.statuses: dict[OrderKind, list[NecessaryStatus]] = {}
         d1, d2 = pair.d1, pair.d2
         self.mu1, self.mu2 = directions @ d1.mu, directions @ d2.mu
         self.delta1 = directions @ d1.effective_delta()
@@ -676,7 +704,7 @@ class _Projections:
             np.einsum("ij,ij->i", directions @ d.sigma, directions) for d in (d1, d2))
 
     def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
-        return self.pair.profile()
+        return assumption_profile(self.d1.generator)
 
     @cached_property
     def mu_equal(self) -> np.ndarray:
@@ -691,7 +719,7 @@ class _Projections:
         """Both univariate covariances exist: the radial second moment at
         n = 1 and E(alpha^2) are finite, and so is Var(beta) unless both
         projected shifts are exactly zero (as LseDistribution.moments)."""
-        d = self.pair.d1
+        d = self.d1
         finite = (math.isfinite(radial_second_moment(d.generator, 1))
                   and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
         unskewed = (self.delta1 == 0.0) & (self.delta2 == 0.0)
@@ -699,7 +727,7 @@ class _Projections:
 
     def mean_test(self, relation: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
         """_Pair.mean_test per direction: 1.0 holds, 0.0 fails, NaN undecided."""
-        e_beta = beta_mean(self.pair.d1.mixing, self.pair.d1.ab_map)
+        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
         shifted = (
             relation(self.mu1 + e_beta * self.delta1, self.mu2 + e_beta * self.delta2)
             if math.isfinite(e_beta) else np.nan)
@@ -753,7 +781,7 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     deterministic direction set.
     """
     parent_kind = _PARENT_OF[order]
-    parent = _direct(parent_kind, pair)
+    parent = _once(pair.reports, parent_kind, _direct, parent_kind, pair)
     sufficient = [Clause(
         "sufficient/parent-order",
         f"the {parent_kind.value} sufficient conditions hold (implies {order.value})",
@@ -761,12 +789,15 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     )]
     necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
 
-    directions = _projection_directions(pair, order in (OrderKind.LCX, OrderKind.ILCX))
-    statuses = _projected_statuses(parent_kind, _Projections(pair, directions))
+    signed = order in (OrderKind.LCX, OrderKind.ILCX)
+    projections = _once(pair.projections, signed, lambda: _Projections(
+        pair, _projection_directions(pair, signed)))
+    statuses = _once(projections.statuses, parent_kind,
+                     _projected_statuses, parent_kind, projections)
     tag = "necessary/projection-directions"
     text = (
         f"univariate {parent_kind.value} necessary conditions along "
-        f"{len(directions)} fixed directions"
+        f"{len(projections.directions)} fixed directions"
     )
     if NecessaryStatus.VIOLATED in statuses:
         first_violation = statuses.index(NecessaryStatus.VIOLATED)
@@ -803,7 +834,7 @@ def check_collective_risk(
         raise UsageError("portfolio weights must be nonnegative")
     pair = _validate_pair(d1, d2)
     location, scale = _ORDERS[order].sufficient
-    if all(_CONDITIONS[tag].test(pair) for tag in (location, scale)):
+    if all(pair.condition(tag) for tag in (location, scale)):
         text = (f"all-z location ordering and {_CONDITIONS[scale].text} imply the "
                 f"{order.value} ordering of the weighted sums")
         clause = Clause("sufficient/portfolio-aggregate", text, True)
@@ -821,9 +852,8 @@ def check_order(
     """Evaluate one order (projection-derived orders included) on a pair."""
     order = OrderKind(order)
     pair = _validate_pair(d1, d2)
-    if order in _PARENT_OF:
-        return _derived(order, pair)
-    return _direct(order, pair)
+    return _once(pair.reports, order, _derived if order in _PARENT_OF else _direct,
+                 order, pair)
 
 
 def compare(

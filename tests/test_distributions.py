@@ -24,7 +24,7 @@ from lsemix.errors import (
     UnsupportedGeneratorError,
     UsageError,
 )
-from lsemix.generators import DensityGenerator, GeneratorFamily
+from lsemix.generators import DensityGenerator, GeneratorFamily, log_eval_generator
 from lsemix.mixing import (
     AlphaBetaMap,
     AlphaKind,
@@ -291,6 +291,49 @@ class TestPdf:
         d = ghss(3.0, 0.0, 1.0, 0.5)
         pts = np.array([-1.0, 0.0, 2.0])
         np.testing.assert_allclose(d.log_pdf(pts), np.log(d.pdf(pts)), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("mixing", [
+        DiscreteWeighted(((0.5, 0.3), (1.0, 0.5), (2.5, 0.2))),
+        GeneralizedInverseGaussian(1.0, 1.0, 2.0),
+    ], ids=["discrete", "gig"])
+    @pytest.mark.parametrize("generator", [
+        NORMAL, STUDENT5, CAUCHY, LAPLACE, LOGISTIC,
+        DensityGenerator(GeneratorFamily.EXPONENTIAL_POWER, power=1.5),
+    ], ids=lambda g: g.family.value)
+    def test_node_blocks_match_per_node_loop(self, generator, mixing, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        d = LseDistribution(
+            mu=rng.standard_normal(n),
+            sigma=g @ g.T / n + np.eye(n),
+            delta=0.5 * rng.standard_normal(n),
+            generator=generator,
+            ab_map=AlphaBetaMap.mean_variance(),
+            mixing=mixing,
+        )
+        # 3 points: every node in one block; 2048: several blocks, the last
+        # one short; 25 000 at n = 3: one node per block.
+        counts = (3, 2048) + ((25_000,) if n == 3 else ())
+        for count in counts:
+            pts = d.mu + 2.0 * rng.standard_normal((count, n))
+            np.testing.assert_allclose(d.pdf(pts), per_node_pdf(d, pts), rtol=1e-13)
+
+
+def per_node_pdf(d, points):
+    """Reference: the mixing expectation accumulated one quadrature node at a time."""
+    nodes, weights = d.mixing.quadrature()
+    chol = d._chol_lower
+    white_points = np.linalg.solve(chol, (points - d.mu).T)
+    white_delta = np.linalg.solve(chol, d.delta)[:, None]
+    log_base = d._log_norm_const - d._log_sqrt_det
+    total = np.zeros(points.shape[0])
+    for weight, alpha, beta in zip(weights, d.ab_map.alpha(nodes), d.ab_map.beta(nodes)):
+        shifted = white_points - beta * white_delta
+        q = np.einsum("ij,ij->j", shifted, shifted) / (alpha * alpha)
+        log_term = log_base - d.dim * math.log(alpha) + log_eval_generator(d.generator, q, d.dim)
+        total += weight * np.exp(log_term)
+    return total
 
 
 class TestCharFn:

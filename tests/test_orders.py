@@ -7,6 +7,9 @@ with a necessary violation — is asserted inside OrderReport itself, so the
 random batteries here both exercise and rely on that check.
 """
 
+import gc
+import gzip
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +23,7 @@ from simplex_oracle import cp_trap_matrices
 from sme_oracle import sme_table
 
 import lsemix.orders as orders_module
+from lsemix.cli import parse_scenario
 from lsemix.cones import HORN_MATRIX
 from lsemix.distributions import LseDistribution
 from lsemix.errors import IncomparableFamiliesError, UsageError
@@ -626,14 +630,16 @@ def test_one_compare_runs_each_cone_test_once(monkeypatch):
     assert calls == {"is_psd": 2, "is_copositive": 2, "is_completely_positive": 2}
 
 
-def test_shared_pair_is_never_stale():
-    def fresh(a, b):
-        reports = {}
-        for order in OrderKind:
-            orders_module._last_pair = None
-            reports[order] = check_order(a, b, order)
-        return reports
+def fresh(a, b):
+    """Every order's report, each on a pair of its own."""
+    reports = {}
+    for order in OrderKind:
+        orders_module._last_pair = None
+        reports[order] = check_order(a, b, order)
+    return reports
 
+
+def test_shared_pair_is_never_stale():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.1, 0.1], [[2.0, 0.3], [0.3, 2.0]])
     d3 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
@@ -648,6 +654,89 @@ def test_shared_pair_is_never_stale():
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
 
+def count_builds(monkeypatch):
+    """Count the calls of the memoised builders and which condition tags
+    are evaluated, by wrapping the module globals the interpreter reads."""
+    counts = {"_direct": 0, "_projected_statuses": 0, "_Projections": 0}
+    for name in counts:
+        original = getattr(orders_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(orders_module, name, counted)
+    evaluated = []
+
+    def tested(tag, test):
+        return lambda pair: (evaluated.append(tag), test(pair))[1]
+
+    monkeypatch.setattr(orders_module, "_CONDITIONS", {
+        tag: condition._replace(test=tested(tag, condition.test))
+        for tag, condition in orders_module._CONDITIONS.items()})
+    return counts, evaluated
+
+
+def test_each_report_projection_and_condition_built_once_per_pair(monkeypatch):
+    counts, evaluated = count_builds(monkeypatch)
+    # Equal locations and a normal profile: every gate holds, so every
+    # condition is asked for, most of them by several orders.
+    d1 = mk([0.0, 0.0], np.eye(2))
+    d2 = mk([0.0, 0.0], [[2.0, -0.3], [-0.3, 1.5]])
+    once = {"_direct": 9, "_projected_statuses": 3, "_Projections": 2}
+    compare(d1, d2)
+    assert counts == once
+    assert sorted(evaluated) == sorted(orders_module._CONDITIONS)
+    # `lsemix check`: one check_order per order on one pair.
+    monkeypatch.setattr(orders_module, "_last_pair", None)
+    counts.update(dict.fromkeys(counts, 0))
+    evaluated.clear()
+    for order in OrderKind:
+        check_order(d1, d2, order)
+    assert counts == once
+    assert sorted(evaluated) == sorted(orders_module._CONDITIONS)
+
+
+def test_projection_orders_share_their_parent_clauses():
+    reports = compare(mk([0.0, 0.0], np.eye(2)), mk([0.1, 0.2], [[2.0, 0.3], [0.3, 1.5]]))
+    for order, parent in orders_module._PARENT_OF.items():
+        inherited = reports[order].clauses[1:-1]
+        own = [c for c in reports[parent].clauses if c.tag.startswith("necessary/")]
+        assert len(inherited) == len(own), order
+        assert all(a is b for a, b in zip(inherited, own)), order
+
+
+def test_pairs_and_their_memos_are_freed_without_cycle_collection():
+    d1 = mk([0.0, 0.0], np.eye(2))
+    d2 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
+    gc.collect()
+    gc.disable()
+    try:
+        compare(d1, d2)
+        compare(d2, d1)  # empties the slot that held the first pair
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def golden_scenarios():
+    here = os.path.dirname(__file__)
+    for name in ("golden_reports.json.gz", "golden_reports_logistic.json.gz"):
+        with gzip.open(os.path.join(here, name), "rt") as handle:
+            yield from json.load(handle)
+
+
+GOLDEN = list(golden_scenarios())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
+def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
+    spec = parse_scenario(json.dumps(case["scenario"]))
+    d1, d2 = spec.block_1.build(), spec.block_2.build()
+    got = [compare(d1, d2), compare(d2, d1), {k: check_order(d1, d2, k) for k in OrderKind}]
+    assert got == [fresh(d1, d2), fresh(d2, d1), fresh(d1, d2)]
+
+
 def test_halton_points_match_scipy():
     for n in range(1, 41):
         reference = qmc.Halton(d=n, scramble=False).random(33)[1:]
@@ -655,11 +744,12 @@ def test_halton_points_match_scipy():
 
 
 def test_import_loads_no_scipy_stats():
-    code = "import sys, lsemix; print('scipy.stats' in sys.modules)"
+    code = ("import sys, lsemix; print(*(m in sys.modules for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False", "False"]
 
 
 # --- collective risk -------------------------------------------------------------------
