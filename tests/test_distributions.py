@@ -312,9 +312,9 @@ class TestPdf:
             ab_map=AlphaBetaMap.mean_variance(),
             mixing=mixing,
         )
-        # 3 points: every node in one block; 2048: several blocks, the last
-        # one short; 25 000 at n = 3: one node per block.
-        counts = (3, 2048) + ((25_000,) if n == 3 else ())
+        # 3 points: every node in one block; 1500: blocks of 10 nodes (n = 1)
+        # or 3 (n = 3), the last one short; 6000 at n = 3: one node per block.
+        counts = (3, 1500) + ((6000,) if n == 3 else ())
         for count in counts:
             pts = d.mu + 2.0 * rng.standard_normal((count, n))
             np.testing.assert_allclose(d.pdf(pts), per_node_pdf(d, pts), rtol=1e-13)
