@@ -68,7 +68,7 @@ from .mixing import (
     GeneralizedInverseGaussian,
     MixingDistribution,
 )
-from .orders import OrderKind, OrderReport, Verdict, check_order
+from .orders import OrderKind, OrderReport, Verdict, axis_pair_directions, check_order
 
 __all__ = [
     "ScenarioSpec",
@@ -520,19 +520,6 @@ def _dominance_node(result: DominanceResult, cfg: McConfig) -> dict:
     }
 
 
-def _canonical_directions(n: int) -> np.ndarray:
-    rows = [np.eye(n)[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i] = e[j] = 1.0
-            rows.append(e / math.sqrt(2.0))
-            e = np.zeros(n)
-            e[i], e[j] = 1.0, -1.0
-            rows.append(e / math.sqrt(2.0))
-    return np.asarray(rows)
-
-
 def _corner_points(d1: LseDistribution, d2: LseDistribution, seed: int) -> np.ndarray:
     """Deterministic orthant corners: per-coordinate pilot quantiles,
     combined on a product grid (capped via the median for larger n)."""
@@ -571,7 +558,7 @@ def _monte_carlo_blocks(
             blocks["icx"] = _dominance_node(result, cfg)
             curve = result.curve
     if OrderKind.CX in requested:
-        result = verify_cx(d1, d2, cfg, _canonical_directions(d1.dim))
+        result = verify_cx(d1, d2, cfg, axis_pair_directions(d1.dim, signed=True))
         blocks["cx"] = _dominance_node(result, cfg)
     orthant_orders = requested & {OrderKind.UO, OrderKind.SM}
     if orthant_orders:

@@ -99,10 +99,15 @@ def _prepare(a, tol: float) -> tuple[np.ndarray, float]:
         raise UsageError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise UsageError("matrix entries must be finite")
-    scale = max(float(np.abs(a).max()), 1.0)
-    if float(np.abs(a - a.T).max()) > tol * scale:
+    tol_abs = _absolute_tolerance(a, tol)
+    if float(np.abs(a - a.T).max()) > tol_abs:
         raise UsageError("matrix must be symmetric")
-    return 0.5 * (a + a.T), tol * scale
+    return 0.5 * (a + a.T), tol_abs
+
+
+def _absolute_tolerance(a: np.ndarray, tol: float) -> float:
+    """tol scaled by the largest entry magnitude (at least 1)."""
+    return tol * max(float(np.abs(a).max()), 1.0)
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
@@ -292,18 +297,19 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         return ConeVerdict(
             ConeStatus.OUTSIDE, CertificateKind.SUFFICIENT_RULE, witness=certificate
         )
-    psd = is_psd(a, tol)
-    if psd.status is ConeStatus.OUTSIDE:
+    # One eigendecomposition serves the PSD step (is_psd's test, at the
+    # tolerance of the symmetrized matrix) and the rank-one rule.
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    if eigenvalues[0] < -_absolute_tolerance(a, tol):
         # vv' for the negative-eigenvalue direction is a PSD (hence copositive)
         # matrix with <A, vv'> < 0: a dual separation certificate.
-        v = psd.witness
+        v = eigenvectors[:, 0]
         return ConeVerdict(
             ConeStatus.OUTSIDE, CertificateKind.EIGEN, witness=np.outer(v, v)
         )
     if n <= 4:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EXACT_SMALL_N)
     # Rank one: A = bb' with b = sqrt(lambda_max) |v_max| >= 0.
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
     if eigenvalues[-2] <= tol_abs:
         b = math.sqrt(max(eigenvalues[-1], 0.0)) * np.abs(eigenvectors[:, -1])
         if float(np.abs(np.outer(b, b) - a).max()) <= tol_abs:

@@ -21,6 +21,16 @@ normal               exp(-u/2)                         none
 student              (1 + u/m)^(-(n+m)/2)              integer dof m >= 1
 logistic             e^(-u) (1 + e^(-u))^(-2)          none
 
+The two radial quantities the package needs, I_n and the second moment
+E(R^2) = I_{n+2} / I_n, are closed forms for all six families (gamma and beta
+functions; see ``radial_profile_integral`` and ``radial_second_moment``).  For
+the logistic profile, g(u) = sum_{k>=1} (-1)^(k-1) k e^(-k u) integrates term
+by term to
+
+    I_n = Gamma(n/2) eta(n/2 - 1),      eta(s) = (1 - 2^(1-s)) zeta(s),
+
+the Dirichlet eta function, with eta(1) = ln 2 where zeta has its pole.
+
 The module also classifies the tail-ratio behaviour used to gate necessity
 arguments in the ordering engine: for a univariate pair with scales
 sigma1 != sigma2 and location shifts shift1, shift2, the limit
@@ -41,9 +51,9 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, NonIntegrableError, ParameterError
-from .numerics import tail_truncated_integral
 
 __all__ = [
     "GeneratorFamily",
@@ -175,38 +185,21 @@ def eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
     return np.exp(log_eval_generator(gen, u, n))
 
 
-def _radial_profile_integral_quadrature(gen: DensityGenerator, n: int) -> float:
-    # Substituting z = r^2 turns int z^{n/2-1} g(z) dz into 2 int r^{n-1} g(r^2) dr,
-    # which is smooth at the origin for every n >= 1.
-    def integrand(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        pos = r > 0
-        out[pos] = 2.0 * np.exp((n - 1) * np.log(r[pos]) + log_eval_generator(gen, r[pos] ** 2, n))
-        if np.any(~pos):
-            out[~pos] = 2.0 * eval_generator(gen, 0.0, n) if n == 1 else 0.0
-        return out
-
-    return tail_truncated_integral(integrand)
+def _eta(s: float) -> float:
+    """Dirichlet eta(s) = (1 - 2^(1-s)) zeta(s); eta(1) = ln 2 sits at zeta's pole."""
+    if s == 1.0:
+        return math.log(2.0)
+    return (1.0 - 2.0 ** (1.0 - s)) * float(special.zeta(s))
 
 
-def radial_profile_integral(gen: DensityGenerator, n: int, method: str = "auto") -> float:
-    """I_n = int_0^inf z^(n/2 - 1) g_n(z) dz.
+def radial_profile_integral(gen: DensityGenerator, n: int) -> float:
+    """I_n = int_0^inf z^(n/2 - 1) g_n(z) dz, in closed form for every family.
 
-    Closed forms exist for every family except logistic, which falls back to
-    adaptive quadrature with automatic tail truncation.  ``method`` may force
-    ``"closed_form"`` or ``"quadrature"`` (used for cross-validation).  Values
-    are cached by (generator, n, method).
+    normal: 2^(n/2) Gamma(n/2); student (cauchy: m = 1): m^(n/2) B(n/2, m/2);
+    exponential_power (laplace: s = 1): 2 s^(n/s - 1) Gamma(n/s); logistic:
+    Gamma(n/2) eta(n/2 - 1), with eta the Dirichlet eta function.
     """
-    return _radial_profile_integral(gen, _validate_dimension(n), method)
-
-
-@lru_cache(maxsize=None)
-def _radial_profile_integral(gen: DensityGenerator, n: int, method: str) -> float:
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "quadrature":
-        return _radial_profile_integral_quadrature(gen, n)
+    n = _validate_dimension(n)
     fam = gen.family
     if fam is GeneratorFamily.NORMAL:
         return 2.0 ** (n / 2.0) * math.gamma(n / 2.0)
@@ -218,16 +211,14 @@ def _radial_profile_integral(gen: DensityGenerator, n: int, method: str) -> floa
         s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
         return 2.0 * s ** (n / s - 1.0) * math.gamma(n / s)
     if fam is GeneratorFamily.LOGISTIC:
-        if method == "closed_form":
-            raise ParameterError("logistic has no closed-form radial integral")
-        return _radial_profile_integral_quadrature(gen, n)
+        return math.gamma(n / 2.0) * _eta(n / 2.0 - 1.0)
     raise ParameterError(f"unknown generator family {fam!r}")
 
 
-def normalizing_constant(gen: DensityGenerator, n: int, method: str = "auto") -> float:
+def normalizing_constant(gen: DensityGenerator, n: int) -> float:
     """c_n = Gamma(n/2) * pi^(-n/2) / I_n, with 0 < I_n < inf enforced."""
     n = _validate_dimension(n)
-    profile = radial_profile_integral(gen, n, method=method)
+    profile = radial_profile_integral(gen, n)
     if not (0.0 < profile < math.inf):
         raise NonIntegrableError(
             f"radial profile integral of {gen.describe()} in dimension {n} is not finite/positive"
@@ -235,54 +226,29 @@ def normalizing_constant(gen: DensityGenerator, n: int, method: str = "auto") ->
     return math.gamma(n / 2.0) * math.pi ** (-n / 2.0) / profile
 
 
-def radial_second_moment(gen: DensityGenerator, n: int, method: str = "auto") -> float:
+def radial_second_moment(gen: DensityGenerator, n: int) -> float:
     """E(R^2) for the radial part R with density proportional to r^(n-1) g_n(r^2).
 
-    Equals I_{n+2} / I_n where both integrals use the *same* profile g_n.
-    Returns math.inf when the numerator diverges (cauchy for every n; student
-    when m <= 2).  Values are cached by (generator, n, method).
+    Equals I_{n+2} / I_n where both integrals use the *same* profile g_n:
+    n for normal; n m / (m - 2) for student, math.inf when m <= 2 (cauchy
+    for every n); s^(2/s) Gamma((n+2)/s) / Gamma(n/s) for exponential_power
+    (laplace: s = 1); (n/2) eta(n/2) / eta(n/2 - 1) for logistic.
     """
-    return _radial_second_moment(gen, _validate_dimension(n), method)
-
-
-@lru_cache(maxsize=None)
-def _radial_second_moment(gen: DensityGenerator, n: int, method: str) -> float:
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ParameterError(f"unknown method {method!r}")
+    n = _validate_dimension(n)
     fam = gen.family
-    if method != "quadrature":
-        if fam is GeneratorFamily.NORMAL:
-            return float(n)
-        if fam is GeneratorFamily.CAUCHY:
-            return math.inf
-        if fam is GeneratorFamily.STUDENT:
-            m = gen.dof
-            return n * m / (m - 2.0) if m > 2 else math.inf
-        if fam in (GeneratorFamily.EXPONENTIAL_POWER, GeneratorFamily.LAPLACE):
-            s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
-            return s ** (2.0 / s) * math.exp(math.lgamma((n + 2.0) / s) - math.lgamma(n / s))
-        if fam is GeneratorFamily.LOGISTIC and method == "closed_form":
-            raise ParameterError("logistic has no closed-form radial second moment")
-
-    def weighted(extra: int) -> float:
-        def integrand(r: np.ndarray) -> np.ndarray:
-            r = np.asarray(r, dtype=float)
-            out = np.zeros_like(r)
-            pos = r > 0
-            out[pos] = 2.0 * np.exp(
-                (n + extra - 1) * np.log(r[pos]) + log_eval_generator(gen, r[pos] ** 2, n)
-            )
-            if np.any(~pos) and n + extra == 1:
-                out[~pos] = 2.0 * eval_generator(gen, 0.0, n)
-            return out
-
-        return tail_truncated_integral(integrand)
-
-    if fam in (GeneratorFamily.CAUCHY, GeneratorFamily.STUDENT):
-        m = 1 if fam is GeneratorFamily.CAUCHY else gen.dof
-        if m <= 2:
-            return math.inf
-    return weighted(2) / weighted(0)
+    if fam is GeneratorFamily.NORMAL:
+        return float(n)
+    if fam is GeneratorFamily.CAUCHY:
+        return math.inf
+    if fam is GeneratorFamily.STUDENT:
+        m = gen.dof
+        return n * m / (m - 2.0) if m > 2 else math.inf
+    if fam in (GeneratorFamily.EXPONENTIAL_POWER, GeneratorFamily.LAPLACE):
+        s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
+        return s ** (2.0 / s) * math.exp(math.lgamma((n + 2.0) / s) - math.lgamma(n / s))
+    if fam is GeneratorFamily.LOGISTIC:
+        return n / 2.0 * _eta(n / 2.0) / _eta(n / 2.0 - 1.0)
+    raise ParameterError(f"unknown generator family {fam!r}")
 
 
 def covariance_factor(gen: DensityGenerator, n: int) -> float:

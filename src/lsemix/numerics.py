@@ -1,4 +1,4 @@
-"""Shared numerical helpers: quadrature rules, tail handling, inverse-CDF tables.
+"""Shared numerical helpers: quadrature rules, integration bounds, inverse-CDF tables.
 
 All routines here are deterministic: fixed node counts, fixed expansion rules,
 no randomness.  Stochastic reproducibility elsewhere in the package relies on
@@ -7,7 +7,6 @@ that.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import NonIntegrableError
 
 __all__ = [
     "gauss_legendre",
-    "tail_truncated_integral",
     "build_inverse_cdf_table",
     "expand_log_bounds",
     "InverseCdfTable",
@@ -29,70 +27,12 @@ QUAD_NODES = 256
 #: Default resolution of tabulated inverse CDFs.
 CDF_TABLE_SIZE = 4096
 
-#: Integrand values this far (in log space) below the peak are treated as tail.
-LOG_TAIL_DROP = math.log(1e-12)
-
 
 def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [a, b]."""
     x, w = leggauss(n)
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
-
-
-def tail_truncated_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    scan_lo: float = 1e-8,
-    scan_hi: float = 1e8,
-    rel_stable: float = 1e-11,
-    max_doublings: int = 60,
-) -> float:
-    """Integrate a nonnegative integrand over [0, inf).
-
-    The upper limit U starts where the integrand has decayed below 1e-12 of
-    its peak (located by a logarithmic scan) and is doubled until two
-    consecutive adaptive integrations agree to ``rel_stable`` relative error.
-    """
-    from scipy import integrate  # on first use: only logistic radial integrals need it
-
-    scan = np.concatenate([[0.0], np.geomspace(scan_lo, scan_hi, 321)])
-    vals = np.asarray(f(scan), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonIntegrableError("integrand is not finite on the scan grid")
-    peak = float(vals.max())
-    if peak <= 0.0:
-        raise NonIntegrableError("integrand vanishes on the scan grid")
-    log_cut = math.log(peak) + LOG_TAIL_DROP
-    upper = float(scan[int(np.argmax(vals))]) * 2.0 + 1.0
-    for _ in range(max_doublings):
-        if float(f(np.array([upper]))[0]) <= math.exp(log_cut):
-            break
-        upper *= 2.0
-    else:
-        raise NonIntegrableError("integrand tail does not decay below the cutoff")
-
-    def f_scalar(x: float) -> float:
-        return float(f(np.array([x]))[0])
-
-    # Integrate [0, b] directly and [b, U] under w = 1/x, which keeps slowly
-    # decaying (polynomial) tails numerically tame for the adaptive rule.
-    break_at = max(1.0, 2.0 * float(scan[int(np.argmax(vals))]))
-    head, _ = integrate.quad(f_scalar, 0.0, break_at, limit=400)
-
-    def tail_scalar(w: float) -> float:
-        return f_scalar(1.0 / w) / (w * w)
-
-    previous = None
-    for _ in range(max_doublings):
-        upper = max(upper, 2.0 * break_at)
-        tail, _err = integrate.quad(tail_scalar, 1.0 / upper, 1.0 / break_at, limit=400)
-        value = head + tail
-        if previous is not None and abs(value - previous) <= rel_stable * max(abs(value), 1e-300):
-            return value
-        previous = value
-        upper *= 2.0
-    raise NonIntegrableError("integral did not stabilise under interval doubling")
 
 
 class InverseCdfTable:

@@ -84,6 +84,7 @@ __all__ = [
     "SkipReason",
     "Clause",
     "OrderReport",
+    "axis_pair_directions",
     "check_collective_risk",
     "check_order",
     "compare",
@@ -622,10 +623,9 @@ def _halton_directions(n: int, signed: bool) -> np.ndarray:
     return points[keep] / norms[keep, None]
 
 
-@lru_cache(maxsize=None)
-def _fixed_directions(n: int, signed: bool) -> np.ndarray:
-    """Axis vectors, pair sums (and, signed, differences) and the Halton
-    bundle, one per row; read-only, since it is cached."""
+def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
+    """Axis vectors and the normalized pair sums (and, signed, differences)
+    e_i +- e_j, i < j, one per row: n^2 rows signed, n(n+1)/2 unsigned."""
     eye = np.eye(n)
     directions = list(eye)
     for i in range(n):
@@ -633,8 +633,14 @@ def _fixed_directions(n: int, signed: bool) -> np.ndarray:
             directions.append((eye[i] + eye[j]) / math.sqrt(2.0))
             if signed:
                 directions.append((eye[i] - eye[j]) / math.sqrt(2.0))
-    directions.extend(_halton_directions(n, signed))
-    fixed = np.array(directions)
+    return np.array(directions)
+
+
+@lru_cache(maxsize=None)
+def _fixed_directions(n: int, signed: bool) -> np.ndarray:
+    """The axis-and-pair directions and the Halton bundle, one per row;
+    read-only, since it is cached."""
+    fixed = np.vstack([axis_pair_directions(n, signed), _halton_directions(n, signed)])
     fixed.setflags(write=False)
     return fixed
 

@@ -1,9 +1,9 @@
 """Tests for the radial generator catalog.
 
 Expected values come from three independent routes: adaptive quadrature in
-r-space (scipy.integrate.quad, written here rather than reusing the package's
-integration helper), an alternating-zeta series for the logistic profile
-(mpmath), and hand closed forms for gamma-function expressions.
+r-space (scipy.integrate.quad, written here; the package itself uses closed
+forms only), an alternating-zeta series for the logistic profile (mpmath), and
+hand closed forms for gamma-function expressions.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-import lsemix.generators as generators_module
-from lsemix.distributions import LseDistribution
 from lsemix.errors import DomainError, ParameterError
 from lsemix.generators import (
     DensityGenerator,
@@ -32,8 +30,6 @@ from lsemix.generators import (
     radial_profile_integral,
     radial_second_moment,
 )
-from lsemix.mixing import AlphaBetaMap, BetaLambdaOne
-from lsemix.orders import compare
 
 ALL_FAMILIES = [
     DensityGenerator(GeneratorFamily.CAUCHY),
@@ -47,15 +43,20 @@ ALL_FAMILIES = [
 ]
 
 
-def oracle_profile_integral(gen: DensityGenerator, n: int) -> float:
-    """Independent quadrature of int_0^inf z^(n/2-1) g_n(z) dz via z = r^2.
+def oracle_profile_integral(gen: DensityGenerator, n: int, power: int | None = None) -> float:
+    """Independent quadrature of 2 int_0^inf r^power g_n(r^2) dr.
+
+    With the default power = n - 1 this is I_n = int_0^inf z^(n/2-1) g_n(z) dz
+    (z = r^2); power = n + 1 gives I_{n+2} under the same g_n, the numerator
+    of E(R^2).
 
     Polynomial tails are compactified with r = tan(theta) so scipy.quad sees a
     smooth integrand on a finite interval.
     """
+    power = n - 1 if power is None else power
 
     def f(r: float) -> float:
-        return 2.0 * r ** (n - 1) * float(eval_generator(gen, r * r, n))
+        return 2.0 * r ** power * float(eval_generator(gen, r * r, n))
 
     if gen.family in (GeneratorFamily.CAUCHY, GeneratorFamily.STUDENT):
         def g(theta: float) -> float:
@@ -69,11 +70,7 @@ def oracle_profile_integral(gen: DensityGenerator, n: int) -> float:
 
 
 def oracle_second_moment(gen: DensityGenerator, n: int) -> float:
-    def f(r: float) -> float:
-        return 2.0 * r ** (n + 1) * float(eval_generator(gen, r * r, n))
-
-    val, _ = integrate.quad(f, 0.0, 80.0, limit=500)
-    return val / oracle_profile_integral(gen, n)
+    return oracle_profile_integral(gen, n, power=n + 1) / oracle_profile_integral(gen, n)
 
 
 class TestEvalGenerator:
@@ -184,21 +181,13 @@ class TestNormalizingConstant:
         tol = 1e-9 if gen.family not in (GeneratorFamily.CAUCHY, GeneratorFamily.STUDENT) else 1e-6
         assert normalizing_constant(gen, n) == pytest.approx(oracle, rel=tol)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_logistic_against_eta_series(self, n):
-        # int z^{n/2-1} e^{-z} (1+e^{-z})^{-2} dz = Gamma(n/2) * eta(n/2 - 1)
+        # int z^{n/2-1} e^{-z} (1+e^{-z})^{-2} dz = Gamma(n/2) * eta(n/2 - 1);
+        # n = 2 and 4 reach eta(0) = 1/2 and eta(1) = ln 2.
         series = float(mpmath.gamma(mpmath.mpf(n) / 2) * mpmath.altzeta(mpmath.mpf(n) / 2 - 1))
         logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
-        assert radial_profile_integral(logistic, n) == pytest.approx(series, rel=1e-10)
-
-    def test_closed_form_vs_internal_quadrature(self):
-        for gen in ALL_FAMILIES:
-            if gen.family is GeneratorFamily.LOGISTIC:
-                continue
-            for n in (1, 2):
-                closed = radial_profile_integral(gen, n, method="closed_form")
-                quad = radial_profile_integral(gen, n, method="quadrature")
-                assert quad == pytest.approx(closed, rel=1e-8)
+        assert radial_profile_integral(logistic, n) == pytest.approx(series, rel=1e-13)
 
     def test_existence_over_dimensions(self):
         for gen in ALL_FAMILIES:
@@ -245,8 +234,17 @@ class TestRadialSecondMoment:
     def test_student_moment_condition_via_quadrature(self):
         # Tail exponent: z^{n/2} (1+z/m)^{-(n+m)/2} ~ z^{-m/2}; diverges iff m <= 2.
         student3 = DensityGenerator(GeneratorFamily.STUDENT, dof=3)
-        got = radial_second_moment(student3, 2, method="quadrature")
+        got = oracle_second_moment(student3, 2)
         assert got == pytest.approx(2 * 3 / (3 - 2), rel=1e-6)
+        assert radial_second_moment(student3, 2) == pytest.approx(got, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_logistic_against_eta_series(self, n):
+        # E(R^2) = I_{n+2} / I_n = (n/2) eta(n/2) / eta(n/2 - 1)
+        half = mpmath.mpf(n) / 2
+        series = float(half * mpmath.altzeta(half) / mpmath.altzeta(half - 1))
+        logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
+        assert radial_second_moment(logistic, n) == pytest.approx(series, rel=1e-13)
 
 
 class TestLimitRatio:
@@ -326,44 +324,3 @@ class TestLimitRatio:
             assert sat1, gen.describe()
             assert sat2, gen.describe()
             assert len(probes) == 2
-
-
-class TestRadialCache:
-    def test_logistic_quadrature_runs_once_per_dimension(self, monkeypatch):
-        logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
-        profile_runs, integrals = [], []
-        quadrature = generators_module._radial_profile_integral_quadrature
-        integral = generators_module.tail_truncated_integral
-
-        def counted_quadrature(gen, n):
-            profile_runs.append((gen, n))
-            return quadrature(gen, n)
-
-        def counted_integral(*args, **kwargs):
-            integrals.append(args)
-            return integral(*args, **kwargs)
-
-        monkeypatch.setattr(
-            generators_module, "_radial_profile_integral_quadrature", counted_quadrature)
-        monkeypatch.setattr(generators_module, "tail_truncated_integral", counted_integral)
-        generators_module._radial_profile_integral.cache_clear()
-        generators_module._radial_second_moment.cache_clear()
-
-        def battery():
-            for n in (1, 2):
-                d1, d2 = (
-                    LseDistribution(np.full(n, mu), scale * np.eye(n), np.full(n, 0.3),
-                                    logistic, AlphaBetaMap.location_mixture(),
-                                    BetaLambdaOne(2.0))
-                    for mu, scale in ((0.0, 1.0), (0.2, 1.5)))
-                compare(d1, d2)
-                compare(d2, d1)
-                d1.pdf(np.zeros(n))
-
-        battery()
-        assert sorted(n for _, n in profile_runs) == [1, 2]
-        assert all(gen == logistic for gen, _ in profile_runs)
-        runs_after_first = len(integrals)
-        battery()
-        assert len(profile_runs) == 2
-        assert len(integrals) == runs_after_first

@@ -744,8 +744,16 @@ def test_halton_points_match_scipy():
 
 
 def test_import_loads_no_scipy_stats():
-    code = ("import sys, lsemix; print(*(m in sys.modules for m in "
-            "('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
+    # Neither the import nor a logistic pair's compare() and pdf load the three.
+    code = (
+        "import sys, numpy as np, lsemix\n"
+        "from lsemix import AlphaBetaMap, BetaLambdaOne, DensityGenerator, LseDistribution\n"
+        "d1, d2 = (LseDistribution(np.full(2, mu), scale * np.eye(2), np.full(2, 0.3),\n"
+        "          DensityGenerator('logistic'), AlphaBetaMap.location_mixture(),\n"
+        "          BetaLambdaOne(2.0)) for mu, scale in ((0.0, 1.0), (0.2, 1.5)))\n"
+        "lsemix.compare(d1, d2)\n"
+        "d1.pdf(np.zeros(2))\n"
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
