@@ -225,8 +225,6 @@ class TestRadialSecondMoment:
     )
     def test_against_quadrature_oracle(self, gen):
         for n in (1, 2):
-            if gen.family is GeneratorFamily.STUDENT:
-                continue  # slow polynomial tails; covered by the closed form test
             assert radial_second_moment(gen, n) == pytest.approx(
                 oracle_second_moment(gen, n), rel=1e-7
             )
