@@ -15,9 +15,13 @@ Design notes
   most of the Monte Carlo variance; in particular two equal distributions
   produce *identical* samples and can never trigger a false failure.
 * Sampling is split into deterministic worker streams: chunk ``i`` draws from
-  a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  The
-  accumulated statistics are sums, so merging is associative and
-  order-independent, and identical configs give bit-identical estimates.
+  a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  The st,
+  icx and orthant scans run their chunks on one worker thread per usable CPU
+  (``_chunk_map``); each chunk returns its own partial sums, and these are
+  added in chunk order whichever worker ran it, so identical configs give
+  bit-identical estimates on any number of CPUs.  Peak memory is about the
+  number of workers times one chunk's working set.  ``verify_cx`` keeps its
+  chunks on one thread (see the comment there).
 * The st and icx scans make one binned pass over the draws.  Each draw x
   falls in bin k = ``searchsorted(grid, x)``, the number of grid points
   strictly below it, so x > t_j exactly when j < k; no sort is needed.  Per
@@ -46,6 +50,8 @@ Design notes
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +77,10 @@ MIN_SAMPLE_COUNT = 10_000
 _QUANTILE_RANGE = (0.001, 0.999)
 _PILOT_CAP = 50_000
 _PAYOFF_QUANTILES = (0.25, 0.5, 0.75)
+#: verify_cx evaluates its directional functionals in (chunk, 2, group)
+#: blocks of at most about this many doubles: at most 8 directions per group
+#: at the default chunk.
+_CX_BLOCK_DOUBLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,13 @@ class McConfig:
     spaced points spanning the pooled 0.1%-99.9% quantile range of a pilot
     sample (the range where tail violations surface).  An explicit grid must
     be nonempty and ascending.
+
+    ``chunk_size`` is the number of coupled draws sampled and reduced at a
+    time.  The chunks are the unit of work of the worker threads, and each
+    in flight holds its draws and their temporaries, so peak memory grows
+    with ``chunk_size`` times the number of usable CPUs.  The estimates
+    depend on ``chunk_size`` (chunk i draws from its own stream), never on
+    the number of workers.
     """
 
     sample_count: int
@@ -218,6 +235,44 @@ def _chunk_plan(cfg: McConfig) -> tuple[np.random.Generator, list[tuple[np.rando
     return pilot, chunks
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_map(part, chunks: list) -> list:
+    """``[part(chunk) for chunk in chunks]``, on one worker thread per usable
+    CPU.
+
+    The pool lives for one call, so no thread outlives it and a forked child
+    inherits no pool.  numpy's samplers, ``searchsorted`` and ufuncs release
+    the interpreter lock, so the chunks do run side by side.  An exception in
+    one chunk cancels the chunks not yet started and propagates unchanged.
+    """
+    workers = min(_worker_count(), len(chunks))
+    if workers <= 1:
+        return list(map(part, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(part, chunks))
+
+
+def _chunk_sums(part, chunks: list) -> list[np.ndarray]:
+    """Totals of the arrays ``part`` returns for each chunk.
+
+    Each chunk's arrays are added to zeros in chunk order, whichever worker
+    ran it, so every float sum is the one a serial loop over the chunks forms.
+    """
+    partials = _chunk_map(part, chunks)
+    totals = [np.zeros_like(value) for value in partials[0]]
+    for partial in partials:
+        for total, value in zip(totals, partial):
+            total += value
+    return totals
+
+
 def _pilot_draws(
     d1: LseDistribution, d2: LseDistribution, cfg: McConfig, pilot: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,33 +342,31 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
     # floor[k] = t_{k-1}, the grid point below bin k; bin 0 is never read.
     floor = np.concatenate([grid[:1], grid])
 
-    counts = np.zeros((2, bins), dtype=np.int64)
-    sums = np.zeros((2, bins))
-    joint = np.zeros(bins, dtype=np.int64)
-    both_sq = np.zeros(bins)
-    # (bin of min(x1, x2), bin of max(x1, x2)) table of the max's offset
-    split_counts = np.zeros(bins * bins, dtype=np.int64)
-    split_sums = np.zeros(bins * bins)
-    split_squares = np.zeros(bins * bins)
-
-    for rng, size in chunks:
+    def part(chunk):
+        rng, size = chunk
         y1, y2 = sample_coupled(d1, d2, rng, size)
         x1, x2 = y1.ravel(), y2.ravel()
         k1 = np.searchsorted(grid, x1)
         k2 = np.searchsorted(grid, x2)
         off1 = x1 - floor[k1]
         off2 = x2 - floor[k2]
-        for i, (k, off) in enumerate(((k1, off1), (k2, off2))):
-            counts[i] += np.bincount(k, minlength=bins)
-            sums[i] += np.bincount(k, off, bins)
         low = np.minimum(k1, k2)
         cell = low * bins + np.maximum(k1, k2)
         top = np.where(x1 >= x2, off1, off2)
-        joint += np.bincount(low, minlength=bins)
-        both_sq += np.bincount(low, np.square(x1 - x2), bins)
-        split_counts += np.bincount(cell, minlength=bins * bins)
-        split_sums += np.bincount(cell, top, bins * bins)
-        split_squares += np.bincount(cell, np.square(top), bins * bins)
+        # Per bin: counts, offset sums, the pairs' joint count and squared
+        # gaps; then the (bin of min(x1, x2), bin of max(x1, x2)) table of
+        # the max's offset: counts, sums and squares.
+        return (
+            np.stack([np.bincount(k1, minlength=bins), np.bincount(k2, minlength=bins)]),
+            np.stack([np.bincount(k1, off1, bins), np.bincount(k2, off2, bins)]),
+            np.bincount(low, minlength=bins),
+            np.bincount(low, np.square(x1 - x2), bins),
+            np.bincount(cell, minlength=bins * bins),
+            np.bincount(cell, top, bins * bins),
+            np.bincount(cell, np.square(top), bins * bins),
+        )
+
+    counts, sums, joint, both_sq, split_counts, split_sums, split_squares = _chunk_sums(part, chunks)
 
     # Expand to the grid.  Bin i + 1 lies above t_j exactly when i >= j, and
     # its draws exceed t_j by their offset plus gap[j, i] = t_i - t_j >= 0.
@@ -422,20 +475,36 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
     mean_sum = np.zeros(d1.dim)
     mean_sq = np.zeros(d1.dim)
 
+    # The chunks stay on one thread: OpenBLAS already threads the projections
+    # x @ dirs.T, and a pool on top oversubscribes the CPUs.  On 2 CPUs, at
+    # 10^6 draws of the copositive_gap scenario, pooled chunks ran no faster
+    # (1.76-1.93 s against 1.74-2.26 s) and raised the peak RSS from 96 to
+    # 116-122 MiB.  Pooling waits for a way to cap the BLAS threads.
+
+    # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
+    directional_sums = sums[:2 * k].reshape(2, k)
+    directional_sqs = sqs[:2 * k].reshape(2, k)
     for rng, size in chunks:
         x1, x2 = sample_coupled(d1, d2, rng, size)
-        proj1 = x1 @ dirs.T
-        proj2 = x2 @ dirs.T
         # One group of functionals at a time: the directional ones, then max
-        # and the payoffs.
-        directional = np.empty((size, 2 * k))
-        np.square(proj1, out=directional[:, :k])
-        np.abs(proj1, out=directional[:, k:])
-        directional[:, :k] -= np.square(proj2, out=proj1)  # proj1 is spent: reuse it
-        directional[:, k:] -= np.abs(proj2, out=proj2)
-        del proj1, proj2
-        _accumulate(directional, sums[:2 * k], sqs[:2 * k])
-        del directional
+        # and the payoffs.  The directions go in near-equal groups of at most
+        # about ``width``, never one alone unless k = 1:
+        # numpy projects a lone direction by a matrix-vector product, whose
+        # sums may round differently from the matrix product's.
+        width = max(2, _CX_BLOCK_DOUBLES // (2 * size))
+        groups = max(1, min(-(-k // width), k // 2))
+        edges = [k * i // groups for i in range(groups + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            proj1 = x1 @ dirs[lo:hi].T
+            proj2 = x2 @ dirs[lo:hi].T
+            block = np.empty((size, 2, hi - lo))
+            np.square(proj1, out=block[:, 0])
+            np.abs(proj1, out=block[:, 1])
+            block[:, 0] -= np.square(proj2, out=proj1)  # proj1 is spent: reuse it
+            block[:, 1] -= np.abs(proj2, out=proj2)
+            del proj1, proj2
+            _accumulate(block, directional_sums[:, lo:hi], directional_sqs[:, lo:hi])
+            del block
         tail = np.empty((size, 1 + thresholds.size))
         tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
         for j, c in enumerate(thresholds, start=1):
@@ -479,17 +548,15 @@ def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corn
         raise UsageError("corners must be a nonempty finite array")
 
     _, chunks = _chunk_plan(cfg)
-    exceed1 = np.zeros(pts.shape[0], dtype=np.int64)
-    exceed2 = np.zeros(pts.shape[0], dtype=np.int64)
-    joint = np.zeros(pts.shape[0], dtype=np.int64)
-    for rng, size in chunks:
+
+    def part(chunk):
+        rng, size = chunk
         x1, x2 = sample_coupled(d1, d2, rng, size)
         e1 = np.all(x1[:, None, :] > pts[None, :, :], axis=2)
         e2 = np.all(x2[:, None, :] > pts[None, :, :], axis=2)
-        exceed1 += e1.sum(axis=0)
-        exceed2 += e2.sum(axis=0)
-        joint += (e1 & e2).sum(axis=0)
+        return e1.sum(axis=0), e2.sum(axis=0), (e1 & e2).sum(axis=0)
 
+    exceed1, exceed2, joint = _chunk_sums(part, chunks)
     n = float(cfg.sample_count)
     p1, p2, p12 = exceed1 / n, exceed2 / n, joint / n
     var = np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None)

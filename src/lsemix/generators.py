@@ -197,9 +197,13 @@ def radial_profile_integral(gen: DensityGenerator, n: int) -> float:
 
     normal: 2^(n/2) Gamma(n/2); student (cauchy: m = 1): m^(n/2) B(n/2, m/2);
     exponential_power (laplace: s = 1): 2 s^(n/s - 1) Gamma(n/s); logistic:
-    Gamma(n/2) eta(n/2 - 1), with eta the Dirichlet eta function.
+    Gamma(n/2) eta(n/2 - 1), with eta the Dirichlet eta function.  Raises
+    ``ParameterError`` past the largest dimension whose I_n is a double.
     """
-    n = _validate_dimension(n)
+    return _in_double_range("radial integral I_n", _profile_integral, gen, _validate_dimension(n))
+
+
+def _profile_integral(gen: DensityGenerator, n: int) -> float:
     fam = gen.family
     if fam is GeneratorFamily.NORMAL:
         return 2.0 ** (n / 2.0) * math.gamma(n / 2.0)
@@ -216,14 +220,54 @@ def radial_profile_integral(gen: DensityGenerator, n: int) -> float:
 
 
 def normalizing_constant(gen: DensityGenerator, n: int) -> float:
-    """c_n = Gamma(n/2) * pi^(-n/2) / I_n, with 0 < I_n < inf enforced."""
+    """c_n = Gamma(n/2) * pi^(-n/2) / I_n, with 0 < I_n < inf enforced.
+
+    Raises ``ParameterError`` past the largest dimension whose I_n and c_n
+    are doubles.
+    """
     n = _validate_dimension(n)
     profile = radial_profile_integral(gen, n)
     if not (0.0 < profile < math.inf):
         raise NonIntegrableError(
             f"radial profile integral of {gen.describe()} in dimension {n} is not finite/positive"
         )
-    return math.gamma(n / 2.0) * math.pi ** (-n / 2.0) / profile
+    return _in_double_range("normalizing constant c_n", _normalizing_constant, gen, n)
+
+
+def _normalizing_constant(gen: DensityGenerator, n: int) -> float:
+    return math.gamma(n / 2.0) * math.pi ** (-n / 2.0) / _profile_integral(gen, n)
+
+
+def _in_double_range(what: str, evaluate, gen: DensityGenerator, n: int) -> float:
+    """``evaluate(gen, n)``, or a ``ParameterError`` naming the largest
+    dimension where it is a finite double.
+
+    The gamma functions and powers in the closed forms overflow from some
+    dimension on and stay overflowed above it (I_n: laplace from n = 172,
+    normal from 303, logistic from 344; c_n: every family from 344, where
+    Gamma(n/2) does), so that dimension is found by bisection.
+    """
+
+    def value(m: int) -> float:
+        try:
+            return evaluate(gen, m)
+        except OverflowError:
+            return math.inf
+
+    result = value(n)
+    if result < math.inf:
+        return result
+    fits, past = 0, n
+    while past - fits > 1:
+        mid = (fits + past) // 2
+        if value(mid) < math.inf:
+            fits = mid
+        else:
+            past = mid
+    raise ParameterError(
+        f"the {what} of {gen.describe()} overflows a double in dimension {n}; "
+        f"the largest dimension it supports is {fits}"
+    )
 
 
 def radial_second_moment(gen: DensityGenerator, n: int) -> float:

@@ -390,6 +390,17 @@ def test_cones_subcommand_horn_matrix(tmp_path, capsys):
     assert "copositive: inside" in out
 
 
+@pytest.mark.parametrize("family, n, limit", [("laplace", 172, 171), ("normal", 344, 302)])
+def test_dimension_past_the_double_range_is_an_error(tmp_path, capsys, family, n, limit):
+    block = normal_block([0.0] * n, np.eye(n).tolist(), generator={"family": family})
+    path = tmp_path / "big.json"
+    path.write_text(scenario(block, block, orders=["st"]))
+    assert main(["check", "--spec", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"overflows a double in dimension {n}; the largest dimension it supports is {limit}" in err
+
+
 def test_cones_subcommand_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n3 nope\n")

@@ -6,6 +6,8 @@ where common-random-number coupling makes the comparison exact.
 
 import dataclasses
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from lsemix.distributions import LseDistribution
 from scipy.stats import binom, norm
 
+from lsemix import empirical
 from lsemix.distributions import sample_coupled
 from lsemix.empirical import (
     DEFAULT_GRID_SIZE,
@@ -35,7 +38,7 @@ from lsemix.empirical import (
 from lsemix.errors import UsageError
 from lsemix.generators import DensityGenerator, GeneratorFamily
 from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate, DiscreteWeighted
-from lsemix.orders import OrderKind, Verdict, check_order
+from lsemix.orders import OrderKind, Verdict, axis_pair_directions, check_order
 
 NORMAL = DensityGenerator(GeneratorFamily.NORMAL)
 CAUCHY = DensityGenerator(GeneratorFamily.CAUCHY)
@@ -508,3 +511,146 @@ def test_result_fields_match_types():
     assert isinstance(r.passed, bool)
     assert isinstance(r.max_violation, float)
     assert isinstance(r.standard_error_at_violation, float)
+
+
+# --- chunks on worker threads -----------------------------------------------------------
+
+
+# Three chunks, the last one short.
+POOL_CFG = McConfig(sample_count=23_000, seed=99, chunk_size=10_000)
+
+
+def result_fields(result):
+    """Every field of a DominanceResult, its curve's arrays as bytes."""
+    fields = dataclasses.asdict(dataclasses.replace(result, curve=None))
+    if result.curve is not None:
+        for name in SurvivalCurve.__dataclass_fields__:
+            fields[name] = getattr(result.curve, name).tobytes()
+    return fields
+
+
+def pooled_results():
+    skewed = (ghss(0.0, [[1.0]], 0.2), ghss(0.1, [[1.4]], 0.4))
+    bivariate = (mk([0.0, 0.0], corr(0.2)), mk([0.1, 0.0], corr(0.6)))
+    return [
+        result_fields(verify_st(*skewed, POOL_CFG)),
+        result_fields(verify_icx(*skewed, POOL_CFG)),
+        result_fields(verify_orthant(*bivariate, POOL_CFG, CORNERS)),
+    ]
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(empirical, "_worker_count", lambda: 1)
+    serial = pooled_results()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(empirical, "_worker_count", lambda: workers)
+            assert pooled_results() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def single_block_cx(d1, d2, cfg, dirs):
+    """verify_cx's one-sided sums as they were formed before the directions
+    were grouped: one (chunk, 2k) block per chunk."""
+    pilot, chunks = _chunk_plan(cfg)
+    y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
+    thresholds = np.quantile(np.concatenate([y1.ravel(), y2.ravel()]), (0.25, 0.5, 0.75))
+    k = dirs.shape[0]
+    sums = np.zeros(2 * k + 1 + thresholds.size)
+    sqs = np.zeros_like(sums)
+    mean_sum = np.zeros(d1.dim)
+    mean_sq = np.zeros(d1.dim)
+    for rng, size in chunks:
+        x1, x2 = sample_coupled(d1, d2, rng, size)
+        proj1, proj2 = x1 @ dirs.T, x2 @ dirs.T
+        directional = np.empty((size, 2 * k))
+        directional[:, :k] = np.square(proj1) - np.square(proj2)
+        directional[:, k:] = np.abs(proj1) - np.abs(proj2)
+        sums[:2 * k] += directional.sum(axis=0)
+        sqs[:2 * k] += np.square(directional).sum(axis=0)
+        tail = np.empty((size, 1 + thresholds.size))
+        tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
+        for j, c in enumerate(thresholds, start=1):
+            tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
+        sums[2 * k:] += tail.sum(axis=0)
+        sqs[2 * k:] += np.square(tail).sum(axis=0)
+        dm = x1 - x2
+        mean_sum += dm.sum(axis=0)
+        mean_sq += np.square(dm).sum(axis=0)
+    n = float(cfg.sample_count)
+    diff = sums / n
+    se = np.sqrt(np.clip(sqs / n - np.square(diff), 0.0, None) / n)
+    mean_se = np.sqrt(np.clip(mean_sq / n - np.square(mean_sum / n), 0.0, None) / n)
+    return np.concatenate([diff, np.abs(mean_sum / n)]), np.concatenate([se, mean_se])
+
+
+@pytest.mark.parametrize("block_doubles", [None, 2 * 10_000 * 4], ids=["default", "groups-of-4"])
+@pytest.mark.parametrize("directions", ["axis-pairs", "gaussian-9"])
+def test_grouped_cx_matches_the_single_block_loop(monkeypatch, block_doubles, directions):
+    if block_doubles is not None:
+        monkeypatch.setattr(empirical, "_CX_BLOCK_DOUBLES", block_doubles)
+    if directions == "axis-pairs":
+        dirs = axis_pair_directions(5, signed=True)
+    else:
+        dirs = np.random.default_rng(5).normal(size=(9, 5))
+    sigma = np.eye(5) + 0.2
+    d1 = ghss(np.zeros(5), sigma, np.full(5, 0.2))
+    d2 = ghss(np.full(5, 0.05), 1.3 * sigma, np.full(5, 0.3))
+    summarized = []
+    original = empirical._summarize
+
+    def capture(points, diff, se, *args, **kwargs):
+        summarized.append((diff.copy(), se.copy()))
+        return original(points, diff, se, *args, **kwargs)
+
+    monkeypatch.setattr(empirical, "_summarize", capture)
+    verify_cx(d1, d2, POOL_CFG, dirs)
+    (diff, se), = summarized
+    want_diff, want_se = single_block_cx(d1, d2, POOL_CFG, np.asarray(dirs, dtype=float))
+    assert diff.tobytes() == want_diff.tobytes()
+    assert se.tobytes() == want_se.tobytes()
+
+
+def test_an_exception_in_one_chunk_propagates_unchanged(monkeypatch):
+    monkeypatch.setattr(empirical, "_worker_count", lambda: 2)
+    d1, d2 = mk(0.0, [[1.0]]), mk(0.2, [[1.5]])
+    cfg = McConfig(sample_count=40_000, seed=4, chunk_size=10_000, grid=(0.0, 1.0))
+    expected = verify_st(d1, d2, cfg)
+    error = RuntimeError("chunk failed")
+    calls = []
+
+    def failing(a, b, rng, size):
+        calls.append(size)
+        if len(calls) == 2:
+            raise error
+        return sample_coupled(a, b, rng, size)
+
+    monkeypatch.setattr(empirical, "sample_coupled", failing)
+    with pytest.raises(RuntimeError) as caught:
+        verify_st(d1, d2, cfg)
+    assert caught.value is error
+    monkeypatch.setattr(empirical, "sample_coupled", sample_coupled)
+    assert result_fields(verify_st(d1, d2, cfg)) == result_fields(expected)
+
+
+def _st_in_child(d1, d2, cfg, expected):
+    # exit status 0 only when the child's scan matches the parent's
+    sys.exit(0 if result_fields(verify_st(d1, d2, cfg)) == expected else 1)
+
+
+def test_verify_st_runs_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(empirical, "_worker_count", lambda: 2)
+    d1, d2 = mk(0.0, [[1.0]]), mk(0.2, [[1.5]])
+    expected = result_fields(verify_st(d1, d2, POOL_CFG))
+    child = multiprocessing.get_context("fork").Process(
+        target=_st_in_child, args=(d1, d2, POOL_CFG, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("verify_st hung in a forked child")
+    assert child.exitcode == 0

@@ -195,6 +195,36 @@ class TestNormalizingConstant:
                 value = radial_profile_integral(gen, n)
                 assert 0.0 < value < math.inf
 
+    @pytest.mark.parametrize("family, n, what, limit", [
+        (GeneratorFamily.LAPLACE, 172, "radial integral I_n", 171),
+        (GeneratorFamily.NORMAL, 303, "radial integral I_n", 302),
+        (GeneratorFamily.NORMAL, 343, "radial integral I_n", 302),
+        (GeneratorFamily.NORMAL, 344, "radial integral I_n", 302),
+        (GeneratorFamily.LOGISTIC, 344, "radial integral I_n", 343),
+        (GeneratorFamily.CAUCHY, 344, "normalizing constant c_n", 343),
+    ])
+    def test_overflow_names_the_dimension_limit(self, family, n, what, limit):
+        # Gamma(n/2), Gamma(n/s) and 2^(n/2) leave the double range; past the
+        # limit both functions raise, up to it both return finite values.
+        gen = DensityGenerator(family)
+        message = f"the {what} of {family.value} overflows a double in dimension {n}; " \
+            f"the largest dimension it supports is {limit}"
+        with pytest.raises(ParameterError) as caught:
+            normalizing_constant(gen, n)
+        assert str(caught.value) == message
+        if what == "radial integral I_n":
+            with pytest.raises(ParameterError, match=message):
+                radial_profile_integral(gen, n)
+        assert 0.0 < normalizing_constant(gen, limit) < math.inf
+
+    def test_values_up_to_the_limit_are_the_closed_forms(self):
+        laplace = DensityGenerator(GeneratorFamily.LAPLACE)
+        normal = DensityGenerator(GeneratorFamily.NORMAL)
+        assert radial_profile_integral(laplace, 171) == 2.0 * 1.0 ** 170.0 * math.gamma(171.0)
+        assert radial_profile_integral(normal, 302) == 2.0 ** 151.0 * math.gamma(151.0)
+        profile = 2.0 ** 151.0 * math.gamma(151.0)
+        assert normalizing_constant(normal, 302) == math.gamma(151.0) * math.pi ** -151.0 / profile
+
 
 class TestRadialSecondMoment:
     def test_normal_is_dimension(self):
