@@ -238,6 +238,13 @@ def _normalizing_constant(gen: DensityGenerator, n: int) -> float:
     return math.gamma(n / 2.0) * math.pi ** (-n / 2.0) / _profile_integral(gen, n)
 
 
+def _value(evaluate, gen: DensityGenerator, n: int) -> float:
+    try:
+        return evaluate(gen, n)
+    except OverflowError:
+        return math.inf
+
+
 def _in_double_range(what: str, evaluate, gen: DensityGenerator, n: int) -> float:
     """``evaluate(gen, n)``, or a ``ParameterError`` naming the largest
     dimension where it is a finite double.
@@ -247,20 +254,13 @@ def _in_double_range(what: str, evaluate, gen: DensityGenerator, n: int) -> floa
     normal from 303, logistic from 344; c_n: every family from 344, where
     Gamma(n/2) does), so that dimension is found by bisection.
     """
-
-    def value(m: int) -> float:
-        try:
-            return evaluate(gen, m)
-        except OverflowError:
-            return math.inf
-
-    result = value(n)
+    result = _value(evaluate, gen, n)
     if result < math.inf:
         return result
     fits, past = 0, n
     while past - fits > 1:
         mid = (fits + past) // 2
-        if value(mid) < math.inf:
+        if _value(evaluate, gen, mid) < math.inf:
             fits = mid
         else:
             past = mid
