@@ -476,10 +476,10 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
     mean_sq = np.zeros(d1.dim)
 
     # The chunks stay on one thread: OpenBLAS already threads the projections
-    # x @ dirs.T, and a pool on top oversubscribes the CPUs.  On 2 CPUs, at
+    # x @ dirs.T, so a pool on top finds no idle CPU.  On 2 CPUs, at
     # 10^6 draws of the copositive_gap scenario, pooled chunks ran no faster
     # (1.76-1.93 s against 1.74-2.26 s) and raised the peak RSS from 96 to
-    # 116-122 MiB.  Pooling waits for a way to cap the BLAS threads.
+    # 115-122 MiB.  Pooling waits for a way to cap the BLAS threads.
 
     # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
     directional_sums = sums[:2 * k].reshape(2, k)
