@@ -438,7 +438,8 @@ def _accumulate(block: np.ndarray, sums: np.ndarray, sqs: np.ndarray) -> None:
 
     numpy sums each column of a block at least two columns wide row by row,
     in the same order whatever the width, but a lone column pairwise; every
-    block here has two or more columns.
+    block here has two or more columns.  A contiguous (rows, 2, g) block
+    sums like its (rows, 2g) reshape.
     """
     sums += block.sum(axis=0)
     sqs += np.square(block, out=block).sum(axis=0)
@@ -488,9 +489,9 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
         x1, x2 = sample_coupled(d1, d2, rng, size)
         # One group of functionals at a time: the directional ones, then max
         # and the payoffs.  The directions go in near-equal groups of at most
-        # about ``width``, never one alone unless k = 1:
-        # numpy projects a lone direction by a matrix-vector product, whose
-        # sums may round differently from the matrix product's.
+        # about ``width``, never one alone unless k = 1: numpy projects a lone
+        # direction by a matrix-vector product, whose sums may round
+        # differently from the matrix product's.
         width = max(2, _CX_BLOCK_DOUBLES // (2 * size))
         groups = max(1, min(-(-k // width), k // 2))
         edges = [k * i // groups for i in range(groups + 1)]
