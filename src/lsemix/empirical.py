@@ -23,8 +23,11 @@ Design notes
   number of workers times one chunk's working set.  ``verify_cx`` keeps its
   chunks on one thread (see the comment there).
 * The st and icx scans make one binned pass over the draws.  Each draw x
-  falls in bin k = ``searchsorted(grid, x)``, the number of grid points
-  strictly below it, so x > t_j exactly when j < k; no sort is needed.  Per
+  falls in bin k, the number of grid points strictly below it (what
+  ``np.searchsorted(grid, x)`` returns), so x > t_j exactly when j < k; no
+  sort is needed.  k comes from a bucket index over the grid
+  (``numerics._BucketIndex``, built once per scan) in O(1) per draw, and is
+  the same index for non-uniform and repeated-point grids.  Per
   bin, ``bincount`` sums the count and the offset x - t_{k-1}; the paired
   differences bin min(x1, x2), and a (G+1) x (G+1) table over the bins of
   (min, max) holds the offsets of the max.  After the pass the bins expand
@@ -33,7 +36,7 @@ Design notes
   accumulated term is a sum of nonnegative parts, so no (x - t)^2 expansion
   cancels; an identical pair still gives a difference of exactly zero, and
   the exceedance counts are integers, equal to a direct comparison.  The
-  cost is O(N log G + G^2) for N draws and G grid points; no N x G array is
+  cost is O(N + G^2) for N draws and G grid points; no N x G array is
   formed.
 * One pass yields a ``SurvivalCurve`` that carries both paired standard
   errors, so ``lsemix check`` reads the icx verdict off the curve of its st
@@ -58,6 +61,7 @@ import numpy as np
 
 from .distributions import LseDistribution, sample_coupled
 from .errors import UsageError
+from .numerics import _BucketIndex
 
 __all__ = [
     "McConfig",
@@ -248,8 +252,9 @@ def _chunk_map(part, chunks: list) -> list:
     CPU.
 
     The pool lives for one call, so no thread outlives it and a forked child
-    inherits no pool.  numpy's samplers, ``searchsorted`` and ufuncs release
-    the interpreter lock, so the chunks do run side by side.  An exception in
+    inherits no pool.  numpy's samplers, ufuncs, casts, integer-array
+    gathers and ``searchsorted`` release the interpreter lock, so the chunks
+    do run side by side.  An exception in
     one chunk cancels the chunks not yet started and propagates unchanged.
     """
     workers = min(_worker_count(), len(chunks))
@@ -341,13 +346,14 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
     bins = grid.size + 1
     # floor[k] = t_{k-1}, the grid point below bin k; bin 0 is never read.
     floor = np.concatenate([grid[:1], grid])
+    binning = _BucketIndex(grid)
 
     def part(chunk):
         rng, size = chunk
         y1, y2 = sample_coupled(d1, d2, rng, size)
         x1, x2 = y1.ravel(), y2.ravel()
-        k1 = np.searchsorted(grid, x1)
-        k2 = np.searchsorted(grid, x2)
+        k1 = binning(x1)
+        k2 = binning(x2)
         off1 = x1 - floor[k1]
         off2 = x2 - floor[k2]
         low = np.minimum(k1, k2)

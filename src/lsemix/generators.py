@@ -69,16 +69,6 @@ __all__ = [
     "assumption_profile",
 ]
 
-#: Ladder exponents used by the numeric limit classifier: |t| = 10^k.
-LADDER_EXPONENTS = (2, 3, 4, 5, 6)
-
-#: Ratios above this value are classified as +inf, below its inverse as 0.
-LADDER_DIVERGENCE = 1e12
-
-#: Relative agreement demanded of the trailing ladder values.
-LADDER_RELATIVE_TOL = 0.01
-
-
 class GeneratorFamily(str, Enum):
     CAUCHY = "cauchy"
     EXPONENTIAL_POWER = "exponential_power"
@@ -147,7 +137,6 @@ class LimitRatioResult:
     satisfies_assumption2: bool
     sigma1: float
     sigma2: float
-    method: str = "closed_form"
 
 
 def _validate_dimension(n: int) -> int:
@@ -307,39 +296,12 @@ def covariance_factor(gen: DensityGenerator, n: int) -> float:
     return second / n if math.isfinite(second) else math.inf
 
 
-def _log_ratio_at(gen: DensityGenerator, t: float, sigma1: float, sigma2: float,
-                  shift1: float, shift2: float) -> float:
-    t1 = (t - shift1) / sigma1
-    t2 = (t - shift2) / sigma2
-    term1 = float(log_eval_generator(gen, np.array([t1 * t1]), 1)[0])
-    term2 = float(log_eval_generator(gen, np.array([t2 * t2]), 1)[0])
-    return math.log(sigma1 / sigma2) + term2 - term1
-
-
-def _ladder_limit(gen: DensityGenerator, sigma1: float, sigma2: float,
-                  shift1: float, shift2: float) -> tuple[float, bool]:
-    logs = []
-    for k in LADDER_EXPONENTS:
-        for sign in (1.0, -1.0):
-            logs.append(_log_ratio_at(gen, sign * 10.0 ** k, sigma1, sigma2, shift1, shift2))
-    tail = logs[-3:]
-    hi_cut = math.log(LADDER_DIVERGENCE)
-    if all(v > hi_cut for v in tail):
-        return math.inf, True
-    if all(v < -hi_cut for v in tail):
-        return 0.0, True
-    if max(tail) - min(tail) <= math.log1p(LADDER_RELATIVE_TOL):
-        return math.exp(sum(tail) / len(tail)), True
-    return math.exp(tail[-1]), False
-
-
 def limit_ratio(
     gen: DensityGenerator,
     sigma1: float,
     sigma2: float,
     shift1: float = 0.0,
     shift2: float = 0.0,
-    method: str = "auto",
 ) -> LimitRatioResult:
     """Classify the univariate tail ratio for a pair of scales.
 
@@ -349,11 +311,8 @@ def limit_ratio(
         Positive scales with ``sigma1 != sigma2`` (the classification is
         vacuous for equal scales).
     shift1, shift2 : float
-        Location shifts; the limit is shift-invariant and the numeric ladder
-        confirms that.
-    method : {"auto", "closed_form", "numeric"}
-        ``auto`` uses the closed form for every catalog family; ``numeric``
-        forces the log-space evaluation ladder |t| = 10^2..10^6.
+        Location shifts; the limit is shift-invariant (the tests confirm the
+        closed forms against a log-space evaluation ladder |t| = 10^2..10^6).
 
     Closed forms: student/cauchy give C = (sigma2/sigma1)^m (m = 1 for
     cauchy); the superexponential families (normal, laplace,
@@ -366,33 +325,19 @@ def limit_ratio(
         raise ParameterError("scales must be positive")
     if sigma1 == sigma2:
         raise ParameterError("tail-ratio classification requires sigma1 != sigma2")
-    if method not in ("auto", "closed_form", "numeric"):
-        raise ParameterError(f"unknown method {method!r}")
-
-    if method == "numeric":
-        c, converged = _ladder_limit(gen, sigma1, sigma2, shift1, shift2)
-        used = "numeric"
+    fam = gen.family
+    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
+        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
+        c = (sigma2 / sigma1) ** m
     else:
-        fam = gen.family
-        if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
-            m = gen.dof if fam is GeneratorFamily.STUDENT else 1
-            c = (sigma2 / sigma1) ** m
-        else:
-            c = 0.0 if sigma1 > sigma2 else math.inf
-        converged = True
-        used = "closed_form"
-
-    not_one = converged and (math.isinf(c) or abs(c - 1.0) > 1e-9)
-    sat1 = bool(not_one)
-    sat2 = bool(sigma1 > sigma2 and converged and 0.0 <= c < 1.0 - 1e-12)
+        c = 0.0 if sigma1 > sigma2 else math.inf
     return LimitRatioResult(
         c_value=c,
-        converged=converged,
-        satisfies_assumption1=sat1,
-        satisfies_assumption2=sat2,
+        converged=True,
+        satisfies_assumption1=math.isinf(c) or abs(c - 1.0) > 1e-9,
+        satisfies_assumption2=sigma1 > sigma2 and 0.0 <= c < 1.0 - 1e-12,
         sigma1=sigma1,
         sigma2=sigma2,
-        method=used,
     )
 
 

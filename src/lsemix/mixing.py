@@ -9,8 +9,10 @@ the mixing law, all of which have closed forms here.
 The quadrature contract is shared by every law: ``quadrature()`` returns 256
 nodes inside the support whose weights sum to one within 1e-12, and
 ``expectation(mix, f)`` is the plain weighted sum over those nodes.
-Sampling from the continuous laws without a closed-form inverse CDF uses a
-4096-point tabulated inverse CDF, which keeps draws reproducible.
+Sampling from the continuous laws without a closed-form inverse CDF (GIG)
+reads a 4096-interval tabulated inverse CDF (``numerics.InverseCdfTable``),
+which keeps draws reproducible: a bucket index finds each uniform's knot in
+O(1), and the interpolation is np.interp's, bit for bit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,21 @@
-"""Shared numerical helpers: quadrature rules, integration bounds, inverse-CDF tables.
+"""Shared numerical helpers: quadrature rules, integration bounds, inverse-CDF
+tables and the bucket index that reads them.
 
 All routines here are deterministic: fixed node counts, fixed expansion rules,
 no randomness.  Stochastic reproducibility elsewhere in the package relies on
 that.
+
+Lookups in a sorted knot array go through ``_BucketIndex``, a guide table in
+the style of Chen & Asau (1974): it answers ``np.searchsorted`` with the same
+index in O(1) per query instead of a binary search.  ``InverseCdfTable``
+reads its knots through it and then does ``np.interp``'s own arithmetic, so
+tabulated draws are bit for bit those of ``np.interp``; the Monte Carlo scans
+in :mod:`lsemix.empirical` bin their draws against the grid with it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -35,21 +44,129 @@ def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray,
     return half * (x + 1.0) + a, half * w
 
 
+class _BucketIndex:
+    """``np.searchsorted(knots, x, side)`` in O(1) per query.
+
+    ``knots`` is a nonempty sorted array of finite values, repeats allowed.
+    The range [knots[0], knots[-1]] is cut into M = 4 len(knots) equal
+    buckets, b(x) = floor((x - knots[0]) M / (knots[-1] - knots[0])), with x
+    clipped to the range first and b clipped to M - 1 in float before the
+    integer cast (which also sends NaN to the top bucket); a range of zero
+    width has one bucket.  b is monotone in x, so every knot in a lower
+    bucket than x lies below x and every knot in a higher one above it.
+    With ``first[b]`` the number of knots in buckets below b, the answer is
+    ``first[b]`` plus one comparison with knots[first[b]], the lowest knot
+    at or above bucket b: that knot exists, because the last knot is in the
+    top bucket, and it counts only if it is in x's bucket.  The comparison
+    is negated (``1 - (x < k)``) so that NaN counts every knot, as in
+    ``np.searchsorted``.  A bucket that holds two or more knots, such as a
+    flat run of a CDF or a repeated grid point, sends its queries to
+    ``np.searchsorted``.
+    """
+
+    __slots__ = ("knots", "side", "lo", "hi", "scale", "top", "after", "edge", "crowded")
+
+    def __init__(self, knots: np.ndarray, side: str = "left"):
+        knots = np.asarray(knots, dtype=float)
+        self.knots = knots
+        self.side = side
+        self.lo, self.hi = float(knots[0]), float(knots[-1])
+        buckets = 4 * knots.size
+        width = self.hi - self.lo
+        self.scale = buckets / width if width > 0.0 else 0.0
+        if not 0.0 < self.scale < math.inf:
+            buckets, self.scale = 1, 0.0
+        self.top = float(buckets - 1)
+        first = np.searchsorted(self.bucket(knots), np.arange(buckets))
+        self.after = first + 1
+        self.edge = knots[first]
+        self.crowded = np.diff(first, append=knots.size) > 1
+
+    def bucket(self, clipped: np.ndarray) -> np.ndarray:
+        """b(x) from ``clipped = np.clip(x, knots[0], knots[-1])``."""
+        t = np.subtract(clipped, self.lo)
+        t *= self.scale
+        np.fmin(t, self.top, out=t)
+        return t.astype(np.intp)
+
+    def search(self, x: np.ndarray, clipped: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(knots, x, side)`` for a one-dimensional float
+        array ``x``, given its clipped copy (callers that need the clipped
+        values pass them)."""
+        b = self.bucket(clipped)
+        edge = self.edge[b]
+        found = self.after[b]
+        found -= np.less(x, edge) if self.side == "right" else np.less_equal(x, edge)
+        crowded = self.crowded[b]
+        if crowded.any():
+            i = np.flatnonzero(crowded)
+            found[i] = np.searchsorted(self.knots, x[i], self.side)
+        return found
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.search(x, np.clip(x, self.lo, self.hi))
+
+
 class InverseCdfTable:
     """Piecewise-linear inverse CDF on a fixed grid.
 
     ``grid`` carries the support points and ``cdf`` the matching cumulative
-    probabilities (strictly increasing, cdf[0] = 0, cdf[-1] = 1).
+    probabilities (nondecreasing, cdf[0] = 0, cdf[-1] = 1, at least two
+    knots).  Calling the table gives ``np.interp(u, cdf, grid)`` bit for
+    bit.  With j the last knot at or below u, np.interp returns grid[0]
+    below cdf[0], grid[-1] at or above cdf[-1], grid[j] when u equals
+    cdf[j], NaN for NaN, and otherwise slope[j] (u - cdf[j]) + grid[j],
+    with slope[j] = (grid[j+1] - grid[j]) / (cdf[j+1] - cdf[j]).  Here the
+    knot count r = j + 1 from the bucket index selects a row of three
+    arrays padded at both ends, and one expression covers every branch:
+    fall[r] (at[r] - v) + value[r], where v is u clipped to [cdf[0],
+    cdf[-1]] and fall = -slope.  Below and above the range, and at a knot,
+    the product is (-0.0) (+0.0) or (-slope) (+0.0), both -0.0, and
+    adding -0.0 leaves value[r] as it is; elsewhere (-slope)(cdf[j] - u)
+    rounds exactly as slope (u - cdf[j]).  Only a table whose arithmetic
+    meets inf can make the expression NaN, and those entries are redone
+    by np.interp's rules, its NaN retry included (``_redo``).
     """
 
-    __slots__ = ("grid", "cdf")
+    __slots__ = ("grid", "cdf", "_index", "_slope", "_at", "_fall", "_value")
 
     def __init__(self, grid: np.ndarray, cdf: np.ndarray):
         self.grid = grid
         self.cdf = cdf
+        self._index = _BucketIndex(cdf, "right")
+        rise = np.diff(cdf)
+        # A flat run of the CDF is never interpolated: u < cdf[j + 1] there.
+        self._slope = np.divide(np.diff(grid), rise, out=np.full(rise.size, np.nan), where=rise > 0)
+        self._at = np.concatenate([cdf[:1], cdf])
+        self._fall = np.concatenate([[-0.0], -self._slope, [-0.0]])
+        self._value = np.concatenate([grid[:1], grid])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.cdf, self.grid)
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        v = np.clip(u, self.cdf[0], self.cdf[-1])
+        r = self._index.search(u, v)
+        out = self._at[r]
+        out -= v
+        out *= self._fall[r]
+        out += self._value[r]
+        nan = np.isnan(out)
+        if nan.any():
+            self._redo(u, r, np.flatnonzero(nan & (r > 0) & (r < self.cdf.size)), out)
+        return out.reshape(shape)
+
+    def _redo(self, u: np.ndarray, r: np.ndarray, i: np.ndarray, out: np.ndarray) -> None:
+        """np.interp's value at the interior entries ``i``: the knot itself
+        when u is one, else the slope from the left knot, retried from the
+        right knot if that is NaN, and the left value if both are NaN over a
+        flat piece of the grid."""
+        j, x = r[i] - 1, u[i]
+        grid, cdf, slope = self.grid, self.cdf, self._slope[j]
+        left = slope * (x - cdf[j]) + grid[j]
+        right = slope * (x - cdf[j + 1]) + grid[j + 1]
+        right = np.where(np.isnan(right) & (grid[j] == grid[j + 1]), grid[j], right)
+        out[i] = np.where(x == cdf[j], grid[j], np.where(np.isnan(left), right, left))
 
 
 def build_inverse_cdf_table(
@@ -73,7 +190,8 @@ def build_inverse_cdf_table(
     if not np.isfinite(total) or total <= 0.0:
         raise NonIntegrableError("density mass is not positive on the table interval")
     cdf /= total
-    # Guard against repeated values in the far tail so np.interp stays stable.
+    # Rounding may leave the far tails a few ulps out of order; keep the CDF
+    # nondecreasing, so the flat runs it leaves are the only repeated knots.
     cdf = np.maximum.accumulate(cdf)
     return InverseCdfTable(grid, cdf)
 

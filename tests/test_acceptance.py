@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from ladder_oracle import ladder_limit
 from simplex_oracle import simplex_minimum
 from sme_oracle import sme_table
 
@@ -220,15 +221,17 @@ def test_acceptance_5_limit_ratio_grid():
         scale_pairs = [(1.0, 2.0), (2.0, 1.0), (1.0, 1.5)]
         student3 = DensityGenerator(GeneratorFamily.STUDENT, dof=3)
         for s1, s2 in scale_pairs:
-            result = limit_ratio(student3, s1, s2, method="numeric")
+            result = limit_ratio(student3, s1, s2)
+            ladder, converged = ladder_limit(student3, s1, s2)
             target = (s2 / s1) ** 3
-            assert result.converged
-            assert abs(result.c_value - target) <= 0.05 * target, (
-                s1, s2, result.c_value, target)
+            assert result.c_value == pytest.approx(target, rel=1e-13)
+            assert converged
+            assert abs(ladder - target) <= 0.05 * target, (s1, s2, ladder, target)
         for gen in (EXP_POWER, LOGISTIC):
             for s1, s2 in scale_pairs:
-                result = limit_ratio(gen, s1, s2, method="numeric")
+                result = limit_ratio(gen, s1, s2)
                 expected = 0.0 if s1 > s2 else math.inf
+                assert ladder_limit(gen, s1, s2) == (expected, True), (gen.describe(), s1, s2)
                 assert result.c_value == expected, (gen.describe(), s1, s2, result)
                 assert result.satisfies_assumption1
                 assert result.satisfies_assumption2 == (s1 > s2)

@@ -332,6 +332,19 @@ def test_draws_on_grid_case_hits_grid_points():
     assert np.isin(np.asarray(cfg.grid), y1[:, 0]).sum() == 15
 
 
+@pytest.mark.parametrize("case", sorted(scan_cases()))
+def test_bucket_binning_matches_searchsorted(case, monkeypatch):
+    # The scan bins through a bucket index; with np.searchsorted in its
+    # place every array of the curve must come out bit for bit the same,
+    # on repeated grid points and on draws that equal a grid point too.
+    d1, d2, cfg = scan_cases()[case]
+    got = _dominance_scan(d1, d2, cfg)
+    monkeypatch.setattr(empirical, "_BucketIndex", lambda grid: lambda x: np.searchsorted(grid, x))
+    ref = _dominance_scan(d1, d2, cfg)
+    for name in SurvivalCurve.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 # --- convex functionals ---------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ladder_oracle import ladder_limit
 from scipy import integrate
 
 from lsemix.errors import DomainError, ParameterError
@@ -316,16 +317,19 @@ class TestLimitRatio:
         )
         sigma1, sigma2 = ratio, 1.0
         closed = limit_ratio(gen, sigma1, sigma2)
-        numeric = limit_ratio(gen, sigma1, sigma2, method="numeric")
-        assert numeric.converged
-        assert numeric.c_value == pytest.approx(closed.c_value, rel=0.05)
-        assert numeric.satisfies_assumption1 == closed.satisfies_assumption1
-        assert numeric.satisfies_assumption2 == closed.satisfies_assumption2
+        ladder, converged = ladder_limit(gen, sigma1, sigma2)
+        assert converged
+        assert ladder == pytest.approx(closed.c_value, rel=0.05)
+        # condition A: C differs from 1; condition B: sigma1 > sigma2 and C < 1
+        assert closed.satisfies_assumption1 == (abs(ladder - 1.0) > 0.05)
+        assert closed.satisfies_assumption2 == (sigma1 > sigma2 and ladder < 1.0)
 
     def test_numeric_ladder_zero_inf_classification(self):
         normal = DensityGenerator(GeneratorFamily.NORMAL)
-        assert limit_ratio(normal, 2.0, 1.0, method="numeric").c_value == 0.0
-        assert limit_ratio(normal, 1.0, 2.0, method="numeric").c_value == math.inf
+        assert ladder_limit(normal, 2.0, 1.0) == (0.0, True)
+        assert ladder_limit(normal, 1.0, 2.0) == (math.inf, True)
+        assert limit_ratio(normal, 2.0, 1.0).c_value == 0.0
+        assert limit_ratio(normal, 1.0, 2.0).c_value == math.inf
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -335,10 +339,12 @@ class TestLimitRatio:
     )
     def test_shift_invariance(self, shift1, shift2, m):
         gen = DensityGenerator(GeneratorFamily.STUDENT, dof=m)
-        base = limit_ratio(gen, 3.0, 1.5, method="numeric")
-        shifted = limit_ratio(gen, 3.0, 1.5, shift1=shift1, shift2=shift2, method="numeric")
-        assert shifted.converged
-        assert shifted.c_value == pytest.approx(base.c_value, rel=0.01)
+        base, _ = ladder_limit(gen, 3.0, 1.5)
+        shifted, converged = ladder_limit(gen, 3.0, 1.5, shift1, shift2)
+        assert converged
+        assert shifted == pytest.approx(base, rel=0.01)
+        closed = limit_ratio(gen, 3.0, 1.5, shift1=shift1, shift2=shift2)
+        assert closed.c_value == limit_ratio(gen, 3.0, 1.5).c_value
 
     def test_equal_scales_rejected(self):
         with pytest.raises(ParameterError):
