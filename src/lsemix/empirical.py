@@ -254,8 +254,8 @@ def _chunk_map(part, chunks: list) -> list:
     The pool lives for one call, so no thread outlives it and a forked child
     inherits no pool.  numpy's samplers, ufuncs, casts, integer-array
     gathers and ``searchsorted`` release the interpreter lock, so the chunks
-    do run side by side.  An exception in
-    one chunk cancels the chunks not yet started and propagates unchanged.
+    do run side by side.  An exception in one chunk cancels the chunks not
+    yet started and propagates unchanged.
     """
     workers = min(_worker_count(), len(chunks))
     if workers <= 1:

@@ -51,17 +51,18 @@ class _BucketIndex:
     The range [knots[0], knots[-1]] is cut into M = 4 len(knots) equal
     buckets, b(x) = floor((x - knots[0]) M / (knots[-1] - knots[0])), with x
     clipped to the range first and b clipped to M - 1 in float before the
-    integer cast (which also sends NaN to the top bucket); a range of zero
-    width has one bucket.  b is monotone in x, so every knot in a lower
-    bucket than x lies below x and every knot in a higher one above it.
-    With ``first[b]`` the number of knots in buckets below b, the answer is
-    ``first[b]`` plus one comparison with knots[first[b]], the lowest knot
-    at or above bucket b: that knot exists, because the last knot is in the
-    top bucket, and it counts only if it is in x's bucket.  The comparison
-    is negated (``1 - (x < k)``) so that NaN counts every knot, as in
-    ``np.searchsorted``.  A bucket that holds two or more knots, such as a
-    flat run of a CDF or a repeated grid point, sends its queries to
-    ``np.searchsorted``.
+    integer cast (which also sends NaN to the top bucket); a range too
+    narrow for M buckets has one.  b is monotone in x, so every knot in a
+    lower bucket than x lies below x and every knot in a higher one above
+    it.  With ``first[b]`` the number of knots in buckets below b, the
+    answer is ``first[b]``, plus one if k = knots[first[b]], the lowest knot
+    in bucket b or above, lies below x (side ``left``) or at or below it
+    (side ``right``).  That knot exists, because the last knot is in the top
+    bucket, and it can count only if it is in x's bucket.  The test is
+    written ``first[b] + 1 - (x <= k)`` (or ``x < k``) so that NaN, which
+    compares false, counts every knot, as in ``np.searchsorted``.  A bucket
+    that holds two or more knots, such as a flat run of a CDF or a repeated
+    grid point, sends its queries to ``np.searchsorted``.
     """
 
     __slots__ = ("knots", "side", "lo", "hi", "scale", "top", "after", "edge", "crowded")
@@ -77,10 +78,11 @@ class _BucketIndex:
         if not 0.0 < self.scale < math.inf:
             buckets, self.scale = 1, 0.0
         self.top = float(buckets - 1)
-        first = np.searchsorted(self.bucket(knots), np.arange(buckets))
+        counts = np.bincount(self.bucket(knots), minlength=buckets)
+        first = np.cumsum(counts) - counts
         self.after = first + 1
         self.edge = knots[first]
-        self.crowded = np.diff(first, append=knots.size) > 1
+        self.crowded = counts > 1
 
     def bucket(self, clipped: np.ndarray) -> np.ndarray:
         """b(x) from ``clipped = np.clip(x, knots[0], knots[-1])``."""
@@ -111,22 +113,23 @@ class _BucketIndex:
 class InverseCdfTable:
     """Piecewise-linear inverse CDF on a fixed grid.
 
-    ``grid`` carries the support points and ``cdf`` the matching cumulative
-    probabilities (nondecreasing, cdf[0] = 0, cdf[-1] = 1, at least two
-    knots).  Calling the table gives ``np.interp(u, cdf, grid)`` bit for
-    bit.  With j the last knot at or below u, np.interp returns grid[0]
-    below cdf[0], grid[-1] at or above cdf[-1], grid[j] when u equals
-    cdf[j], NaN for NaN, and otherwise slope[j] (u - cdf[j]) + grid[j],
-    with slope[j] = (grid[j+1] - grid[j]) / (cdf[j+1] - cdf[j]).  Here the
-    knot count r = j + 1 from the bucket index selects a row of three
-    arrays padded at both ends, and one expression covers every branch:
-    fall[r] (at[r] - v) + value[r], where v is u clipped to [cdf[0],
-    cdf[-1]] and fall = -slope.  Below and above the range, and at a knot,
-    the product is (-0.0) (+0.0) or (-slope) (+0.0), both -0.0, and
-    adding -0.0 leaves value[r] as it is; elsewhere (-slope)(cdf[j] - u)
-    rounds exactly as slope (u - cdf[j]).  Only a table whose arithmetic
-    meets inf can make the expression NaN, and those entries are redone
-    by np.interp's rules, its NaN retry included (``_redo``).
+    ``grid`` carries the support points (ascending) and ``cdf`` the
+    matching cumulative probabilities (nondecreasing, cdf[0] = 0,
+    cdf[-1] = 1, at least two knots).  Calling the table gives
+    ``np.interp(u, cdf, grid)`` bit for bit.  With j the last knot at or
+    below u, np.interp returns grid[0] below cdf[0], grid[-1] at or above
+    cdf[-1], grid[j] when u equals cdf[j], NaN for NaN, and otherwise
+    slope[j] (u - cdf[j]) + grid[j], with slope[j] = (grid[j+1] - grid[j]) /
+    (cdf[j+1] - cdf[j]).  Here the bucket index gives r = j + 1, which
+    picks a row of three arrays padded by one row at each end, and one
+    expression covers every branch: fall[r] (at[r] - v) + value[r], with v
+    the clipped u, fall = -slope inside and -0.0 in the padding rows.
+    Below and above the range, and at a knot, at[r] - v is +0.0, so the
+    product is -0.0 and adding it leaves value[r] as it is; elsewhere
+    (-slope) (cdf[j] - u) rounds exactly as slope (u - cdf[j]).  Only a
+    table whose arithmetic meets inf can make the expression NaN; those
+    entries are redone by np.interp's rules, its NaN retry included
+    (``_redo``).
     """
 
     __slots__ = ("grid", "cdf", "_index", "_slope", "_at", "_fall", "_value")
