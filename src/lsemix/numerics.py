@@ -1,5 +1,5 @@
 """Shared numerical helpers: quadrature rules, integration bounds, inverse-CDF
-tables and the bucket index that reads them.
+tables and the bucket index they look their knots up in.
 
 All routines here are deterministic: fixed node counts, fixed expansion rules,
 no randomness.  Stochastic reproducibility elsewhere in the package relies on
@@ -193,8 +193,9 @@ def build_inverse_cdf_table(
     if not np.isfinite(total) or total <= 0.0:
         raise NonIntegrableError("density mass is not positive on the table interval")
     cdf /= total
-    # Rounding may leave the far tails a few ulps out of order; keep the CDF
-    # nondecreasing, so the flat runs it leaves are the only repeated knots.
+    # Keep the knots sorted, as the lookup needs, whatever log_density
+    # returns.  The far tails hold flat runs (steps too small to move the
+    # running total); the bucket index sends those to np.searchsorted.
     cdf = np.maximum.accumulate(cdf)
     return InverseCdfTable(grid, cdf)
 

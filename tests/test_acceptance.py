@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 from ladder_oracle import ladder_limit
+from scipy import integrate
 from simplex_oracle import simplex_minimum
 from sme_oracle import sme_table
 
