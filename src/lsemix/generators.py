@@ -33,14 +33,16 @@ the Dirichlet eta function, with eta(1) = ln 2 where zeta has its pole.
 
 The module also classifies the tail-ratio behaviour used to gate necessity
 arguments in the ordering engine: for a univariate pair with scales
-sigma1 != sigma2 and location shifts shift1, shift2, the limit
+sigma1 != sigma2, the limit
 
     C = lim_{t -> +-inf} (sigma1/sigma2) * g(t2^2) / g(t1^2),
     t_i = (t - shift_i) / sigma_i,
 
-exists for every catalog family.  Condition A ("assumption 1") asks that C
-exists in [0, inf] and differs from 1; condition B ("assumption 2") asks, for
-sigma1 > sigma2, that C lies in [0, 1).
+exists for every catalog family and does not depend on the location shifts
+shift_i, so ``limit_ratio`` takes the scales alone.  Condition A
+("assumption 1") asks that C exists in [0, inf] and differs from 1;
+condition B ("assumption 2") asks, for sigma1 > sigma2, that C lies in
+[0, 1).
 """
 
 from __future__ import annotations
@@ -300,8 +302,6 @@ def limit_ratio(
     gen: DensityGenerator,
     sigma1: float,
     sigma2: float,
-    shift1: float = 0.0,
-    shift2: float = 0.0,
 ) -> LimitRatioResult:
     """Classify the univariate tail ratio for a pair of scales.
 
@@ -310,9 +310,6 @@ def limit_ratio(
     sigma1, sigma2 : float
         Positive scales with ``sigma1 != sigma2`` (the classification is
         vacuous for equal scales).
-    shift1, shift2 : float
-        Location shifts; the limit is shift-invariant (the tests confirm the
-        closed forms against a log-space evaluation ladder |t| = 10^2..10^6).
 
     Closed forms: student/cauchy give C = (sigma2/sigma1)^m (m = 1 for
     cauchy); the superexponential families (normal, laplace,

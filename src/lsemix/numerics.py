@@ -92,17 +92,16 @@ class _BucketIndex:
         return t.astype(np.intp)
 
     def search(self, x: np.ndarray, clipped: np.ndarray) -> np.ndarray:
-        """``np.searchsorted(knots, x, side)`` for a one-dimensional float
-        array ``x``, given its clipped copy (callers that need the clipped
-        values pass them)."""
+        """``np.searchsorted(knots, x, side)`` for a float array ``x`` of any
+        shape, given its clipped copy (callers that need the clipped values
+        pass them)."""
         b = self.bucket(clipped)
         edge = self.edge[b]
         found = self.after[b]
         found -= np.less(x, edge) if self.side == "right" else np.less_equal(x, edge)
         crowded = self.crowded[b]
         if crowded.any():
-            i = np.flatnonzero(crowded)
-            found[i] = np.searchsorted(self.knots, x[i], self.side)
+            found[crowded] = np.searchsorted(self.knots, x[crowded], self.side)
         return found
 
     def __call__(self, x) -> np.ndarray:
@@ -113,7 +112,7 @@ class _BucketIndex:
 class InverseCdfTable:
     """Piecewise-linear inverse CDF on a fixed grid.
 
-    ``grid`` carries the support points (ascending) and ``cdf`` the
+    ``grid`` carries the support points (ascending, finite) and ``cdf`` the
     matching cumulative probabilities (nondecreasing, cdf[0] = 0,
     cdf[-1] = 1, at least two knots).  Calling the table gives
     ``np.interp(u, cdf, grid)`` bit for bit.  With j the last knot at or
@@ -126,23 +125,29 @@ class InverseCdfTable:
     the clipped u, fall = -slope inside and -0.0 in the padding rows.
     Below and above the range, and at a knot, at[r] - v is +0.0, so the
     product is -0.0 and adding it leaves value[r] as it is; elsewhere
-    (-slope) (cdf[j] - u) rounds exactly as slope (u - cdf[j]).  Only a
-    table whose arithmetic meets inf can make the expression NaN; those
-    entries are redone by np.interp's rules, its NaN retry included
-    (``_redo``).
+    (-slope) (cdf[j] - u) rounds exactly as slope (u - cdf[j]).  A rise of
+    the CDF too small for a double can overflow its slope to inf (the
+    subnormal lower tail of a high-dimensional radial); at that knot fall
+    is set to -0.0, since inf 0 would be NaN.  np.interp's retry of a NaN
+    from the right knot can only meet an infinite grid value, which is
+    rejected.
     """
 
-    __slots__ = ("grid", "cdf", "_index", "_slope", "_at", "_fall", "_value")
+    __slots__ = ("grid", "cdf", "_index", "_at", "_fall", "_value", "_steep")
 
     def __init__(self, grid: np.ndarray, cdf: np.ndarray):
+        if not (np.isfinite(grid).all() and np.isfinite(cdf).all()):
+            raise ValueError("inverse-CDF table needs finite grid and cdf values")
         self.grid = grid
         self.cdf = cdf
         self._index = _BucketIndex(cdf, "right")
         rise = np.diff(cdf)
         # A flat run of the CDF is never interpolated: u < cdf[j + 1] there.
-        self._slope = np.divide(np.diff(grid), rise, out=np.full(rise.size, np.nan), where=rise > 0)
+        with np.errstate(over="ignore"):
+            slope = np.divide(np.diff(grid), rise, out=np.zeros(rise.size), where=rise > 0)
+        self._steep = bool(np.isinf(slope).any())
         self._at = np.concatenate([cdf[:1], cdf])
-        self._fall = np.concatenate([[-0.0], -self._slope, [-0.0]])
+        self._fall = np.concatenate([[-0.0], -slope, [-0.0]])
         self._value = np.concatenate([grid[:1], grid])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -152,24 +157,12 @@ class InverseCdfTable:
         r = self._index.search(u, v)
         out = self._at[r]
         out -= v
-        out *= self._fall[r]
+        fall = self._fall[r]
+        if self._steep:
+            fall[out == 0.0] = -0.0
+        out *= fall
         out += self._value[r]
-        nan = np.isnan(out)
-        if nan.any():
-            self._redo(u, r, np.flatnonzero(nan & (r > 0) & (r < self.cdf.size)), out)
         return out.reshape(shape)
-
-    def _redo(self, u: np.ndarray, r: np.ndarray, i: np.ndarray, out: np.ndarray) -> None:
-        """np.interp's value at the interior entries ``i``: the knot itself
-        when u is one, else the slope from the left knot, retried from the
-        right knot if that is NaN, and the left value if both are NaN over a
-        flat piece of the grid."""
-        j, x = r[i] - 1, u[i]
-        grid, cdf, slope = self.grid, self.cdf, self._slope[j]
-        left = slope * (x - cdf[j]) + grid[j]
-        right = slope * (x - cdf[j + 1]) + grid[j + 1]
-        right = np.where(np.isnan(right) & (grid[j] == grid[j + 1]), grid[j], right)
-        out[i] = np.where(x == cdf[j], grid[j], np.where(np.isnan(left), right, left))
 
 
 def build_inverse_cdf_table(

@@ -71,10 +71,13 @@ def bits(a) -> np.ndarray:
 
 
 def assert_index_exact(knots, queries):
-    for side in ("left", "right"):
-        got = _BucketIndex(knots, side)(queries)
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, np.searchsorted(knots, queries, side), err_msg=side)
+    # The two-dimensional stack checks that crowded-bucket queries are
+    # answered in place for any shape, not only for flat arrays.
+    for q in (queries, np.stack([queries, queries[::-1]])):
+        for side in ("left", "right"):
+            got = _BucketIndex(knots, side)(q)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, np.searchsorted(knots, q, side), err_msg=side)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -136,19 +139,39 @@ def test_hand_table_matches_interp_bitwise(name):
     np.testing.assert_array_equal(bits(table(u)), bits(np.interp(u, cdf, grid)))
 
 
-def test_nan_retry_branches_match_interp():
-    # An infinite grid point makes slope (u - cdf[j]) + grid[j] NaN
-    # (inf - inf), which np.interp retries from the right knot; a level
-    # infinite piece keeps its value.  The 0 inf and inf - inf that this
-    # meets are expected here, so their warnings are silenced.
-    for grid in ([-np.inf, 0.0, 1.0, 2.0], [0.0, 1.0, np.inf, np.inf], [-np.inf, -np.inf, 0.0, 1.0]):
-        grid = np.asarray(grid)
-        cdf = np.array([0.0, 0.3, 0.6, 1.0])
-        u = probes(cdf)
-        with np.errstate(invalid="ignore"):
-            got = InverseCdfTable(grid, cdf)(u)
-            want = np.interp(u, cdf, grid)
-        np.testing.assert_array_equal(bits(got), bits(want), err_msg=str(grid))
+@pytest.mark.parametrize("grid", [
+    [-np.inf, 0.0, 1.0, 2.0], [0.0, 1.0, np.inf, np.inf], [0.0, np.nan, 1.0, 2.0],
+])
+def test_nonfinite_grid_rejected(grid):
+    with pytest.raises(ValueError):
+        InverseCdfTable(np.asarray(grid), np.array([0.0, 0.3, 0.6, 1.0]))
+
+
+def test_nonfinite_cdf_rejected():
+    with pytest.raises(ValueError):
+        InverseCdfTable(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0]))
+
+
+def steep_tables():
+    # Rises too small for a double overflow the slope to inf: a hand table
+    # with subnormal CDF steps, and a radial whose lower tail is subnormal.
+    grid = np.array([-1.0, 0.0, 1.0, 2.0, 3.0])
+    cdf = np.array([0.0, 5e-324, 1e-320, 0.5, 1.0])
+    return {
+        "hand": InverseCdfTable(grid, cdf),
+        "exponential_power-n200": _radial_table(
+            DensityGenerator(GeneratorFamily.EXPONENTIAL_POWER, power=8.0), 200),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(steep_tables()))
+def test_steep_table_matches_interp_bitwise(name):
+    table = steep_tables()[name]
+    with np.errstate(over="ignore"):
+        slope = np.diff(table.grid) / np.where(np.diff(table.cdf) > 0, np.diff(table.cdf), 1.0)
+    assert np.isinf(slope).any()
+    u = np.concatenate([probes(table.cdf), [0.0, 5e-324, 1e-321]])
+    np.testing.assert_array_equal(bits(table(u)), bits(np.interp(u, table.cdf, table.grid)))
 
 
 def test_table_keeps_shape_and_scalars():
