@@ -33,7 +33,7 @@ from lsemix import (
     stoploss_dominance,
     verify_st,
 )
-from lsemix.cli import CSV_HEADER
+from lsemix.cli import _curve_csv
 
 
 def build(mu: float, sigma: float, delta: float, lam: float) -> LseDistribution:
@@ -76,13 +76,8 @@ def main(argv=None) -> int:
     print(f"monte carlo icx: {'pass' if icx_result.passed else 'FAIL'} "
           f"(max violation {icx_result.max_violation:.3e})")
 
-    curve = st_result.curve
-    lines = [CSV_HEADER]
-    for row in zip(curve.t, curve.survival_1, curve.survival_2,
-                   curve.se_1, curve.se_2, curve.stoploss_1, curve.stoploss_2):
-        lines.append(",".join(repr(float(v)) for v in row))
     with open(args.out, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(_curve_csv(st_result.curve))
     print(f"curves written to {args.out}")
     return 0
 

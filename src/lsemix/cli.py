@@ -166,6 +166,13 @@ def _as_int(node, path: str) -> int:
     return node
 
 
+def _as_seed(node, path: str) -> int:
+    seed = _as_int(node, path)
+    if not 0 <= seed < 2 ** 64:
+        raise _fail(path, "seed must fit in 64 unsigned bits")
+    return seed
+
+
 def _as_vector(node, path: str) -> tuple[float, ...]:
     if not isinstance(node, list) or not node:
         raise _fail(path, "expected a nonempty array of numbers")
@@ -316,9 +323,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 {"seed", "orders", "distribution_1", "distribution_2", "mc", "outputs"})
     if "seed" not in document:
         raise _fail("$", "missing required key 'seed'")
-    seed = _as_int(document["seed"], "$.seed")
-    if not 0 <= seed < 2 ** 64:
-        raise _fail("$.seed", "seed must fit in 64 unsigned bits")
+    seed = _as_seed(document["seed"], "$.seed")
 
     if "orders" in document:
         node = document["orders"]
@@ -666,10 +671,10 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     spec = parse_scenario(text)
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=_as_seed(args.seed, "--seed"))
         if spec.mc is not None:
             spec = dataclasses.replace(
-                spec, mc=dataclasses.replace(spec.mc, seed=args.seed))
+                spec, mc=dataclasses.replace(spec.mc, seed=spec.seed))
     if args.samples is not None:
         if spec.mc is None:
             mc = McConfig(sample_count=args.samples, seed=spec.seed)

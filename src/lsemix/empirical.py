@@ -87,6 +87,17 @@ _PAYOFF_QUANTILES = (0.25, 0.5, 0.75)
 _CX_BLOCK_DOUBLES = 2 ** 20
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; UsageError unless it is an integral number."""
+    try:
+        integral = int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = None
+    if integral is None or integral != value:
+        raise UsageError(f"{name} must be an integer; got {value!r}")
+    return integral
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Settings for one Monte Carlo verification run.
@@ -111,13 +122,15 @@ class McConfig:
     chunk_size: int = 65_536
 
     def __post_init__(self) -> None:
-        if int(self.sample_count) != self.sample_count or self.sample_count < MIN_SAMPLE_COUNT:
+        for name in ("sample_count", "seed", "chunk_size"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        if self.sample_count < MIN_SAMPLE_COUNT:
             raise UsageError(
                 f"sample_count must be an integer >= {MIN_SAMPLE_COUNT} "
                 f"for a dominance verdict; got {self.sample_count}"
             )
-        if int(self.seed) != self.seed:
-            raise UsageError("seed must be an integer")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative; got {self.seed}")
         if self.grid is not None:
             grid = tuple(float(t) for t in self.grid)
             if not grid:

@@ -29,9 +29,10 @@ The projection orders (plst, lcx, ilcx, iplcx) evaluate their parent on the
 same pair and add the parent's univariate test along fixed directions.  The
 family is closed under affine maps, so a'Y_i is the univariate mixture with
 a'mu_i, a'Sigma_i a and a'delta_i.  ``_Projections`` holds these for every
-direction as arrays, the parent's gates read it as they read a pair, and
-``_PROJECTED`` gives each parent condition in univariate form, with the
-tolerance vec_equal and vec_leq apply to a 1-vector and the 1x1 cone rule.
+direction as arrays.  It and ``_Pair`` are the two kinds of ``_View``, and
+the parent's gates and ``_CONDITIONS`` entries read the projections as they
+read a pair: the view supplies the comparisons (of vectors on a pair, column
+by column on projections) and the cone rule (the 1x1 rule on projections).
 No distribution is built per direction.
 
 All the orders of one compare() share one ``_Pair``: ``_validate_pair``
@@ -56,7 +57,7 @@ floating world cannot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -217,38 +218,90 @@ def vec_nonneg(x: np.ndarray) -> bool:
     return bool(np.all(x >= -_tol_of(x)))
 
 
-@dataclass
-class _Pair:
-    """Precomputed shared quantities for one ordered pair of distributions."""
+# --- views: the two laws the conditions and gates read ------------------------
 
-    d1: LseDistribution
-    d2: LseDistribution
-    mu_shift: np.ndarray = field(init=False)  # mu2 - mu1
-    delta_shift: np.ndarray = field(init=False)  # effective delta2 - delta1
-    sigma_diff: np.ndarray = field(init=False)  # Sigma2 - Sigma1
-    # Filled on first use, so each piece of work runs once per pair.
-    conditions: dict[str, bool | None] = field(init=False, default_factory=dict)
-    reports: dict[OrderKind, OrderReport] = field(init=False, default_factory=dict)
-    projections: dict[bool, _Projections] = field(init=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.mu_shift = self.d2.mu - self.d1.mu
-        self.delta_shift = self.d2.effective_delta() - self.d1.effective_delta()
-        self.sigma_diff = self.d2.sigma - self.d1.sigma
+class _View:
+    """The two laws that the conditions and gates compare.
+
+    A view has ``d1``, which carries the generator, map and mixing law both
+    laws share, their dimension ``dim``, the locations ``mu1``, ``mu2``, the
+    effective shifts ``delta1``, ``delta2`` and the scales ``scale1``,
+    ``scale2``.  Each kind of view supplies the comparisons ``equal``, ``leq``
+    and ``is_zero`` and the cone rules ``psd`` and ``copositive`` of
+    scale2 - scale1.  On a ``_Pair`` they give a bool (None when a condition
+    cannot be decided); on ``_Projections`` an array with one value per
+    direction (NaN when undecided), as the pair of that direction's projected
+    distributions would.
+    """
 
     def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
         return assumption_profile(self.d1.generator)
 
+    # Each of these is read by several clauses and gates.
+
+    @cached_property
+    def mu_equal(self):
+        return self.equal(self.mu1, self.mu2)
+
+    @cached_property
+    def delta_equal(self):
+        return self.equal(self.delta1, self.delta2)
+
+    @cached_property
+    def covariances_defined(self):
+        """Both covariances exist, by the rule of LseDistribution.moments:
+        the radial second moment and E(alpha^2) are finite, and so is
+        Var(beta) unless both shifts are exactly zero."""
+        d = self.d1
+        finite = (math.isfinite(radial_second_moment(d.generator, self.dim))
+                  and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
+        unskewed = self.is_zero(self.delta1) & self.is_zero(self.delta2)
+        return finite & (math.isfinite(beta_variance(d.mixing, d.ab_map)) | unskewed)
+
+    def mean_test(self, relation: Callable):
+        """relation(E(Y1), E(Y2)), undecided where E(beta) diverges.
+
+        Where the shifts are equal the mean difference is exactly mu2 - mu1
+        regardless of E(beta), so that case is decided even when E(beta)
+        diverges.  A branch that no direction needs is not computed.
+        """
+        equal = self.delta_equal
+        if np.all(equal):
+            return relation(self.mu1, self.mu2)
+        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
+        shifted = (relation(self.mu1 + e_beta * self.delta1, self.mu2 + e_beta * self.delta2)
+                   if math.isfinite(e_beta) else None)
+        if not np.any(equal):
+            return shifted
+        return np.where(equal, relation(self.mu1, self.mu2),
+                        np.nan if shifted is None else shifted)
+
+
+class _Pair(_View):
+    """One ordered pair of distributions, and the work the orders share on it."""
+
+    equal = staticmethod(vec_equal)
+    leq = staticmethod(vec_leq)
+
+    def __init__(self, d1: LseDistribution, d2: LseDistribution) -> None:
+        self.d1, self.d2, self.dim = d1, d2, d1.dim
+        self.mu1, self.mu2 = d1.mu, d2.mu
+        self.delta1, self.delta2 = d1.effective_delta(), d2.effective_delta()
+        self.scale1, self.scale2 = d1.sigma, d2.sigma
+        self.sigma_diff = self.scale2 - self.scale1
+        # Filled on first use, so each piece of work runs once per pair.
+        self.conditions: dict[str, bool | None] = {}
+        self.reports: dict[OrderKind, OrderReport] = {}
+        self.projections: dict[bool, _Projections] = {}
+
+    @staticmethod
+    def is_zero(x: np.ndarray) -> bool:
+        return not x.any()
+
     def condition(self, tag: str) -> bool | None:
         """The ``_CONDITIONS`` predicate of ``tag`` on this pair, evaluated once."""
         return _once(self.conditions, tag, _CONDITIONS[tag].test, self)
-
-    @cached_property
-    def covariances_defined(self) -> bool:
-        return (
-            self.d1.moments().covariance is not None
-            and self.d2.moments().covariance is not None
-        )
 
     # condition primitives ----------------------------------------------------
 
@@ -259,7 +312,7 @@ class _Pair:
         range decide it; an infinite endpoint contributes the sign condition
         on the shift difference alone.
         """
-        a, d = self.mu_shift, self.delta_shift
+        a, d = self.mu2 - self.mu1, self.delta2 - self.delta1
         lo, hi = beta_range(self.d1.mixing, self.d1.ab_map)
         conditions = []
         if math.isinf(lo):
@@ -274,52 +327,28 @@ class _Pair:
             conditions.append(vec_nonneg(a))
         return all(conditions)
 
-    def mean_test(
-        self, relation: Callable[[np.ndarray, np.ndarray], bool]
-    ) -> bool | None:
-        """relation(E(Y1), E(Y2)); None when it cannot be decided.
-
-        With equal shift vectors the mean difference is exactly mu2 - mu1
-        regardless of E(beta), so that case is decided even when E(beta)
-        diverges.
-        """
-        if self.delta_equal:
-            return relation(self.d1.mu, self.d2.mu)
-        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
-        if not math.isfinite(e_beta):
-            return None
-        return relation(
-            self.d1.mu + e_beta * self.d1.effective_delta(),
-            self.d2.mu + e_beta * self.d2.effective_delta(),
-        )
-
-    # Each of these is read by several clauses and gates.
-
-    @cached_property
-    def mu_equal(self) -> bool:
-        return vec_equal(self.d1.mu, self.d2.mu)
-
-    @cached_property
-    def delta_equal(self) -> bool:
-        return vec_equal(self.d1.effective_delta(), self.d2.effective_delta())
-
     @cached_property
     def diag(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.diag(self.d1.sigma), np.diag(self.d2.sigma)
+        return np.diag(self.scale1), np.diag(self.scale2)
 
     @cached_property
     def offdiag(self) -> tuple[np.ndarray, np.ndarray]:
-        off = ~np.eye(self.d1.dim, dtype=bool)
-        return self.d1.sigma[off], self.d2.sigma[off]
+        off = ~np.eye(self.dim, dtype=bool)
+        return self.scale1[off], self.scale2[off]
 
     def same_marginals(self) -> bool:
         return self.mu_equal and self.delta_equal and vec_equal(*self.diag)
 
-    # cone verdicts, each computed once per pair and read by every clause ----
+    # cone tests of Sigma2 - Sigma1, each read through its one condition -----
 
-    @cached_property
-    def psd_verdict(self) -> ConeVerdict:
-        return is_psd(self.sigma_diff)
+    def psd(self) -> bool | None:
+        return _inside(is_psd(self.sigma_diff))
+
+    def copositive(self) -> bool | None:
+        return _inside(self.copositive_verdict)
+
+    def completely_positive(self) -> bool | None:
+        return _inside(is_completely_positive(self.sigma_diff))
 
     @cached_property
     def copositive_verdict(self) -> ConeVerdict | None:
@@ -328,10 +357,6 @@ class _Pair:
             return is_copositive(self.sigma_diff)
         except SizeLimitError:
             return None
-
-    @cached_property
-    def completely_positive_verdict(self) -> ConeVerdict:
-        return is_completely_positive(self.sigma_diff)
 
     def copositive_witness(self) -> np.ndarray | None:
         verdict = self.copositive_verdict
@@ -384,7 +409,9 @@ def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
 
 class _Condition(NamedTuple):
     text: str
-    test: Callable[[_Pair], bool | None]
+    #: Read on a _Pair.  The necessary entries of a projection order's parent
+    #: are read on _Projections too, so they use only what every view has.
+    test: Callable[[_View], bool | None]
     #: Why the clause is skipped when ``test`` cannot decide (returns None).
     undecided: SkipReason | None = None
 
@@ -393,25 +420,22 @@ _CONDITIONS: dict[str, _Condition] = {
     "location-all-z": _Condition(
         "mu2 - mu1 + b (delta2 - delta1) >= 0 over the full beta range",
         _Pair.location_all_z),
-    "location-equal": _Condition("mu1 = mu2", lambda p: p.mu_equal),
-    "shift-equal": _Condition("delta1 = delta2", lambda p: p.delta_equal),
+    "location-equal": _Condition("mu1 = mu2", lambda v: v.mu_equal),
+    "shift-equal": _Condition("delta1 = delta2", lambda v: v.delta_equal),
     "mean-ordering": _Condition(
-        "E(Y1) <= E(Y2) componentwise", lambda p: p.mean_test(vec_leq),
-        SkipReason.MOMENTS),
+        "E(Y1) <= E(Y2) componentwise", lambda v: v.mean_test(v.leq), SkipReason.MOMENTS),
     "mean-equal": _Condition(
-        "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal), SkipReason.MOMENTS),
-    "scale-equal": _Condition(
-        "Sigma1 = Sigma2", lambda p: vec_equal(p.d1.sigma, p.d2.sigma)),
+        "E(Y1) = E(Y2)", lambda v: v.mean_test(v.equal), SkipReason.MOMENTS),
+    "scale-equal": _Condition("Sigma1 = Sigma2", lambda v: v.equal(v.scale1, v.scale2)),
     "psd-difference": _Condition(
-        "Sigma2 - Sigma1 is positive semi-definite", lambda p: _inside(p.psd_verdict)),
+        "Sigma2 - Sigma1 is positive semi-definite", lambda v: v.psd()),
     "copositive-difference": _Condition(
-        "Sigma2 - Sigma1 is copositive", lambda p: _inside(p.copositive_verdict),
-        SkipReason.CONE),
+        "Sigma2 - Sigma1 is copositive", lambda v: v.copositive(), SkipReason.CONE),
     "completely-positive-difference": _Condition(
-        "Sigma2 - Sigma1 is completely positive",
-        lambda p: _inside(p.completely_positive_verdict), SkipReason.CONE),
+        "Sigma2 - Sigma1 is completely positive", _Pair.completely_positive,
+        SkipReason.CONE),
     "entrywise-difference": _Condition(
-        "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.d1.sigma, p.d2.sigma)),
+        "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.scale1, p.scale2)),
     "diag-equal": _Condition(
         "sigma1_ii = sigma2_ii for every i", lambda p: vec_equal(*p.diag)),
     "diag-ordering": _Condition(
@@ -428,16 +452,16 @@ _CONDITIONS: dict[str, _Condition] = {
 
 class _Gate(NamedTuple):
     #: Read on a _Pair (a bool) and on _Projections (a bool per direction),
-    #: so it may use only what both provide, and ``|``, ``&`` for or, and.
-    holds: Callable[[_Pair], bool]
+    #: so it may use only what every view has, and ``|``, ``&`` for or, and.
+    holds: Callable[[_View], bool]
     #: Why the clause is skipped where the gate does not hold.
     reason: SkipReason
 
 
-_tail_one = _Gate(lambda pair: pair.profile()[0], SkipReason.ASSUMPTION)
-_tail_two = _Gate(lambda pair: pair.profile()[1], SkipReason.ASSUMPTION)
-_premise = _Gate(lambda pair: pair.mu_equal | pair.delta_equal, SkipReason.PREMISE)
-_covariances = _Gate(lambda pair: pair.covariances_defined, SkipReason.MOMENTS)
+_tail_one = _Gate(lambda v: v.profile()[0], SkipReason.ASSUMPTION)
+_tail_two = _Gate(lambda v: v.profile()[1], SkipReason.ASSUMPTION)
+_premise = _Gate(lambda v: v.mu_equal | v.delta_equal, SkipReason.PREMISE)
+_covariances = _Gate(lambda v: v.covariances_defined, SkipReason.MOMENTS)
 _marginals = _Gate(_Pair.same_marginals, SkipReason.MARGINALS)
 
 
@@ -670,29 +694,16 @@ def _tol(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return RELATIVE_TOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 
-def _equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.abs(x - y) <= _tol(x, y)
-
-
-def _leq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x <= y + _tol(x, y)
-
-
-def _in_cone(d: np.ndarray) -> np.ndarray:
-    """The 1x1 matrix [d] is PSD, and copositive, exactly when is_psd and
-    is_copositive say so: d >= -DEFAULT_TOL * max(1, |d|)."""
-    return d >= -DEFAULT_TOL * np.maximum(np.abs(d), 1.0)
-
-
-class _Projections:
+class _Projections(_View):
     """The univariate pairs (a'Y1, a'Y2) for the rows a of a direction matrix.
 
     The family is closed under affine maps, so a'Y_i has location a'mu_i,
     scale a'Sigma_i a and shift a'delta_i, with the pair's generator, map and
     mixing law: three numbers per direction and distribution, held here as
-    arrays.  The attributes the gates read give one value per direction, as
-    the _Pair of that direction's projected distributions would.
+    arrays and compared column by column.
     """
+
+    dim = 1
 
     def __init__(self, pair: _Pair, directions: np.ndarray) -> None:
         # d1 carries the family both share; no reference back to the pair,
@@ -702,53 +713,30 @@ class _Projections:
         self.directions = directions
         #: The parent necessary statuses along each direction, by parent.
         self.statuses: dict[OrderKind, list[NecessaryStatus]] = {}
-        d1, d2 = pair.d1, pair.d2
-        self.mu1, self.mu2 = directions @ d1.mu, directions @ d2.mu
-        self.delta1 = directions @ d1.effective_delta()
-        self.delta2 = directions @ d2.effective_delta()
-        self.sigma1, self.sigma2 = (
-            np.einsum("ij,ij->i", directions @ d.sigma, directions) for d in (d1, d2))
+        self.mu1, self.mu2 = directions @ pair.mu1, directions @ pair.mu2
+        self.delta1, self.delta2 = directions @ pair.delta1, directions @ pair.delta2
+        self.scale1, self.scale2 = (
+            np.einsum("ij,ij->i", directions @ s, directions) for s in (pair.scale1, pair.scale2))
 
-    def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
-        return assumption_profile(self.d1.generator)
+    @staticmethod
+    def equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.abs(x - y) <= _tol(x, y)
 
-    @cached_property
-    def mu_equal(self) -> np.ndarray:
-        return _equal(self.mu1, self.mu2)
+    @staticmethod
+    def leq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x <= y + _tol(x, y)
 
-    @cached_property
-    def delta_equal(self) -> np.ndarray:
-        return _equal(self.delta1, self.delta2)
+    @staticmethod
+    def is_zero(x: np.ndarray) -> np.ndarray:
+        return x == 0.0
 
-    @cached_property
-    def covariances_defined(self) -> np.ndarray:
-        """Both univariate covariances exist: the radial second moment at
-        n = 1 and E(alpha^2) are finite, and so is Var(beta) unless both
-        projected shifts are exactly zero (as LseDistribution.moments)."""
-        d = self.d1
-        finite = (math.isfinite(radial_second_moment(d.generator, 1))
-                  and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
-        unskewed = (self.delta1 == 0.0) & (self.delta2 == 0.0)
-        return finite & (math.isfinite(beta_variance(d.mixing, d.ab_map)) | unskewed)
+    def psd(self) -> np.ndarray:
+        """The 1x1 matrix [d] is PSD, and copositive, exactly when is_psd and
+        is_copositive say so: d >= -DEFAULT_TOL * max(1, |d|)."""
+        d = self.scale2 - self.scale1
+        return d >= -DEFAULT_TOL * np.maximum(np.abs(d), 1.0)
 
-    def mean_test(self, relation: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """_Pair.mean_test per direction: 1.0 holds, 0.0 fails, NaN undecided."""
-        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
-        shifted = (
-            relation(self.mu1 + e_beta * self.delta1, self.mu2 + e_beta * self.delta2)
-            if math.isfinite(e_beta) else np.nan)
-        return np.where(self.delta_equal, relation(self.mu1, self.mu2), shifted)
-
-
-#: The univariate form, over _Projections, of each condition that a parent
-#: order's necessary side names: 1.0 (or True) holds, 0.0 fails, NaN undecided.
-_PROJECTED: dict[str, Callable[[_Projections], np.ndarray]] = {
-    "mean-ordering": lambda q: q.mean_test(_leq),
-    "mean-equal": lambda q: q.mean_test(_equal),
-    "scale-equal": lambda q: _equal(q.sigma1, q.sigma2),
-    "psd-difference": lambda q: _in_cone(q.sigma2 - q.sigma1),
-    "copositive-difference": lambda q: _in_cone(q.sigma2 - q.sigma1),
-}
+    copositive = psd
 
 
 def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[NecessaryStatus]:
@@ -767,7 +755,7 @@ def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[Ne
             if gate.reason is SkipReason.ASSUMPTION:
                 assumption |= skipped
             evaluated &= ~skipped
-        passed = np.asarray(_PROJECTED[entry.tag](projections), dtype=float)
+        passed = np.asarray(_CONDITIONS[entry.tag].test(projections), dtype=float)
         violated |= evaluated & (passed == 0.0)
         undecided |= evaluated & np.isnan(passed)
     return [

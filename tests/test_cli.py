@@ -289,6 +289,19 @@ def test_seed_override_changes_report(tmp_path):
     assert report["seed"] == 99
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_override_outside_64_unsigned_bits_is_an_error(tmp_path, capsys, seed):
+    block1 = normal_block([0.0], [[1.0]])
+    block2 = normal_block([0.2], [[1.0]])
+    path = write_spec(tmp_path, scenario(block1, block2, orders=["st"],
+                                         mc={"sample_count": 20000}))
+    assert main(["check", "--spec", str(path), "--out", str(tmp_path),
+                 "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed: seed must fit in 64 unsigned bits\n"
+    assert not (tmp_path / DEFAULT_REPORT_NAME).exists()
+
+
 def test_samples_flag_enables_monte_carlo(tmp_path):
     b1 = normal_block([0.0], [[1.0]])
     b2 = normal_block([0.3], [[1.0]])

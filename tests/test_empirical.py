@@ -80,6 +80,20 @@ def test_config_rejects_bad_grids():
         McConfig(sample_count=10_000, seed=1, grid=(0.0, float("nan")))
 
 
+def test_config_stores_integral_values_as_int():
+    cfg = McConfig(sample_count=1e5, seed=1.0, chunk_size=20_000.0)
+    assert (cfg.sample_count, cfg.seed, cfg.chunk_size) == (100_000, 1, 20_000)
+    assert all(type(v) is int for v in (cfg.sample_count, cfg.seed, cfg.chunk_size))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chunk_size", 20_000.5), ("sample_count", 10_000.5), ("seed", 1.5),
+    ("seed", float("nan")), ("sample_count", float("inf")), ("seed", -3)])
+def test_config_rejects_non_integral_values_and_negative_seeds(field, value):
+    with pytest.raises(UsageError, match=field):
+        McConfig(**{"sample_count": 10_000, "seed": 1, field: value})
+
+
 def test_config_rejects_bad_multiplier():
     with pytest.raises(UsageError):
         McConfig(sample_count=10_000, seed=1, confidence_multiplier=0.0)

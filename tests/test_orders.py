@@ -610,6 +610,31 @@ def test_projections_match_reference_along_adversarial_directions():
         assert got[-1] is NecessaryStatus.VIOLATED, order
 
 
+def test_pair_covariance_rule_matches_moments():
+    # Beta(1.5, 1) under the 1/z shift map has E(alpha^2) finite but
+    # Var(beta) divergent, so there the covariances exist only for zero shifts.
+    generators = [DensityGenerator(family, **kwargs) for family, kwargs in (
+        (GeneratorFamily.NORMAL, {}), (GeneratorFamily.STUDENT, {"dof": 5}),
+        (GeneratorFamily.CAUCHY, {}), (GeneratorFamily.LAPLACE, {}),
+        (GeneratorFamily.LOGISTIC, {}), (GeneratorFamily.EXPONENTIAL_POWER, {"power": 1.5}))]
+    mixings = [Degenerate(1.0), BetaLambdaOne(1.5), GeneralizedInverseGaussian(-0.5, 1.0, 1.0),
+               DiscreteWeighted(((0.5, 0.4), (1.5, 0.6)))]
+    maps = [PLAIN, MEANVAR, SKEW, AlphaBetaMap.location_mixture(), AlphaBetaMap.scale_only()]
+    shifts = [([0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.3, 0.0]), ([0.0, -0.2], [0.0, 0.0]),
+              ([0.2, -0.1], [0.2, -0.1])]
+    seen = set()
+    for gen in generators:
+        for mix in mixings:
+            for ab in maps:
+                for delta1, delta2 in shifts:
+                    d1 = mk([0.0, 0.0], np.eye(2), delta1, gen=gen, ab=ab, mix=mix)
+                    d2 = mk([0.1, 0.0], [[2.0, 0.3], [0.3, 1.0]], delta2, gen=gen, ab=ab, mix=mix)
+                    expected = all(d.moments().covariance is not None for d in (d1, d2))
+                    assert orders_module._Pair(d1, d2).covariances_defined is expected
+                    seen.add((expected, any(delta1 + delta2)))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
 def test_one_compare_runs_each_cone_test_once(monkeypatch):
     calls = {"is_psd": 0, "is_copositive": 0, "is_completely_positive": 0}
     for name in calls:
@@ -656,7 +681,8 @@ def test_shared_pair_is_never_stale():
 
 def count_builds(monkeypatch):
     """Count the calls of the memoised builders and which condition tags
-    are evaluated, by wrapping the module globals the interpreter reads."""
+    are evaluated on a pair (not read by projections, whose statuses are
+    counted), by wrapping the module globals the interpreter reads."""
     counts = {"_direct": 0, "_projected_statuses": 0, "_Projections": 0}
     for name in counts:
         original = getattr(orders_module, name)
@@ -669,7 +695,11 @@ def count_builds(monkeypatch):
     evaluated = []
 
     def tested(tag, test):
-        return lambda pair: (evaluated.append(tag), test(pair))[1]
+        def on_view(view):
+            if isinstance(view, orders_module._Pair):
+                evaluated.append(tag)
+            return test(view)
+        return on_view
 
     monkeypatch.setattr(orders_module, "_CONDITIONS", {
         tag: condition._replace(test=tested(tag, condition.test))
@@ -735,6 +765,12 @@ def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
     d1, d2 = spec.block_1.build(), spec.block_2.build()
     got = [compare(d1, d2), compare(d2, d1), {k: check_order(d1, d2, k) for k in OrderKind}]
     assert got == [fresh(d1, d2), fresh(d2, d1), fresh(d1, d2)]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
+def test_projections_match_reference_on_the_decide_battery(case):
+    spec = parse_scenario(json.dumps(case["scenario"]))
+    assert_projections_match(spec.block_1.build(), spec.block_2.build())
 
 
 def test_halton_points_match_scipy():

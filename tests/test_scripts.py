@@ -6,6 +6,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from lsemix.cli import CSV_HEADER
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -27,6 +29,6 @@ def test_make_curves(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert curves.main(["--samples", "10000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == curves.CSV_HEADER
+    assert lines[0] == CSV_HEADER
     assert len(lines) > 1
     assert f"curves written to {out}" in capsys.readouterr().out
