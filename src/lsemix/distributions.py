@@ -56,7 +56,7 @@ from .mixing import (
     beta_mean,
     beta_variance,
 )
-from .numerics import build_inverse_cdf_table, expand_log_bounds
+from .numerics import blocked_matmul, build_inverse_cdf_table, expand_log_bounds
 
 __all__ = [
     "LseDistribution",
@@ -315,7 +315,8 @@ class LseDistribution:
     def _assemble(self, z: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
         alphas = self.ab_map.alpha(z)
         betas = self.ab_map.beta(z)
-        core = (u @ self._chol_lower.T) * (alphas * r)[:, None]
+        core = blocked_matmul(u, self._chol_lower.T)
+        core *= (alphas * r)[:, None]
         return self.mu + core + betas[:, None] * self.delta
 
     # Closure operations ------------------------------------------------------

@@ -15,13 +15,17 @@ Design notes
   most of the Monte Carlo variance; in particular two equal distributions
   produce *identical* samples and can never trigger a false failure.
 * Sampling is split into deterministic worker streams: chunk ``i`` draws from
-  a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  The st,
-  icx and orthant scans run their chunks on one worker thread per usable CPU
-  (``_chunk_map``); each chunk returns its own partial sums, and these are
-  added in chunk order whichever worker ran it, so identical configs give
-  bit-identical estimates on any number of CPUs.  Peak memory is about the
-  number of workers times one chunk's working set.  ``verify_cx`` keeps its
-  chunks on one thread (see the comment there).
+  a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  Every
+  scan (st, icx, cx and orthant) runs its chunks on one worker thread per
+  usable CPU (``_chunk_map``); each chunk returns its own partial sums, and
+  these are added in chunk order whichever worker ran it, so identical
+  configs give bit-identical estimates on any number of CPUs.  Peak memory
+  is about the number of workers times one chunk's working set.  The matrix
+  products inside a chunk (the projections of ``verify_cx`` and the Cholesky
+  factor applied in sampling) go through ``numerics.blocked_matmul``, in row
+  blocks that OpenBLAS computes on the worker's own thread: a whole-chunk
+  product would start OpenBLAS's threads, which then compete with the
+  workers for the same CPUs.
 * The st and icx scans make one binned pass over the draws.  Each draw x
   falls in bin k, the number of grid points strictly below it (what
   ``np.searchsorted(grid, x)`` returns), so x > t_j exactly when j < k; no
@@ -61,7 +65,7 @@ import numpy as np
 
 from .distributions import LseDistribution, sample_coupled
 from .errors import UsageError
-from .numerics import _BucketIndex
+from .numerics import _BucketIndex, blocked_matmul
 
 __all__ = [
     "McConfig",
@@ -108,11 +112,11 @@ class McConfig:
     be nonempty and ascending.
 
     ``chunk_size`` is the number of coupled draws sampled and reduced at a
-    time.  The chunks are the unit of work of the worker threads, and each
-    in flight holds its draws and their temporaries, so peak memory grows
-    with ``chunk_size`` times the number of usable CPUs.  The estimates
-    depend on ``chunk_size`` (chunk i draws from its own stream), never on
-    the number of workers.
+    time.  The chunks are the unit of work of the worker threads in every
+    scan, ``verify_cx`` included, and each in flight holds its draws and
+    their temporaries, so peak memory grows with ``chunk_size`` times the
+    number of usable CPUs.  The estimates depend on ``chunk_size`` (chunk i
+    draws from its own stream), never on the number of workers.
     """
 
     sample_count: int
@@ -464,6 +468,14 @@ def _accumulate(block: np.ndarray, sums: np.ndarray, sqs: np.ndarray) -> None:
     sqs += np.square(block, out=block).sum(axis=0)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)``, taken column by column (exact in any order)."""
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    return top
+
+
 def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, directions) -> DominanceResult:
     """Check E f(Y1) <= E f(Y2) for a battery of convex test functions.
 
@@ -490,22 +502,15 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
 
     k = dirs.shape[0]
     n_one_sided = 2 * k + 1 + thresholds.size
-    sums = np.zeros(n_one_sided)
-    sqs = np.zeros(n_one_sided)
-    mean_sum = np.zeros(d1.dim)
-    mean_sq = np.zeros(d1.dim)
 
-    # The chunks stay on one thread: OpenBLAS already threads the projections
-    # x @ dirs.T, so a pool on top finds no idle CPU.  On 2 CPUs, at
-    # 10^6 draws of the copositive_gap scenario, pooled chunks ran no faster
-    # (1.76-1.93 s against 1.74-2.26 s) and raised the peak RSS from 96 to
-    # 115-122 MiB.  Pooling waits for a way to cap the BLAS threads.
-
-    # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
-    directional_sums = sums[:2 * k].reshape(2, k)
-    directional_sqs = sqs[:2 * k].reshape(2, k)
-    for rng, size in chunks:
+    def part(chunk):
+        rng, size = chunk
         x1, x2 = sample_coupled(d1, d2, rng, size)
+        sums = np.zeros(n_one_sided)
+        sqs = np.zeros(n_one_sided)
+        # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
+        directional_sums = sums[:2 * k].reshape(2, k)
+        directional_sqs = sqs[:2 * k].reshape(2, k)
         # One group of functionals at a time: the directional ones, then max
         # and the payoffs.  The directions go in near-equal groups of at most
         # about ``width``, never one alone unless k = 1: numpy projects a lone
@@ -515,8 +520,8 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
         groups = max(1, min(-(-k // width), k // 2))
         edges = [k * i // groups for i in range(groups + 1)]
         for lo, hi in zip(edges, edges[1:]):
-            proj1 = x1 @ dirs[lo:hi].T
-            proj2 = x2 @ dirs[lo:hi].T
+            proj1 = blocked_matmul(x1, dirs[lo:hi].T)
+            proj2 = blocked_matmul(x2, dirs[lo:hi].T)
             block = np.empty((size, 2, hi - lo))
             np.square(proj1, out=block[:, 0])
             np.abs(proj1, out=block[:, 1])
@@ -526,13 +531,15 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
             _accumulate(block, directional_sums[:, lo:hi], directional_sqs[:, lo:hi])
             del block
         tail = np.empty((size, 1 + thresholds.size))
-        tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
+        tail[:, 0] = _row_max(x1)
+        tail[:, 0] -= _row_max(x2)
         for j, c in enumerate(thresholds, start=1):
             tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
         _accumulate(tail, sums[2 * k:], sqs[2 * k:])
         dm = x1 - x2
-        mean_sum += dm.sum(axis=0)
-        mean_sq += np.square(dm).sum(axis=0)
+        return sums, sqs, dm.sum(axis=0), np.square(dm).sum(axis=0)
+
+    sums, sqs, mean_sum, mean_sq = _chunk_sums(part, chunks)
 
     n = float(cfg.sample_count)
     diff = sums / n
@@ -572,8 +579,12 @@ def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corn
     def part(chunk):
         rng, size = chunk
         x1, x2 = sample_coupled(d1, d2, rng, size)
-        e1 = np.all(x1[:, None, :] > pts[None, :, :], axis=2)
-        e2 = np.all(x2[:, None, :] > pts[None, :, :], axis=2)
+        # One (draws, corners) comparison per coordinate: no 3-D temporary.
+        e1 = x1[:, :1] > pts[:, 0]
+        e2 = x2[:, :1] > pts[:, 0]
+        for i in range(1, pts.shape[1]):
+            e1 &= x1[:, i:i + 1] > pts[:, i]
+            e2 &= x2[:, i:i + 1] > pts[:, i]
         return e1.sum(axis=0), e2.sum(axis=0), (e1 & e2).sum(axis=0)
 
     exceed1, exceed2, joint = _chunk_sums(part, chunks)

@@ -11,6 +11,11 @@ index in O(1) per query instead of a binary search.  ``InverseCdfTable``
 reads its knots through it and then does ``np.interp``'s own arithmetic, so
 tabulated draws are bit for bit those of ``np.interp``; the Monte Carlo scans
 in :mod:`lsemix.empirical` bin their draws against the grid with it.
+
+The matrix products on the Monte Carlo path go through ``blocked_matmul``,
+which issues them in row blocks small enough for OpenBLAS to compute each on
+the calling thread, so that they do not compete with the scans' own worker
+threads.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import NonIntegrableError
 
 __all__ = [
     "gauss_legendre",
+    "blocked_matmul",
     "build_inverse_cdf_table",
     "expand_log_bounds",
     "InverseCdfTable",
@@ -36,12 +42,44 @@ QUAD_NODES = 256
 #: Default resolution of tabulated inverse CDFs.
 CDF_TABLE_SIZE = 4096
 
+#: OpenBLAS computes a matrix product of at most this many multiply-adds on
+#: the calling thread, and larger ones on its own threads.
+BLAS_SERIAL_MULTIPLY_ADDS = 2 ** 18
+
 
 def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [a, b]."""
     x, w = leggauss(n)
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
+
+
+def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float arrays, bit for bit, in row blocks of at most
+    ``BLAS_SERIAL_MULTIPLY_ADDS`` multiply-adds each.
+
+    A matrix product (gemm) computes every element of the output with the
+    same kernel order however the rows of ``a`` are split, so the blocks
+    give the bytes of one call.  Two cases would not, and are avoided: a
+    block of one row, which numpy sends to a matrix-vector product (gemv),
+    and a ``b`` of one column, which numpy always multiplies by gemv, whose
+    rounding depends on where the rows are split.  A lone last row joins the
+    block before it (blocks are one row short of the limit, so it still
+    fits), and a one-column ``b``, or one too wide for blocks of two rows,
+    goes in one call.
+    """
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    rows = BLAS_SERIAL_MULTIPLY_ADDS // max(b.size, 1) - 1
+    if b.shape[1] == 1 or rows < 2:
+        return np.matmul(a, b, out=out)
+    stops = list(range(rows, a.shape[0], rows))
+    if stops and a.shape[0] - stops[-1] == 1:
+        stops.pop()
+    start = 0
+    for stop in stops + [a.shape[0]]:
+        np.matmul(a[start:stop], b, out=out[start:stop])
+        start = stop
+    return out
 
 
 class _BucketIndex:

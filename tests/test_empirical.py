@@ -556,13 +556,29 @@ def result_fields(result):
     return fields
 
 
+def cx_pair():
+    """An n = 5 skewed pair; its projections and Cholesky products are
+    row-blocked."""
+    sigma = np.eye(5) + 0.2
+    return (ghss(np.zeros(5), sigma, np.full(5, 0.2)),
+            ghss(np.full(5, 0.05), 1.3 * sigma, np.full(5, 0.3)))
+
+
+CX_DIRECTIONS = axis_pair_directions(5, signed=True)
+TRIVARIATE_CORNERS = [[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [-1.0, 0.3, 0.8]]
+
+
 def pooled_results():
     skewed = (ghss(0.0, [[1.0]], 0.2), ghss(0.1, [[1.4]], 0.4))
     bivariate = (mk([0.0, 0.0], corr(0.2)), mk([0.1, 0.0], corr(0.6)))
+    sigma3 = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    trivariate = (mk(np.zeros(3), sigma3), mk([0.1, 0.0, -0.1], 1.2 * sigma3))
     return [
         result_fields(verify_st(*skewed, POOL_CFG)),
         result_fields(verify_icx(*skewed, POOL_CFG)),
         result_fields(verify_orthant(*bivariate, POOL_CFG, CORNERS)),
+        result_fields(verify_orthant(*trivariate, POOL_CFG, TRIVARIATE_CORNERS)),
+        result_fields(verify_cx(*cx_pair(), POOL_CFG, CX_DIRECTIONS)),
     ]
 
 
@@ -641,15 +657,27 @@ def test_grouped_cx_matches_the_single_block_loop(monkeypatch, block_doubles, di
     assert se.tobytes() == want_se.tobytes()
 
 
-def test_an_exception_in_one_chunk_propagates_unchanged(monkeypatch):
+def st_scan(cfg):
+    return verify_st(mk(0.0, [[1.0]]), mk(0.2, [[1.5]]), cfg)
+
+
+def cx_scan(cfg):
+    return verify_cx(*cx_pair(), cfg, CX_DIRECTIONS)
+
+
+SCANS = pytest.mark.parametrize("scan", [st_scan, cx_scan], ids=["st", "cx"])
+
+
+@SCANS
+def test_an_exception_in_one_chunk_propagates_unchanged(monkeypatch, scan):
     monkeypatch.setattr(empirical, "_worker_count", lambda: 2)
-    d1, d2 = mk(0.0, [[1.0]]), mk(0.2, [[1.5]])
     cfg = McConfig(sample_count=40_000, seed=4, chunk_size=10_000, grid=(0.0, 1.0))
-    expected = verify_st(d1, d2, cfg)
+    expected = scan(cfg)
     error = RuntimeError("chunk failed")
     calls = []
 
     def failing(a, b, rng, size):
+        # verify_cx's pilot is call 1, so its first or second chunk raises
         calls.append(size)
         if len(calls) == 2:
             raise error
@@ -657,27 +685,27 @@ def test_an_exception_in_one_chunk_propagates_unchanged(monkeypatch):
 
     monkeypatch.setattr(empirical, "sample_coupled", failing)
     with pytest.raises(RuntimeError) as caught:
-        verify_st(d1, d2, cfg)
+        scan(cfg)
     assert caught.value is error
     monkeypatch.setattr(empirical, "sample_coupled", sample_coupled)
-    assert result_fields(verify_st(d1, d2, cfg)) == result_fields(expected)
+    assert result_fields(scan(cfg)) == result_fields(expected)
 
 
-def _st_in_child(d1, d2, cfg, expected):
+def _scan_in_child(scan, cfg, expected):
     # exit status 0 only when the child's scan matches the parent's
-    sys.exit(0 if result_fields(verify_st(d1, d2, cfg)) == expected else 1)
+    sys.exit(0 if result_fields(scan(cfg)) == expected else 1)
 
 
-def test_verify_st_runs_in_a_forked_child(monkeypatch):
+@SCANS
+def test_scan_runs_in_a_forked_child(monkeypatch, scan):
     monkeypatch.setattr(empirical, "_worker_count", lambda: 2)
-    d1, d2 = mk(0.0, [[1.0]]), mk(0.2, [[1.5]])
-    expected = result_fields(verify_st(d1, d2, POOL_CFG))
+    expected = result_fields(scan(POOL_CFG))
     child = multiprocessing.get_context("fork").Process(
-        target=_st_in_child, args=(d1, d2, POOL_CFG, expected))
+        target=_scan_in_child, args=(scan, POOL_CFG, expected))
     child.start()
     child.join(timeout=60)
     if child.is_alive():
         child.kill()
         child.join()
-        pytest.fail("verify_st hung in a forked child")
+        pytest.fail(f"{scan.__name__} hung in a forked child")
     assert child.exitcode == 0

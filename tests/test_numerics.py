@@ -8,6 +8,9 @@ run on every table the package builds for the GIG laws used across the
 package, tests and benchmark, and for the table-sampled radials at n = 1..10,
 with queries at and next to every knot, on the flat CDF runs of the tails,
 outside the range, at +-inf and NaN.
+
+``blocked_matmul`` must return the bytes of one ``a @ b`` while issuing no
+product that OpenBLAS would run on its own threads.
 """
 
 import numpy as np
@@ -16,7 +19,8 @@ import pytest
 from lsemix.distributions import _radial_table
 from lsemix.generators import DensityGenerator, GeneratorFamily
 from lsemix.mixing import GeneralizedInverseGaussian
-from lsemix.numerics import InverseCdfTable, _BucketIndex
+from lsemix import numerics
+from lsemix.numerics import BLAS_SERIAL_MULTIPLY_ADDS, InverseCdfTable, _BucketIndex, blocked_matmul
 
 GIG_LAWS = [
     (-0.5, 1.0, 1.0),
@@ -180,3 +184,35 @@ def test_table_keeps_shape_and_scalars():
     assert table(u).shape == (3, 4)
     assert np.array_equal(bits(table(u)), bits(np.interp(u, table.cdf, table.grid)))
     assert bits(table(0.5)) == bits(np.interp(0.5, table.cdf, table.grid))
+
+
+# --- row-blocked matrix products -------------------------------------------------
+
+
+@pytest.mark.parametrize("inner", range(1, 11))
+def test_blocked_matmul_matches_one_product(inner, monkeypatch):
+    issued = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        issued.append(a.shape[0] * b.shape[0] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(numerics.np, "matmul", recording)
+    rng = np.random.default_rng(inner)
+    for outer in sorted({*range(1, 9), inner}):
+        block = BLAS_SERIAL_MULTIPLY_ADDS // (inner * outer) - 1
+        # the default chunk, a chunk with a short last block, one whose
+        # last block would be a lone row
+        for rows in (65_536, 10_000, 2 * block + 1):
+            a = rng.normal(size=(rows, inner))
+            # b transposed, as verify_cx and sampling pass it, and plain
+            for b in (rng.normal(size=(outer, inner)).T, rng.normal(size=(inner, outer))):
+                issued.clear()
+                assert blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
+                assert sum(issued) == rows * inner * outer
+                if outer == 1:  # a matrix-vector product goes in one call
+                    assert len(issued) == 1
+                else:
+                    assert max(issued) <= BLAS_SERIAL_MULTIPLY_ADDS
+                    assert min(issued) >= 2 * inner * outer
