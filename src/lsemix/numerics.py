@@ -68,10 +68,10 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fits), and a one-column ``b``, or one too wide for blocks of two rows,
     goes in one call.
     """
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     rows = BLAS_SERIAL_MULTIPLY_ADDS // max(b.size, 1) - 1
     if b.shape[1] == 1 or rows < 2:
-        return np.matmul(a, b, out=out)
+        return np.matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     stops = list(range(rows, a.shape[0], rows))
     if stops and a.shape[0] - stops[-1] == 1:
         stops.pop()
