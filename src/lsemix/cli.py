@@ -53,8 +53,8 @@ import numpy as np
 from .cones import dual_pairing, is_completely_positive, is_copositive, is_psd
 from .distributions import LseDistribution
 from .empirical import (
-    DominanceResult, McConfig, SurvivalCurve, stoploss_dominance, verify_cx, verify_icx,
-    verify_orthant, verify_st,
+    DominanceResult, McConfig, SurvivalCurve, stoploss_dominance, verify_cx, verify_orthant,
+    verify_st,
 )
 from .errors import LsemixError, ScenarioError
 from .generators import DensityGenerator, GeneratorFamily, limit_ratio
@@ -549,19 +549,14 @@ def _monte_carlo_blocks(
     blocks: dict[str, dict] = {}
     curve: SurvivalCurve | None = None
     requested = set(spec.orders)
-    if d1.dim == 1:
+    if d1.dim == 1 and requested & {OrderKind.ST, OrderKind.ICX}:
+        # one scan answers both: icx is read off the st scan's curve
+        result = verify_st(d1, d2, cfg)
+        curve = result.curve
         if OrderKind.ST in requested:
-            result = verify_st(d1, d2, cfg)
             blocks["st"] = _dominance_node(result, cfg)
-            curve = result.curve
         if OrderKind.ICX in requested:
-            # one scan answers both: reuse the st pass when there was one
-            if curve is None:
-                result = verify_icx(d1, d2, cfg)
-            else:
-                result = stoploss_dominance(curve, cfg.confidence_multiplier)
-            blocks["icx"] = _dominance_node(result, cfg)
-            curve = result.curve
+            blocks["icx"] = _dominance_node(stoploss_dominance(curve, cfg.confidence_multiplier), cfg)
     if OrderKind.CX in requested:
         result = verify_cx(d1, d2, cfg, axis_pair_directions(d1.dim, signed=True))
         blocks["cx"] = _dominance_node(result, cfg)

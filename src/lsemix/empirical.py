@@ -14,18 +14,22 @@ Design notes
   below compare differences of monotone functionals, so coupling collapses
   most of the Monte Carlo variance; in particular two equal distributions
   produce *identical* samples and can never trigger a false failure.
-* Sampling is split into deterministic worker streams: chunk ``i`` draws from
-  a generator seeded by the ``i``-th child of ``SeedSequence(seed)``.  Every
-  scan (st, icx, cx and orthant) runs its chunks on one worker thread per
-  usable CPU (``_chunk_map``); each chunk returns its own partial sums, and
-  these are added in chunk order whichever worker ran it, so identical
-  configs give bit-identical estimates on any number of CPUs.  Peak memory
-  is about the number of workers times one chunk's working set.  The matrix
-  products inside a chunk (the projections of ``verify_cx`` and the Cholesky
-  factor applied in sampling) go through ``numerics.blocked_matmul``, in row
-  blocks that OpenBLAS computes on the worker's own thread: a whole-chunk
-  product would start OpenBLAS's threads, which then compete with the
-  workers for the same CPUs.
+* Seed streams go by index: stream ``i`` is the ``i``-th child of
+  ``SeedSequence(seed)`` (``_stream``); stream 0 is the pilot's, which sets
+  automatic grids and payoff thresholds, and stream j + 1 chunk j's.
+* One engine, ``_coupled_totals``, samples and sums the chunks of every scan
+  (st, icx, cx and orthant): each chunk is drawn from its stream and reduced
+  to the scan's partial sums on one of a pool of worker threads, one per
+  usable CPU, and the partial sums are added in chunk order whichever worker
+  ran it, so identical configs give bit-identical estimates on any number of
+  CPUs.  A scan is then three steps: validate its input, reduce a chunk,
+  finish the totals into estimates.  Peak memory is about the number of
+  workers times one chunk's working set.  The matrix products inside a chunk
+  (the projections of ``verify_cx`` and the Cholesky factor applied in
+  sampling) go through ``numerics.blocked_matmul``, in row blocks that
+  OpenBLAS computes on the worker's own thread: a whole-chunk product would
+  start OpenBLAS's threads, which then compete with the workers for the same
+  CPUs.
 * The st and icx scans make one binned pass over the draws.  Each draw x
   falls in bin k, the number of grid points strictly below it (what
   ``np.searchsorted(grid, x)`` returns), so x > t_j exactly when j < k; no
@@ -234,26 +238,15 @@ def stop_loss(samples, t: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Worker-stream plumbing
+# The Monte Carlo engine: seed streams, pilot, coupled chunk totals
 
 
-def _chunk_plan(cfg: McConfig) -> tuple[np.random.Generator, list[tuple[np.random.Generator, int]]]:
-    """Pilot generator plus (generator, size) pairs for the main chunks.
-
-    Chunk i draws from child stream i+1 of the config seed (stream 0 is
-    reserved for the pilot used by automatic grids/thresholds), so estimates
-    do not depend on how chunks would be scheduled across workers.
-    """
-    n_chunks = -(-cfg.sample_count // cfg.chunk_size)
-    children = np.random.SeedSequence(cfg.seed).spawn(n_chunks + 1)
-    pilot = np.random.default_rng(children[0])
-    chunks = []
-    remaining = cfg.sample_count
-    for child in children[1:]:
-        size = min(cfg.chunk_size, remaining)
-        chunks.append((np.random.default_rng(child), size))
-        remaining -= size
-    return pilot, chunks
+def _stream(cfg: McConfig, i: int) -> np.random.Generator:
+    """Generator of seed stream ``i``: the ``i``-th child of
+    ``SeedSequence(cfg.seed)``, as ``spawn`` would return it.  Stream 0 is
+    the pilot's and stream j + 1 chunk j's, so estimates do not depend on how
+    the chunks are scheduled across workers."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
 
 
 def _worker_count() -> int:
@@ -264,42 +257,43 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_map(part, chunks: list) -> list:
-    """``[part(chunk) for chunk in chunks]``, on one worker thread per usable
-    CPU.
+def _pilot(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> np.ndarray:
+    """The pooled pilot draws of both laws (stream 0), for automatic grids
+    and thresholds."""
+    y1, y2 = sample_coupled(d1, d2, _stream(cfg, 0), min(cfg.sample_count, _PILOT_CAP))
+    return np.concatenate([y1.ravel(), y2.ravel()])
 
-    The pool lives for one call, so no thread outlives it and a forked child
-    inherits no pool.  numpy's samplers, ufuncs, casts, integer-array
+
+def _coupled_totals(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, reduce) -> list[np.ndarray]:
+    """Totals over the sample budget of the arrays ``reduce(x1, x2)`` returns
+    for each chunk of coupled draws.
+
+    Chunk j holds ``cfg.chunk_size`` draws (the last one the rest) from
+    stream j + 1; it is sampled and reduced on one of a pool of worker
+    threads, one per usable CPU.  The pool lives for one call, so a forked
+    child inherits no pool.  numpy's samplers, ufuncs, casts, integer-array
     gathers and ``searchsorted`` release the interpreter lock, so the chunks
     do run side by side.  An exception in one chunk cancels the chunks not
-    yet started and propagates unchanged.
+    yet started and propagates unchanged.  Each chunk's arrays are added to
+    zeros in chunk order, so every float sum is the one a serial loop forms.
     """
-    workers = min(_worker_count(), len(chunks))
+    sizes = [min(cfg.chunk_size, cfg.sample_count - start)
+             for start in range(0, cfg.sample_count, cfg.chunk_size)]
+
+    def chunk(j):
+        return reduce(*sample_coupled(d1, d2, _stream(cfg, j + 1), sizes[j]))
+
+    workers = min(_worker_count(), len(sizes))
     if workers <= 1:
-        return list(map(part, chunks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(part, chunks))
-
-
-def _chunk_sums(part, chunks: list) -> list[np.ndarray]:
-    """Totals of the arrays ``part`` returns for each chunk.
-
-    Each chunk's arrays are added to zeros in chunk order, whichever worker
-    ran it, so every float sum is the one a serial loop over the chunks forms.
-    """
-    partials = _chunk_map(part, chunks)
+        partials = list(map(chunk, range(len(sizes))))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(chunk, range(len(sizes))))
     totals = [np.zeros_like(value) for value in partials[0]]
     for partial in partials:
         for total, value in zip(totals, partial):
             total += value
     return totals
-
-
-def _pilot_draws(
-    d1: LseDistribution, d2: LseDistribution, cfg: McConfig, pilot: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    count = min(cfg.sample_count, _PILOT_CAP)
-    return sample_coupled(d1, d2, pilot, count)
 
 
 def _auto_grid(pooled: np.ndarray) -> np.ndarray:
@@ -309,16 +303,37 @@ def _auto_grid(pooled: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, DEFAULT_GRID_SIZE)
 
 
-def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
-    # se == 0 with diff > 0 is a certain violation; encode as a huge z.
-    return diff / np.maximum(se, 1e-300)
+def _points(d1: LseDistribution, d2: LseDistribution, values, name: str) -> np.ndarray:
+    """``values`` as a nonempty finite (count, dim) array of points in the
+    pair's dimension; UsageError otherwise."""
+    if d1.dim != d2.dim:
+        raise UsageError("dimensions must match")
+    pts = np.atleast_2d(np.asarray(values, dtype=float))
+    if pts.shape[1] != d1.dim:
+        raise UsageError(f"{name} must have {d1.dim} columns; got {pts.shape}")
+    if pts.shape[0] == 0 or not np.all(np.isfinite(pts)):
+        raise UsageError(f"{name} must be a nonempty finite array")
+    return pts
+
+
+def _se(mean: np.ndarray, squares: np.ndarray, n: float) -> np.ndarray:
+    """Standard error of a paired mean from its value and the sum of squares
+    of its ``n`` terms."""
+    return np.sqrt(np.clip(squares / n - np.square(mean), 0.0, None) / n)
+
+
+def _indicator_se(p1: np.ndarray, p2: np.ndarray, p12: np.ndarray, n: float) -> np.ndarray:
+    """Standard error of a paired indicator difference with marginal rates
+    ``p1``, ``p2`` and joint rate ``p12``: var = p1 + p2 - 2 p12 - (p1 - p2)^2."""
+    return np.sqrt(np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None) / n)
 
 
 def _summarize(
     points, diff: np.ndarray, se: np.ndarray, multiplier: float, *, adjacency: bool,
     curve: SurvivalCurve | None = None,
 ) -> DominanceResult:
-    z = _zscores(diff, se)
+    # se == 0 with diff > 0 is a certain violation; encode as a huge z.
+    z = diff / np.maximum(se, 1e-300)
     flagged = z > multiplier
     if adjacency and diff.size > 1:
         confirmed = bool(np.any(flagged[:-1] & flagged[1:]))
@@ -354,20 +369,16 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
     shared grid; the bins hold everything the survival and stop-loss
     dominance checks need (see the design notes above)."""
     _require_univariate(d1, d2)
-    pilot, chunks = _chunk_plan(cfg)
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
     else:
-        y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
-        grid = _auto_grid(np.concatenate([y1.ravel(), y2.ravel()]))
+        grid = _auto_grid(_pilot(d1, d2, cfg))
     bins = grid.size + 1
     # floor[k] = t_{k-1}, the grid point below bin k; bin 0 is never read.
     floor = np.concatenate([grid[:1], grid])
     binning = _BucketIndex(grid)
 
-    def part(chunk):
-        rng, size = chunk
-        y1, y2 = sample_coupled(d1, d2, rng, size)
+    def reduce(y1, y2):
         x1, x2 = y1.ravel(), y2.ravel()
         k1 = binning(x1)
         k2 = binning(x2)
@@ -389,7 +400,8 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
             np.bincount(cell, np.square(top), bins * bins),
         )
 
-    counts, sums, joint, both_sq, split_counts, split_sums, split_squares = _chunk_sums(part, chunks)
+    counts, sums, joint, both_sq, split_counts, split_sums, split_squares = _coupled_totals(
+        d1, d2, cfg, reduce)
 
     # Expand to the grid.  Bin i + 1 lies above t_j exactly when i >= j, and
     # its draws exceed t_j by their offset plus gap[j, i] = t_i - t_j >= 0.
@@ -407,23 +419,17 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
 
     n = float(cfg.sample_count)
     p1, p2, p12 = exceed[0] / n, exceed[1] / n, joint / n
-    se1 = np.sqrt(p1 * (1.0 - p1) / n)
-    se2 = np.sqrt(p2 * (1.0 - p2) / n)
-    # paired indicator difference: var = p1 + p2 - 2 p12 - (p1 - p2)^2
-    surv_var = np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None)
     sl_mean = sl_sums / n
-    sld_mean = sl_mean[0] - sl_mean[1]
-    sld_var = np.clip(sld_sq / n - np.square(sld_mean), 0.0, None)
     return SurvivalCurve(
         t=grid,
         survival_1=p1,
         survival_2=p2,
-        se_1=se1,
-        se_2=se2,
+        se_1=np.sqrt(p1 * (1.0 - p1) / n),
+        se_2=np.sqrt(p2 * (1.0 - p2) / n),
         stoploss_1=sl_mean[0],
         stoploss_2=sl_mean[1],
-        survival_diff_se=np.sqrt(surv_var / n),
-        stoploss_diff_se=np.sqrt(sld_var / n),
+        survival_diff_se=_indicator_se(p1, p2, p12, n),
+        stoploss_diff_se=_se(sl_mean[0] - sl_mean[1], sld_sq, n),
     )
 
 
@@ -460,8 +466,10 @@ def _accumulate(block: np.ndarray, sums: np.ndarray, sqs: np.ndarray) -> None:
     ``sqs``, squaring ``block`` in place.
 
     numpy sums each column of a block at least two columns wide row by row,
-    in the same order whatever the width, but a lone column pairwise; every
-    block here has two or more columns.  A contiguous (rows, 2, g) block
+    in the same order whatever the width, but a lone column pairwise.  The
+    functional blocks of ``verify_cx`` have two or more columns; its mean
+    block has one per coordinate, so at n = 1 it is summed pairwise, as
+    ``(x1 - x2).sum(axis=0)`` always was.  A contiguous (rows, 2, g) block
     sums like its (rows, 2g) reshape.
     """
     sums += block.sum(axis=0)
@@ -484,30 +492,27 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
     three pooled payoff thresholds; plus a two-sided mean-equality check per
     coordinate (linear functions and their negatives are convex).  Every
     functional is a single paired comparison, so any band exceedance fails.
+    For k directions in dimension n and the multiplier c, a pair at the
+    boundary (every E f equal) fails with probability at most about
+    (2k + 4 + 2n)(1 - Phi(c)): the union bound over the 2k + 4 one-sided
+    functionals and the n two-sided mean checks, with each z taken as
+    normal.  That is 8.6 % for k = 25 signed axis-pair directions at n = 5
+    and c = 3.
     """
-    if d1.dim != d2.dim:
-        raise UsageError("dimensions must match")
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != d1.dim:
-        raise UsageError(f"directions must have {d1.dim} columns; got {dirs.shape}")
-    if dirs.shape[0] == 0 or not np.all(np.isfinite(dirs)):
-        raise UsageError("directions must be a nonempty finite array")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms <= 0):
+    dirs = _points(d1, d2, directions, "directions")
+    if np.any(np.linalg.norm(dirs, axis=1) <= 0):
         raise UsageError("directions must be nonzero")
-
-    pilot, chunks = _chunk_plan(cfg)
-    y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
-    thresholds = np.quantile(np.concatenate([y1.ravel(), y2.ravel()]), _PAYOFF_QUANTILES)
+    thresholds = np.quantile(_pilot(d1, d2, cfg), _PAYOFF_QUANTILES)
 
     k = dirs.shape[0]
     n_one_sided = 2 * k + 1 + thresholds.size
 
-    def part(chunk):
-        rng, size = chunk
-        x1, x2 = sample_coupled(d1, d2, rng, size)
-        sums = np.zeros(n_one_sided)
-        sqs = np.zeros(n_one_sided)
+    def reduce(x1, x2):
+        size = x1.shape[0]
+        # The one-sided functionals, then the mean block: one column per
+        # coordinate.
+        sums = np.zeros(n_one_sided + d1.dim)
+        sqs = np.zeros(n_one_sided + d1.dim)
         # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
         directional_sums = sums[:2 * k].reshape(2, k)
         directional_sqs = sqs[:2 * k].reshape(2, k)
@@ -535,24 +540,16 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
         tail[:, 0] -= _row_max(x2)
         for j, c in enumerate(thresholds, start=1):
             tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
-        _accumulate(tail, sums[2 * k:], sqs[2 * k:])
-        dm = x1 - x2
-        return sums, sqs, dm.sum(axis=0), np.square(dm).sum(axis=0)
+        _accumulate(tail, sums[2 * k:n_one_sided], sqs[2 * k:n_one_sided])
+        _accumulate(x1 - x2, sums[n_one_sided:], sqs[n_one_sided:])
+        return sums, sqs
 
-    sums, sqs, mean_sum, mean_sq = _chunk_sums(part, chunks)
-
+    sums, sqs = _coupled_totals(d1, d2, cfg, reduce)
     n = float(cfg.sample_count)
     diff = sums / n
-    se = np.sqrt(np.clip(sqs / n - np.square(diff), 0.0, None) / n)
-    mean_diff = np.abs(mean_sum / n)
-    mean_se = np.sqrt(np.clip(mean_sq / n - np.square(mean_sum / n), 0.0, None) / n)
-
-    all_diff = np.concatenate([diff, mean_diff])
-    all_se = np.concatenate([se, mean_se])
-    return _summarize(
-        np.zeros(all_diff.size), all_diff, all_se, cfg.confidence_multiplier,
-        adjacency=False,
-    )
+    se = _se(diff, sqs, n)
+    np.abs(diff[n_one_sided:], out=diff[n_one_sided:])  # the mean checks are two-sided
+    return _summarize(np.zeros(diff.size), diff, se, cfg.confidence_multiplier, adjacency=False)
 
 
 # --------------------------------------------------------------------------
@@ -564,21 +561,14 @@ def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corn
 
     Corners are unordered, so the adjacency rule does not apply: any corner
     exceeding the band fails the scan.  ``violation_point`` holds the corner
-    as a tuple.
+    as a tuple.  For m corners and the multiplier c, a pair at the boundary
+    (equal orthant probabilities) fails with probability at most about
+    m (1 - Phi(c)): the union bound over the corners, with each z taken as
+    normal.
     """
-    if d1.dim != d2.dim:
-        raise UsageError("dimensions must match")
-    pts = np.atleast_2d(np.asarray(corners, dtype=float))
-    if pts.shape[1] != d1.dim:
-        raise UsageError(f"corners must have {d1.dim} columns; got {pts.shape}")
-    if pts.shape[0] == 0 or not np.all(np.isfinite(pts)):
-        raise UsageError("corners must be a nonempty finite array")
+    pts = _points(d1, d2, corners, "corners")
 
-    _, chunks = _chunk_plan(cfg)
-
-    def part(chunk):
-        rng, size = chunk
-        x1, x2 = sample_coupled(d1, d2, rng, size)
+    def reduce(x1, x2):
         # One (draws, corners) comparison per coordinate: no 3-D temporary.
         e1 = x1[:, :1] > pts[:, 0]
         e2 = x2[:, :1] > pts[:, 0]
@@ -587,10 +577,9 @@ def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corn
             e2 &= x2[:, i:i + 1] > pts[:, i]
         return e1.sum(axis=0), e2.sum(axis=0), (e1 & e2).sum(axis=0)
 
-    exceed1, exceed2, joint = _chunk_sums(part, chunks)
+    exceed1, exceed2, joint = _coupled_totals(d1, d2, cfg, reduce)
     n = float(cfg.sample_count)
-    p1, p2, p12 = exceed1 / n, exceed2 / n, joint / n
-    var = np.clip(p1 + p2 - 2.0 * p12 - np.square(p1 - p2), 0.0, None)
-    se = np.sqrt(var / n)
+    p1, p2 = exceed1 / n, exceed2 / n
+    se = _indicator_se(p1, p2, joint / n, n)
     points = [tuple(float(v) for v in row) for row in pts]
     return _summarize(points, p1 - p2, se, cfg.confidence_multiplier, adjacency=False)

@@ -7,6 +7,7 @@ where common-random-number coupling makes the comparison exact.
 import dataclasses
 import math
 import multiprocessing
+import re
 import sys
 
 import numpy as np
@@ -23,10 +24,10 @@ from lsemix.empirical import (
     McConfig,
     SurvivalCurve,
     _auto_grid,
-    _chunk_plan,
     _dominance_scan,
-    _pilot_draws,
+    _pilot,
     _require_univariate,
+    _stream,
     empirical_survival,
     stop_loss,
     stoploss_dominance,
@@ -250,15 +251,21 @@ def test_stoploss_dominance_of_st_curve_matches_verify_icx():
 # --- the binned scan against the N x G broadcast it replaced ---------------------------
 
 
+def chunk_streams(cfg):
+    """(generator, size) of every chunk, in chunk order: chunk j draws
+    cfg.chunk_size values, the last one the rest, from stream j + 1."""
+    starts = range(0, cfg.sample_count, cfg.chunk_size)
+    return [(_stream(cfg, j + 1), min(cfg.chunk_size, cfg.sample_count - start))
+            for j, start in enumerate(starts)]
+
+
 def broadcast_scan(d1, d2, cfg):
     """Reference: every chunk broadcast against the whole grid, O(N G)."""
     _require_univariate(d1, d2)
-    pilot, chunks = _chunk_plan(cfg)
     if cfg.grid is not None:
         grid = np.asarray(cfg.grid, dtype=float)
     else:
-        y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
-        grid = _auto_grid(np.concatenate([y1.ravel(), y2.ravel()]))
+        grid = _auto_grid(_pilot(d1, d2, cfg))
     g = grid[None, :]
 
     exceed1 = np.zeros(grid.size, dtype=np.int64)
@@ -268,7 +275,7 @@ def broadcast_scan(d1, d2, cfg):
     sld_sum = np.zeros(grid.size)
     sld_sq = np.zeros(grid.size)
 
-    for rng, size in chunks:
+    for rng, size in chunk_streams(cfg):
         y1, y2 = sample_coupled(d1, d2, rng, size)
         x1, x2 = y1[:, 0], y2[:, 0]
         e1 = x1[:, None] > g
@@ -307,8 +314,7 @@ TWO_ATOMS = DiscreteWeighted(((0.5, 0.5), (1.5, 0.5)))
 
 def draws_as_grid(d1, d2, cfg):
     """Grid points taken from the first chunk's draws of both laws."""
-    _, chunks = _chunk_plan(cfg)
-    rng, size = chunks[0]
+    rng, size = chunk_streams(cfg)[0]
     y1, y2 = sample_coupled(d1, d2, rng, size)
     return tuple(np.sort(np.concatenate([y1[:15, 0], y2[:15, 0]])))
 
@@ -340,8 +346,7 @@ def test_binned_scan_matches_broadcast_reference(case):
 
 def test_draws_on_grid_case_hits_grid_points():
     d1, d2, cfg = scan_cases()["draws_on_grid"]
-    _, chunks = _chunk_plan(cfg)
-    rng, size = chunks[0]
+    rng, size = chunk_streams(cfg)[0]
     y1, _ = sample_coupled(d1, d2, rng, size)
     assert np.isin(np.asarray(cfg.grid), y1[:, 0]).sum() == 15
 
@@ -392,16 +397,6 @@ def test_verify_cx_detects_reversed_psd():
     assert not verify_cx(d1, d2, CFG, DIRS2).passed
 
 
-def test_verify_cx_validates_directions():
-    d = mk([0.0, 0.0], np.eye(2))
-    with pytest.raises(UsageError):
-        verify_cx(d, d, CFG, [[1.0, 0.0, 0.0]])
-    with pytest.raises(UsageError):
-        verify_cx(d, d, CFG, [[0.0, 0.0]])
-    with pytest.raises(UsageError):
-        verify_cx(d, d, CFG, np.zeros((0, 2)))
-
-
 # --- orthant probabilities --------------------------------------------------------------
 
 
@@ -431,10 +426,30 @@ def test_verify_orthant_reversed_fails_at_origin():
     assert r.violation_point == (0.0, 0.0)
 
 
-def test_verify_orthant_validates_corners():
-    d = mk([0.0, 0.0], np.eye(2))
-    with pytest.raises(UsageError):
-        verify_orthant(d, d, CFG, [[0.0, 0.0, 0.0]])
+# --- point validation: verify_cx's directions and verify_orthant's corners ------------
+
+
+POINT_SCANS = {"cx": (verify_cx, "directions"), "orthant": (verify_orthant, "corners")}
+#: case: (dimension of the second law, points given to a bivariate first law, message)
+BAD_POINTS = {
+    "dimension-mismatch": (3, [[1.0, 0.0]], "dimensions must match"),
+    "width": (2, [[1.0, 0.0, 0.0]], "{name} must have 2 columns; got (1, 3)"),
+    "empty": (2, np.zeros((0, 2)), "{name} must be a nonempty finite array"),
+    "non-finite": (2, [[1.0, 0.0], [np.inf, 0.5]], "{name} must be a nonempty finite array"),
+    "zero-direction": (2, [[1.0, 0.0], [0.0, 0.0]], "{name} must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("scan, case", [
+    (scan, case) for scan in sorted(POINT_SCANS) for case in sorted(BAD_POINTS)
+    if not (scan == "orthant" and case == "zero-direction")  # a zero corner is a corner
+])
+def test_point_validation_messages(scan, case):
+    verify, name = POINT_SCANS[scan]
+    dim2, points, message = BAD_POINTS[case]
+    d1, d2 = mk(np.zeros(2), np.eye(2)), mk(np.zeros(dim2), np.eye(dim2))
+    with pytest.raises(UsageError, match=f"^{re.escape(message.format(name=name))}$"):
+        verify(d1, d2, CFG, points)
 
 
 # --- determinism and calibration ------------------------------------------------------
@@ -582,6 +597,30 @@ def pooled_results():
     ]
 
 
+def test_streams_are_the_spawned_children_of_the_seed(monkeypatch):
+    # The golden fixtures rest on this derivation: stream i (_stream) draws
+    # what child i of SeedSequence(seed).spawn(chunks + 1) draws.  The pilot
+    # is child 0 and chunk j child j + 1; POOL_CFG's last chunk is short.
+    d1, d2 = mk([0.0, 0.0], corr(0.2)), mk([0.1, 0.0], corr(0.6))
+    children = np.random.SeedSequence(POOL_CFG.seed).spawn(4)
+    sizes = (23_000, 10_000, 10_000, 3_000)
+    spawned = [sample_coupled(d1, d2, np.random.default_rng(child), size)
+               for child, size in zip(children, sizes)]
+    pilot = np.concatenate([y.ravel() for y in spawned[0]])
+    assert _pilot(d1, d2, POOL_CFG).tobytes() == pilot.tobytes()
+    drawn = []
+
+    def record(x1, x2):
+        drawn.append((x1, x2))
+        return (np.zeros(1),)
+
+    monkeypatch.setattr(empirical, "_worker_count", lambda: 1)
+    empirical._coupled_totals(d1, d2, POOL_CFG, record)
+    assert len(drawn) == 3
+    for j, chunk in enumerate(drawn):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chunk, spawned[j + 1])), j
+
+
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(empirical, "_worker_count", lambda: 1)
     serial = pooled_results()
@@ -598,15 +637,13 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 def single_block_cx(d1, d2, cfg, dirs):
     """verify_cx's one-sided sums as they were formed before the directions
     were grouped: one (chunk, 2k) block per chunk."""
-    pilot, chunks = _chunk_plan(cfg)
-    y1, y2 = _pilot_draws(d1, d2, cfg, pilot)
-    thresholds = np.quantile(np.concatenate([y1.ravel(), y2.ravel()]), (0.25, 0.5, 0.75))
+    thresholds = np.quantile(_pilot(d1, d2, cfg), (0.25, 0.5, 0.75))
     k = dirs.shape[0]
     sums = np.zeros(2 * k + 1 + thresholds.size)
     sqs = np.zeros_like(sums)
     mean_sum = np.zeros(d1.dim)
     mean_sq = np.zeros(d1.dim)
-    for rng, size in chunks:
+    for rng, size in chunk_streams(cfg):
         x1, x2 = sample_coupled(d1, d2, rng, size)
         proj1, proj2 = x1 @ dirs.T, x2 @ dirs.T
         directional = np.empty((size, 2 * k))
@@ -665,7 +702,12 @@ def cx_scan(cfg):
     return verify_cx(*cx_pair(), cfg, CX_DIRECTIONS)
 
 
-SCANS = pytest.mark.parametrize("scan", [st_scan, cx_scan], ids=["st", "cx"])
+def orthant_scan(cfg):
+    return verify_orthant(mk([0.0, 0.0], corr(0.2)), mk([0.1, 0.0], corr(0.6)), cfg, CORNERS)
+
+
+SCANS = pytest.mark.parametrize("scan", [st_scan, cx_scan, orthant_scan],
+                                ids=["st", "cx", "orthant"])
 
 
 @SCANS
