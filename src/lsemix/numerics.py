@@ -20,6 +20,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -47,9 +48,19 @@ CDF_TABLE_SIZE = 4096
 BLAS_SERIAL_MULTIPLY_ADDS = 2 ** 18
 
 
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # leggauss(256) takes about 16 ms, and every Beta and GIG law maps the
+    # same rule; the arrays are shared, so they are read-only.
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [a, b]."""
-    x, w = leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
 

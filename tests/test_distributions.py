@@ -293,6 +293,20 @@ class TestPdf:
         np.testing.assert_allclose(d.log_pdf(pts), np.log(d.pdf(pts)), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3])
+    def test_log_pdf_where_pdf_underflows(self, n):
+        # N(0, I): log f(y) = -|y|^2 / 2 - (n / 2) log(2 pi), while f itself
+        # is 0 in double precision beyond |y| = 38.6.
+        d = plain_normal(np.zeros(n), np.eye(n))
+        radii = np.array([0.0, 40.0, 100.0])
+        pts = np.zeros((radii.size, n))
+        pts[:, 0] = radii
+        expected = -0.5 * radii**2 - 0.5 * n * math.log(2.0 * math.pi)
+        assert d.pdf(pts)[1] == 0.0
+        np.testing.assert_allclose(d.log_pdf(pts if n > 1 else radii), expected, rtol=1e-14)
+        for y, value in zip(pts if n > 1 else radii, expected):
+            assert d.log_pdf(y) == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("mixing", [
         DiscreteWeighted(((0.5, 0.3), (1.0, 0.5), (2.5, 0.2))),
         GeneralizedInverseGaussian(1.0, 1.0, 2.0),
@@ -304,24 +318,73 @@ class TestPdf:
     def test_node_blocks_match_per_node_loop(self, generator, mixing, n):
         rng = np.random.default_rng(n)
         g = rng.standard_normal((n, n))
+        sigma = g @ g.T / n + np.eye(n)
+        direction = 0.5 * rng.standard_normal(n)
+        white_norm = math.hypot(*np.linalg.solve(np.linalg.cholesky(sigma), direction))
+        # The skew as drawn, none, and whitened norms of 1e200 (its squares
+        # overflow: every q is inf, every term 0) and 1e-200 (its squares
+        # underflow; math.hypot does not).
+        for delta in (direction, np.zeros(n), direction * (1e200 / white_norm),
+                      direction * (1e-200 / white_norm)):
+            d = LseDistribution(
+                mu=rng.standard_normal(n),
+                sigma=sigma,
+                delta=delta,
+                generator=generator,
+                ab_map=AlphaBetaMap.mean_variance(),
+                mixing=mixing,
+            )
+            # Blocks hold 2^14 // points nodes at any n.  3 points: every
+            # node in one block; 1500: blocks of 10 nodes, the last of the
+            # 256 GIG nodes short; 6000: blocks of 2, the last of the 3
+            # discrete nodes short; 16384: one node per block.
+            for count in (3, 1500, 6000, 16384):
+                pts = d.mu + 2.0 * rng.standard_normal((count, n))
+                np.testing.assert_allclose(d.pdf(pts), per_node_pdf(d, pts), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("mixing, ab_map", [
+        (GeneralizedInverseGaussian(1.0, 1.0, 2.0), AlphaBetaMap.mean_variance()),
+        (BetaLambdaOne(1.5), AlphaBetaMap.skew_slash()),
+    ], ids=["gig", "beta"])
+    @pytest.mark.parametrize("generator", [
+        NORMAL, STUDENT5, CAUCHY, LAPLACE, LOGISTIC,
+        DensityGenerator(GeneratorFamily.EXPONENTIAL_POWER, power=1.5),
+    ], ids=lambda g: g.family.value)
+    def test_tail_points_match_per_node_loop(self, generator, mixing, ab_map, n):
+        # Both forms round each q to within a few q * eps, the split one
+        # differently from the direct one, and a node's term exp(log g(q))
+        # moves by |d log g / dq| * dq, with |d log g / dq| <= 1 for every
+        # profile.  So far out, where q reaches hundreds or more, the two
+        # differ by about q * eps (1.1e-13 at q = 500 on the density
+        # benchmark).  The q that counts is that of the nodes whose terms
+        # make up the density: q_max over them, 8 * eps * max(1, q_max)
+        # bounds the difference with a margin of 3.
+        rng = np.random.default_rng(10 + n)
+        g = rng.standard_normal((n, n))
         d = LseDistribution(
             mu=rng.standard_normal(n),
             sigma=g @ g.T / n + np.eye(n),
             delta=0.5 * rng.standard_normal(n),
             generator=generator,
-            ab_map=AlphaBetaMap.mean_variance(),
+            ab_map=ab_map,
             mixing=mixing,
         )
-        # 3 points: every node in one block; 1500: blocks of 10 nodes (n = 1)
-        # or 3 (n = 3), the last one short; 6000 at n = 3: one node per block.
-        counts = (3, 1500) + ((6000,) if n == 3 else ())
-        for count in counts:
-            pts = d.mu + 2.0 * rng.standard_normal((count, n))
-            np.testing.assert_allclose(d.pdf(pts), per_node_pdf(d, pts), rtol=1e-13)
+        directions = rng.standard_normal((400, n))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        pts = d.mu + np.logspace(0.0, 3.0, 400)[:, None] * directions
+        direct = per_node_pdf(d, pts)
+        normal = direct >= np.finfo(float).tiny
+        assert normal.sum() >= 300
+        split = d.pdf(pts)
+        bound = 8.0 * np.finfo(float).eps * np.maximum(1.0, carrying_q_max(d, pts[normal]))
+        assert np.all(np.abs(split[normal] / direct[normal] - 1.0) <= bound)
+        assert np.all(split[~normal] < 2.0 * np.finfo(float).tiny)
 
 
 def per_node_pdf(d, points):
-    """Reference: the mixing expectation accumulated one quadrature node at a time."""
+    """Reference: the mixing expectation accumulated one quadrature node at a
+    time, from the full residual y - mu - beta delta, without the split."""
     nodes, weights = d.mixing.quadrature()
     chol = d._chol_lower
     white_points = np.linalg.solve(chol, (points - d.mu).T)
@@ -334,6 +397,30 @@ def per_node_pdf(d, points):
         log_term = log_base - d.dim * math.log(alpha) + log_eval_generator(d.generator, q, d.dim)
         total += weight * np.exp(log_term)
     return total
+
+
+def carrying_q_max(d, points):
+    """Per point, the largest q among the nodes that carry its density: the
+    largest weighted terms, taken in order until the rest is below eps of
+    the total.  The rest cannot move the density by more than eps relative
+    however it is rounded."""
+    nodes, weights = d.mixing.quadrature()
+    white_points = np.linalg.solve(d._chol_lower, (points - d.mu).T)
+    white_delta = np.linalg.solve(d._chol_lower, d.delta)[:, None]
+    log_base = d._log_norm_const - d._log_sqrt_det
+    qs, terms = [], []
+    for weight, alpha, beta in zip(weights, d.ab_map.alpha(nodes), d.ab_map.beta(nodes)):
+        shifted = white_points - beta * white_delta
+        q = np.einsum("ij,ij->j", shifted, shifted) / (alpha * alpha)
+        log_term = log_base - d.dim * math.log(alpha) + log_eval_generator(d.generator, q, d.dim)
+        qs.append(q)
+        terms.append(weight * np.exp(log_term))
+    order = np.argsort(-np.array(terms), axis=0)
+    terms = np.take_along_axis(np.array(terms), order, axis=0)
+    qs = np.take_along_axis(np.array(qs), order, axis=0)
+    before = np.cumsum(terms, axis=0) - terms
+    carrying = before < (1.0 - np.finfo(float).eps) * terms.sum(axis=0)
+    return np.where(carrying, qs, 0.0).max(axis=0)
 
 
 class TestCharFn:

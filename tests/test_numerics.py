@@ -11,6 +11,9 @@ outside the range, at +-inf and NaN.
 
 ``blocked_matmul`` must return the bytes of one ``a @ b`` while issuing no
 product that OpenBLAS would run on its own threads.
+
+``gauss_legendre`` computes each Legendre rule once per process, and the
+mapped rules of the Beta and GIG laws are those of a fresh ``leggauss``.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 
 from lsemix.distributions import _radial_table
 from lsemix.generators import DensityGenerator, GeneratorFamily
-from lsemix.mixing import GeneralizedInverseGaussian
+from lsemix.mixing import _BETA_X_MAX, BetaLambdaOne, GeneralizedInverseGaussian
 from lsemix import numerics
 from lsemix.numerics import BLAS_SERIAL_MULTIPLY_ADDS, InverseCdfTable, _BucketIndex, blocked_matmul
 
@@ -216,3 +219,43 @@ def test_blocked_matmul_matches_one_product(inner, monkeypatch):
                 else:
                     assert max(issued) <= BLAS_SERIAL_MULTIPLY_ADDS
                     assert min(issued) >= 2 * inner * outer
+
+
+# --- Gauss-Legendre rules ----------------------------------------------------------
+
+
+def test_legendre_rule_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    leggauss = numerics.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    numerics._legendre_rule.cache_clear()
+    monkeypatch.setattr(numerics, "leggauss", counting)
+    try:
+        laws = (
+            BetaLambdaOne(1.5),
+            BetaLambdaOne(3.0),
+            GeneralizedInverseGaussian(1.0, 1.0, 2.0),
+            GeneralizedInverseGaussian(-0.5, 1.0, 1.0),
+        )
+        for law in laws:
+            law.quadrature()
+        assert calls == [numerics.QUAD_NODES]
+        # Each law maps gauss_legendre(a, b); those are the bytes of a fresh rule.
+        x, w = leggauss(numerics.QUAD_NODES)
+        for a, b in [(0.0, _BETA_X_MAX)] + [law._log_bounds for law in laws[2:]]:
+            nodes, weights = numerics.gauss_legendre(a, b)
+            half = 0.5 * (b - a)
+            assert nodes.tobytes() == (half * (x + 1.0) + a).tobytes()
+            assert weights.tobytes() == (half * w).tobytes()
+        cached = numerics._legendre_rule(numerics.QUAD_NODES)
+        assert calls == [numerics.QUAD_NODES]
+        for arr, fresh in zip(cached, (x, w)):
+            assert arr.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    finally:
+        numerics._legendre_rule.cache_clear()
