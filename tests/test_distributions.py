@@ -337,8 +337,9 @@ class TestPdf:
             # Blocks hold 2^14 // points nodes at any n.  3 points: every
             # node in one block; 1500: blocks of 10 nodes, the last of the
             # 256 GIG nodes short; 6000: blocks of 2, the last of the 3
-            # discrete nodes short; 16384: one node per block.
-            for count in (3, 1500, 6000, 16384):
+            # discrete nodes short; 16384: one node per block; and an
+            # empty batch.
+            for count in (3, 1500, 6000, 16384, 0):
                 pts = d.mu + 2.0 * rng.standard_normal((count, n))
                 np.testing.assert_allclose(d.pdf(pts), per_node_pdf(d, pts), rtol=1e-13)
 
@@ -382,20 +383,26 @@ class TestPdf:
         assert np.all(split[~normal] < 2.0 * np.finfo(float).tiny)
 
 
-def per_node_pdf(d, points):
-    """Reference: the mixing expectation accumulated one quadrature node at a
-    time, from the full residual y - mu - beta delta, without the split."""
+def direct_nodes(d, points):
+    """Yield (q, weighted term) for one quadrature node at a time,
+    from the full residual y - mu - beta delta, without the split."""
     nodes, weights = d.mixing.quadrature()
     chol = d._chol_lower
     white_points = np.linalg.solve(chol, (points - d.mu).T)
     white_delta = np.linalg.solve(chol, d.delta)[:, None]
     log_base = d._log_norm_const - d._log_sqrt_det
-    total = np.zeros(points.shape[0])
     for weight, alpha, beta in zip(weights, d.ab_map.alpha(nodes), d.ab_map.beta(nodes)):
         shifted = white_points - beta * white_delta
         q = np.einsum("ij,ij->j", shifted, shifted) / (alpha * alpha)
         log_term = log_base - d.dim * math.log(alpha) + log_eval_generator(d.generator, q, d.dim)
-        total += weight * np.exp(log_term)
+        yield q, weight * np.exp(log_term)
+
+
+def per_node_pdf(d, points):
+    """Reference: the mixing expectation accumulated one quadrature node at a time."""
+    total = np.zeros(points.shape[0])
+    for _, term in direct_nodes(d, points):
+        total += term
     return total
 
 
@@ -404,20 +411,10 @@ def carrying_q_max(d, points):
     largest weighted terms, taken in order until the rest is below eps of
     the total.  The rest cannot move the density by more than eps relative
     however it is rounded."""
-    nodes, weights = d.mixing.quadrature()
-    white_points = np.linalg.solve(d._chol_lower, (points - d.mu).T)
-    white_delta = np.linalg.solve(d._chol_lower, d.delta)[:, None]
-    log_base = d._log_norm_const - d._log_sqrt_det
-    qs, terms = [], []
-    for weight, alpha, beta in zip(weights, d.ab_map.alpha(nodes), d.ab_map.beta(nodes)):
-        shifted = white_points - beta * white_delta
-        q = np.einsum("ij,ij->j", shifted, shifted) / (alpha * alpha)
-        log_term = log_base - d.dim * math.log(alpha) + log_eval_generator(d.generator, q, d.dim)
-        qs.append(q)
-        terms.append(weight * np.exp(log_term))
-    order = np.argsort(-np.array(terms), axis=0)
-    terms = np.take_along_axis(np.array(terms), order, axis=0)
-    qs = np.take_along_axis(np.array(qs), order, axis=0)
+    qs, terms = map(np.array, zip(*direct_nodes(d, points)))
+    order = np.argsort(-terms, axis=0)
+    terms = np.take_along_axis(terms, order, axis=0)
+    qs = np.take_along_axis(qs, order, axis=0)
     before = np.cumsum(terms, axis=0) - terms
     carrying = before < (1.0 - np.finfo(float).eps) * terms.sum(axis=0)
     return np.where(carrying, qs, 0.0).max(axis=0)
