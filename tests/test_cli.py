@@ -128,6 +128,147 @@ def test_parse_rejects_small_sample_count():
         parse_scenario(scenario(block, block, mc={"sample_count": 10}))
 
 
+# --- rejection table ---------------------------------------------------------------
+
+
+ABSENT = object()
+D1 = "$.distribution_1"
+GEN, MAP, MIX = f"{D1}.generator", f"{D1}.map", f"{D1}.mixing"
+STUDENT = {"family": "student", "dof": 5}
+EXPLICIT = {"alpha": "sqrt_z", "beta": "identity"}
+MIXINGS = {
+    "degenerate": {"kind": "degenerate", "z0": 1.0},
+    "beta_lambda_one": {"kind": "beta_lambda_one", "lam": 3.0},
+    "gig": {"kind": "gig", "lam": 1.0, "chi": 1.0, "tau": 2.0},
+    "discrete": {"kind": "discrete", "atoms": [[0.5, 0.4], [1.5, 0.6]]},
+}
+
+
+def full_document():
+    block = normal_block([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]], delta=[0.1, 0.0])
+    return {
+        "seed": 7,
+        "orders": ["st", "cx"],
+        "distribution_1": block,
+        "distribution_2": json.loads(json.dumps(block)),
+        "mc": {"sample_count": 20000, "confidence_multiplier": 3.0,
+               "grid": [0.0, 1.0], "chunk_size": 5000},
+        "outputs": {"report": "r.json", "curves": "c.csv"},
+    }
+
+
+def with_key(node, key, value):
+    return {**{k: v for k, v in node.items() if k != key},
+            **({} if value is ABSENT else {key: value})}
+
+
+def rows_for_object(location, path, valid, fields, name=None):
+    """Rows for one object: each field absent (when required) and of the
+    wrong type, plus an unknown key.  ``fields`` maps a key to its wrong
+    value and whether the key is required; ``name`` prefixes the row ids."""
+    name = name or path
+    rows = [(f"{name}:unknown-key", location, {**valid, "typo": 1}, path, None)]
+    for key, (wrong, required) in fields.items():
+        if required:
+            rows.append((f"{name}.{key}:missing", location,
+                         with_key(valid, key, ABSENT), path, key))
+        rows.append((f"{name}.{key}:wrong-type", location,
+                     with_key(valid, key, wrong), f"{path}.{key}", None))
+    return rows
+
+
+REJECTIONS = [
+    *rows_for_object((), "$", full_document(), {
+        "seed": ("7", True), "orders": ("st", False),
+        "distribution_1": ([], True), "distribution_2": (1.0, True),
+        "mc": ([], False), "outputs": ("r.json", False)}),
+    ("$.seed:out-of-range", ("seed",), -1, "$.seed", None),
+    ("$.orders:empty", ("orders",), [], "$.orders", None),
+    ("$.orders[1]:unknown-value", ("orders",), ["st", "bogus"], "$.orders[1]", None),
+    ("$.orders[0]:wrong-type", ("orders",), [3], "$.orders[0]", None),
+    *rows_for_object(("distribution_1",), D1, full_document()["distribution_1"], {
+        "mu": ("0", True), "sigma": ([1.0], True), "delta": (0.1, False),
+        "generator": ("normal", True), "map": ("plain", True), "mixing": (1.0, True)}),
+    (f"{D1}.mu[1]:wrong-type", ("distribution_1", "mu"), [0.0, "1"], f"{D1}.mu[1]", None),
+    (f"{D1}.mu:empty", ("distribution_1", "mu"), [], f"{D1}.mu", None),
+    (f"{D1}.sigma[1][0]:wrong-type", ("distribution_1", "sigma"),
+     [[1.0, 0.2], [True, 1.0]], f"{D1}.sigma[1][0]", None),
+    (f"{D1}.sigma:not-square", ("distribution_1", "sigma"), [[1.0, 0.2]], f"{D1}.sigma", None),
+    (f"{D1}.sigma:size", ("distribution_1", "sigma"), [[1.0]], f"{D1}.sigma", None),
+    (f"{D1}.delta:size", ("distribution_1", "delta"), [0.1], f"{D1}.delta", None),
+    *rows_for_object(("distribution_1", "generator"), GEN, STUDENT, {
+        "family": (3, True), "dof": ("5", False)}, name=f"{GEN}(student)"),
+    (f"{GEN}.family:unknown-value", ("distribution_1", "generator"),
+     {"family": "gamma"}, f"{GEN}.family", None),
+    (f"{GEN}.dof:fraction", ("distribution_1", "generator"),
+     {"family": "student", "dof": 5.5}, f"{GEN}.dof", None),
+    (f"{GEN}.dof:missing", ("distribution_1", "generator"), {"family": "student"}, GEN, "dof"),
+    *rows_for_object(("distribution_1", "generator"), GEN,
+                     {"family": "exponential_power", "power": 1.5}, {"power": ("2", False)},
+                     name=f"{GEN}(exponential_power)"),
+    (f"{GEN}.power:missing", ("distribution_1", "generator"),
+     {"family": "exponential_power"}, GEN, "power"),
+    *rows_for_object(("distribution_1", "map"), MAP, {"preset": "skew_slash"}, {
+        "preset": (3, False)}, name=f"{MAP}(preset)"),
+    (f"{MAP}.preset:unknown-value", ("distribution_1", "map"),
+     {"preset": "bogus"}, f"{MAP}.preset", None),
+    *rows_for_object(("distribution_1", "map"), MAP,
+                     {"alpha": "power", "beta": "power", "alpha_power": 0.5, "beta_power": 2.0},
+                     {"alpha_power": ("0.5", True), "beta_power": ("2", True)},
+                     name=f"{MAP}(explicit)"),
+    *((f"{MAP}.{key}:{case}", ("distribution_1", "map"), with_key(EXPLICIT, key, value),
+       MAP, key if value is ABSENT else None)
+      for key in ("alpha", "beta")
+      for case, value in (("missing", ABSENT), ("wrong-type", 3), ("unknown-value", "bogus"))),
+    (f"{MAP}.alpha_power:without-power-kind", ("distribution_1", "map"),
+     {**EXPLICIT, "alpha_power": 0.5}, MAP, None),
+    (f"{MIX}.kind:missing", ("distribution_1", "mixing"), {"z0": 1.0}, MIX, "kind"),
+    (f"{MIX}.kind:wrong-type", ("distribution_1", "mixing"), {"kind": 3}, f"{MIX}.kind", None),
+    (f"{MIX}.kind:unknown-value", ("distribution_1", "mixing"),
+     {"kind": "bogus"}, f"{MIX}.kind", None),
+    *(row for kind, valid in MIXINGS.items()
+      for row in rows_for_object(("distribution_1", "mixing"), MIX, valid, {
+          key: ("1", True) for key in valid if key != "kind"}, name=f"{MIX}({kind})")),
+    (f"{MIX}.atoms[1]:not-a-pair", ("distribution_1", "mixing"),
+     {"kind": "discrete", "atoms": [[0.5, 0.4], [1.5]]}, f"{MIX}.atoms[1]", None),
+    (f"{MIX}.atoms[0][1]:wrong-type", ("distribution_1", "mixing"),
+     {"kind": "discrete", "atoms": [[0.5, "0.4"], [1.5, 0.6]]}, f"{MIX}.atoms[0][1]", None),
+    (f"{MIX}.atoms:empty", ("distribution_1", "mixing"),
+     {"kind": "discrete", "atoms": []}, f"{MIX}.atoms", None),
+    *rows_for_object(("mc",), "$.mc", full_document()["mc"], {
+        "sample_count": (20000.5, True), "confidence_multiplier": ("3", False),
+        "grid": (0.0, False), "chunk_size": ("5000", False)}),
+    ("$.mc.grid[1]:wrong-type", ("mc", "grid"), [0.0, False], "$.mc.grid[1]", None),
+    *rows_for_object(("outputs",), "$.outputs", full_document()["outputs"], {
+        "report": (3, False), "curves": ([], False)}),
+    ("$.outputs.report:empty", ("outputs", "report"), "", "$.outputs.report", None),
+]
+
+
+@pytest.mark.parametrize("location, value, path, missing",
+                         [pytest.param(*row[1:], id=row[0]) for row in REJECTIONS])
+def test_parse_rejects_malformed_field(location, value, path, missing):
+    """Every malformed field fails with a ScenarioError that starts with its
+    path: the field itself, the object that holds an unknown key, or for a
+    missing key the object that lacks it (whose message names the key).  A
+    reader may name a node inside that path, never an ancestor or a sibling."""
+    document = full_document()
+    if location:
+        *parents, leaf = location
+        node = document
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    else:
+        document = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(document))
+    message = str(info.value)
+    assert message.startswith(path) and message[len(path)] in ":.[", message
+    if missing is not None:
+        assert missing in message, message
+
+
 # --- round trip ------------------------------------------------------------------
 
 
