@@ -30,6 +30,13 @@ Mixing kinds: ``degenerate`` (z0), ``beta_lambda_one`` (lam), ``gig``
 ``plain``, ``mean_variance``, ``skew_slash``, ``location_mixture``,
 ``scale_only``.
 
+A key whose value is null counts as absent, in every object: an optional
+key takes its default, and a required one is reported missing.  The keys of
+the generator, the explicit map, each mixing kind, ``mc`` and ``outputs``
+are the rows of one table each (``_GENERATOR``, ``_MAP``, ``_MIXING``,
+``_MC``, ``_OUTPUTS``), which ``parse_scenario`` reads and
+``serialize_scenario`` and the report write.
+
 Every random quantity in a run is derived from the single root ``seed``, so
 rerunning a scenario reproduces the report and curve files byte for byte.
 Exit status: 0 all requested orders ordered and Monte Carlo checks passed;
@@ -46,6 +53,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -86,13 +95,8 @@ DEFAULT_CURVES_NAME = "curves.csv"
 CSV_HEADER = "t,survival_1,survival_2,se_1,se_2,stoploss_1,stoploss_2"
 OUT_DIR_ENV = "LSEMIX_OUT_DIR"
 
-_MAP_PRESETS = {
-    "plain": AlphaBetaMap.plain,
-    "mean_variance": AlphaBetaMap.mean_variance,
-    "skew_slash": AlphaBetaMap.skew_slash,
-    "location_mixture": AlphaBetaMap.location_mixture,
-    "scale_only": AlphaBetaMap.scale_only,
-}
+#: Map presets by name; each is the AlphaBetaMap classmethod of that name.
+_MAP_PRESETS = ("plain", "mean_variance", "skew_slash", "location_mixture", "scale_only")
 
 
 # --------------------------------------------------------------------------
@@ -128,12 +132,12 @@ class ScenarioSpec:
     block_1: DistributionBlock
     block_2: DistributionBlock
     mc: McConfig | None
-    report_name: str
-    curves_name: str
+    report_name: str = DEFAULT_REPORT_NAME
+    curves_name: str = DEFAULT_CURVES_NAME
 
 
 # --------------------------------------------------------------------------
-# Parsing helpers (path-precise errors)
+# Readers of one JSON value (path-precise errors)
 
 
 def _fail(path: str, message: str) -> "ScenarioError":
@@ -141,20 +145,31 @@ def _fail(path: str, message: str) -> "ScenarioError":
 
 
 def _as_mapping(node, path: str) -> dict:
+    """The object ``node`` without its null-valued keys: null counts as absent."""
     if not isinstance(node, dict):
         raise _fail(path, f"expected an object, got {type(node).__name__}")
-    return node
+    return {key: value for key, value in node.items() if value is not None}
 
-def _known_keys(node: dict, path: str, allowed: set[str]) -> None:
-    unknown = sorted(set(node) - allowed)
+
+def _known_keys(node: dict, path: str, allowed) -> None:
+    unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise _fail(path, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
+
+
+def _required_keys(node: dict, path: str, keys) -> None:
+    for key in keys:
+        if key not in node:
+            raise _fail(path, f"missing required key {key!r}")
 
 
 def _as_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise _fail(path, f"expected a number, got {type(node).__name__}")
-    value = float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer literal past the double range
+        value = math.inf
     if not math.isfinite(value):
         raise _fail(path, "expected a finite number")
     return value
@@ -173,6 +188,20 @@ def _as_seed(node, path: str) -> int:
     return seed
 
 
+def _as_name(node, path: str) -> str:
+    if not isinstance(node, str) or not node:
+        raise _fail(path, "expected a nonempty file name")
+    return node
+
+
+def _as_enum(choices, node, path: str) -> str:
+    """``node`` if it names one of ``choices``: an Enum's values, or the names given."""
+    names = [getattr(choice, "value", choice) for choice in choices]
+    if not isinstance(node, str) or node not in names:
+        raise _fail(path, f"unknown value {node!r}; choose from {names}")
+    return node
+
+
 def _as_vector(node, path: str) -> tuple[float, ...]:
     if not isinstance(node, list) or not node:
         raise _fail(path, "expected a nonempty array of numbers")
@@ -189,127 +218,139 @@ def _as_matrix(node, path: str) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
-def _parse_generator(node, path: str) -> DensityGenerator:
+def _as_atoms(node, path: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(node, list) or not node:
+        raise _fail(path, "expected a nonempty array of [z, w] pairs")
+    for i, pair in enumerate(node):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _fail(f"{path}[{i}]", "expected a [z, w] pair")
+    return tuple(_as_vector(pair, f"{path}[{i}]") for i, pair in enumerate(node))
+
+
+# --------------------------------------------------------------------------
+# Scenario objects: one table of (JSON key, attribute, reader) rows each,
+# read by _read and written by _write.  A row is required when the class
+# gives its attribute no default.
+
+
+_GENERATOR = (
+    ("family", "family", partial(_as_enum, GeneratorFamily)),
+    ("dof", "dof", _as_int),
+    ("power", "power", _as_number),
+)
+_MAP = (
+    ("alpha", "alpha_kind", partial(_as_enum, AlphaKind)),
+    ("beta", "beta_kind", partial(_as_enum, BetaKind)),
+    ("alpha_power", "alpha_power", _as_number),
+    ("beta_power", "beta_power", _as_number),
+)
+_MIXING = {
+    "degenerate": (Degenerate, (("z0", "z0", _as_number),)),
+    "beta_lambda_one": (BetaLambdaOne, (("lam", "lam", _as_number),)),
+    "gig": (GeneralizedInverseGaussian,
+            (("lam", "lam", _as_number), ("chi", "chi", _as_number), ("tau", "tau", _as_number))),
+    "discrete": (DiscreteWeighted, (("atoms", "atoms", _as_atoms),)),
+}
+_MC = (
+    ("sample_count", "sample_count", _as_int),
+    ("confidence_multiplier", "confidence_multiplier", _as_number),
+    ("grid", "grid", _as_vector),
+    ("chunk_size", "chunk_size", _as_int),
+)
+#: The outputs object sets the two file-name fields of the ScenarioSpec.
+_OUTPUTS = (
+    ("report", "report_name", _as_name),
+    ("curves", "curves_name", _as_name),
+)
+
+
+def _read(cls, fields, node, path: str, **given):
+    """``cls(**given, ...)`` with one argument per row present in ``node``."""
     node = _as_mapping(node, path)
-    _known_keys(node, path, {"family", "dof", "power"})
-    family_name = node.get("family")
+    _known_keys(node, path, [key for key, _, _ in fields])
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    _required_keys(node, path, [key for key, attr, _ in fields if attr in required])
+    kwargs = {attr: read(node[key], f"{path}.{key}") for key, attr, read in fields if key in node}
     try:
-        family = GeneratorFamily(family_name)
-    except ValueError:
-        raise _fail(
-            f"{path}.family",
-            f"unknown family {family_name!r}; choose from "
-            f"{[f.value for f in GeneratorFamily]}",
-        ) from None
-    kwargs = {}
-    if "dof" in node:
-        kwargs["dof"] = _as_int(node["dof"], f"{path}.dof")
-    if "power" in node:
-        kwargs["power"] = _as_number(node["power"], f"{path}.power")
-    try:
-        return DensityGenerator(family, **kwargs)
+        return cls(**given, **kwargs)
     except LsemixError as exc:
         raise _fail(path, str(exc)) from exc
 
 
-def _parse_map(node, path: str) -> AlphaBetaMap:
+def _write(obj, fields) -> dict:
+    """The JSON object of ``obj``: one key per row whose attribute is not None."""
+    node = {}
+    for key, attr, _ in fields:
+        value = getattr(obj, attr)
+        if value is not None:
+            node[key] = value.value if isinstance(value, Enum) else value
+    return node
+
+
+def _read_map(node, path: str) -> AlphaBetaMap:
     node = _as_mapping(node, path)
-    if "preset" in node:
-        _known_keys(node, path, {"preset"})
-        name = node["preset"]
-        if name not in _MAP_PRESETS:
-            raise _fail(f"{path}.preset",
-                        f"unknown preset {name!r}; choose from {sorted(_MAP_PRESETS)}")
-        return _MAP_PRESETS[name]()
-    _known_keys(node, path, {"alpha", "beta", "alpha_power", "beta_power"})
-    try:
-        alpha = AlphaKind(node.get("alpha"))
-        beta = BetaKind(node.get("beta"))
-    except ValueError as exc:
-        raise _fail(path, f"bad alpha/beta kind: {exc}") from None
-    kwargs = {}
-    if node.get("alpha_power") is not None:
-        kwargs["alpha_power"] = _as_number(node["alpha_power"], f"{path}.alpha_power")
-    if node.get("beta_power") is not None:
-        kwargs["beta_power"] = _as_number(node["beta_power"], f"{path}.beta_power")
-    try:
-        return AlphaBetaMap(alpha, beta, **kwargs)
-    except LsemixError as exc:
-        raise _fail(path, str(exc)) from exc
+    if "preset" not in node:
+        return _read(AlphaBetaMap, _MAP, node, path)
+    _known_keys(node, path, ["preset"])
+    return getattr(AlphaBetaMap, _as_enum(_MAP_PRESETS, node["preset"], f"{path}.preset"))()
 
 
-def _parse_mixing(node, path: str) -> MixingDistribution:
+def _read_mixing(node, path: str) -> MixingDistribution:
     node = _as_mapping(node, path)
-    kind = node.get("kind")
-    try:
-        if kind == "degenerate":
-            _known_keys(node, path, {"kind", "z0"})
-            return Degenerate(_as_number(node.get("z0"), f"{path}.z0"))
-        if kind == "beta_lambda_one":
-            _known_keys(node, path, {"kind", "lam"})
-            return BetaLambdaOne(_as_number(node.get("lam"), f"{path}.lam"))
-        if kind == "gig":
-            _known_keys(node, path, {"kind", "lam", "chi", "tau"})
-            return GeneralizedInverseGaussian(
-                _as_number(node.get("lam"), f"{path}.lam"),
-                _as_number(node.get("chi"), f"{path}.chi"),
-                _as_number(node.get("tau"), f"{path}.tau"),
-            )
-        if kind == "discrete":
-            _known_keys(node, path, {"kind", "atoms"})
-            atoms_node = node.get("atoms")
-            if not isinstance(atoms_node, list) or not atoms_node:
-                raise _fail(f"{path}.atoms", "expected a nonempty array of [z, w] pairs")
-            atoms = []
-            for i, pair in enumerate(atoms_node):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise _fail(f"{path}.atoms[{i}]", "expected a [z, w] pair")
-                atoms.append((
-                    _as_number(pair[0], f"{path}.atoms[{i}][0]"),
-                    _as_number(pair[1], f"{path}.atoms[{i}][1]"),
-                ))
-            return DiscreteWeighted(tuple(atoms))
-    except ScenarioError:
-        raise
-    except LsemixError as exc:
-        raise _fail(path, str(exc)) from exc
-    raise _fail(
-        f"{path}.kind",
-        f"unknown mixing kind {kind!r}; choose from "
-        "['degenerate', 'beta_lambda_one', 'gig', 'discrete']",
-    )
+    _required_keys(node, path, ["kind"])
+    cls, fields = _MIXING[_as_enum(_MIXING, node.pop("kind"), f"{path}.kind")]
+    return _read(cls, fields, node, path)
 
 
-def _parse_block(node, path: str) -> DistributionBlock:
+def _mixing_node(mix: MixingDistribution) -> dict:
+    for kind, (cls, fields) in _MIXING.items():
+        if isinstance(mix, cls):
+            return {"kind": kind, **_write(mix, fields)}
+    raise ScenarioError(f"cannot serialize mixing law {mix!r}")
+
+
+def _read_block(node, path: str) -> DistributionBlock:
     node = _as_mapping(node, path)
-    _known_keys(node, path, {"mu", "sigma", "delta", "generator", "map", "mixing"})
-    for key in ("mu", "sigma", "generator", "map", "mixing"):
-        if key not in node:
-            raise _fail(path, f"missing required key {key!r}")
+    _known_keys(node, path, ["mu", "sigma", "delta", "generator", "map", "mixing"])
+    _required_keys(node, path, ["mu", "sigma", "generator", "map", "mixing"])
     mu = _as_vector(node["mu"], f"{path}.mu")
     sigma = _as_matrix(node["sigma"], f"{path}.sigma")
     if len(sigma) != len(mu):
         raise _fail(f"{path}.sigma", f"size {len(sigma)} does not match mu size {len(mu)}")
-    delta = (
-        _as_vector(node["delta"], f"{path}.delta")
-        if "delta" in node
-        else tuple(0.0 for _ in mu)
-    )
+    delta = _as_vector(node["delta"], f"{path}.delta") if "delta" in node else (0.0,) * len(mu)
     if len(delta) != len(mu):
         raise _fail(f"{path}.delta", f"size {len(delta)} does not match mu size {len(mu)}")
     block = DistributionBlock(
         mu=mu,
         sigma=sigma,
         delta=delta,
-        generator=_parse_generator(node["generator"], f"{path}.generator"),
-        ab_map=_parse_map(node["map"], f"{path}.map"),
-        mixing=_parse_mixing(node["mixing"], f"{path}.mixing"),
+        generator=_read(DensityGenerator, _GENERATOR, node["generator"], f"{path}.generator"),
+        ab_map=_read_map(node["map"], f"{path}.map"),
+        mixing=_read_mixing(node["mixing"], f"{path}.mixing"),
     )
     try:
         block.build()  # symmetry / positive-definiteness / domain checks
     except LsemixError as exc:
         raise _fail(path, str(exc)) from exc
     return block
+
+
+def _block_node(block: DistributionBlock) -> dict:
+    return {
+        "mu": block.mu,
+        "sigma": block.sigma,
+        "delta": block.delta,
+        "generator": _write(block.generator, _GENERATOR),
+        "map": _write(block.ab_map, _MAP),
+        "mixing": _mixing_node(block.mixing),
+    }
+
+
+def _as_orders(node, path: str) -> tuple[OrderKind, ...]:
+    if not isinstance(node, list) or not node:
+        raise _fail(path, "expected a nonempty array of order names")
+    names = (_as_enum(OrderKind, name, f"{path}[{i}]") for i, name in enumerate(node))
+    return tuple(dict.fromkeys(OrderKind(name) for name in names))
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -320,131 +361,28 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     document = _as_mapping(document, "$")
     _known_keys(document, "$",
-                {"seed", "orders", "distribution_1", "distribution_2", "mc", "outputs"})
-    if "seed" not in document:
-        raise _fail("$", "missing required key 'seed'")
+                ["seed", "orders", "distribution_1", "distribution_2", "mc", "outputs"])
+    _required_keys(document, "$", ["seed"])
     seed = _as_seed(document["seed"], "$.seed")
-
+    orders = tuple(OrderKind)
     if "orders" in document:
-        node = document["orders"]
-        if not isinstance(node, list) or not node:
-            raise _fail("$.orders", "expected a nonempty array of order names")
-        orders = []
-        for i, name in enumerate(node):
-            try:
-                orders.append(OrderKind(name))
-            except ValueError:
-                raise _fail(
-                    f"$.orders[{i}]",
-                    f"unknown order {name!r}; choose from {[o.value for o in OrderKind]}",
-                ) from None
-        orders = tuple(dict.fromkeys(orders))
-    else:
-        orders = tuple(OrderKind)
-
-    for key in ("distribution_1", "distribution_2"):
-        if key not in document:
-            raise _fail("$", f"missing required key {key!r}")
-    block_1 = _parse_block(document["distribution_1"], "$.distribution_1")
-    block_2 = _parse_block(document["distribution_2"], "$.distribution_2")
-    d1, d2 = block_1.build(), block_2.build()
-    if d1.dim != d2.dim:
-        raise _fail("$", f"the blocks have different dimensions ({d1.dim} vs {d2.dim})")
-    if not d1.shares_family(d2):
+        orders = _as_orders(document["orders"], "$.orders")
+    _required_keys(document, "$", ["distribution_1", "distribution_2"])
+    block_1 = _read_block(document["distribution_1"], "$.distribution_1")
+    block_2 = _read_block(document["distribution_2"], "$.distribution_2")
+    dim_1, dim_2 = len(block_1.mu), len(block_2.mu)
+    if dim_1 != dim_2:
+        raise _fail("$", f"the blocks have different dimensions ({dim_1} vs {dim_2})")
+    if ((block_1.generator, block_1.ab_map, block_1.mixing)
+            != (block_2.generator, block_2.ab_map, block_2.mixing)):
         raise _fail(
             "$",
             "the two blocks must share generator, map, and mixing law; got "
-            f"{d1.describe()} vs {d2.describe()}",
+            f"{block_1.build().describe()} vs {block_2.build().describe()}",
         )
-
-    mc = None
-    if document.get("mc") is not None:
-        node = _as_mapping(document["mc"], "$.mc")
-        _known_keys(node, "$.mc",
-                    {"sample_count", "confidence_multiplier", "grid", "chunk_size"})
-        if "sample_count" not in node:
-            raise _fail("$.mc", "missing required key 'sample_count'")
-        kwargs = {"sample_count": _as_int(node["sample_count"], "$.mc.sample_count"),
-                  "seed": seed}
-        if "confidence_multiplier" in node:
-            kwargs["confidence_multiplier"] = _as_number(
-                node["confidence_multiplier"], "$.mc.confidence_multiplier")
-        if node.get("grid") is not None:
-            kwargs["grid"] = _as_vector(node["grid"], "$.mc.grid")
-        if "chunk_size" in node:
-            kwargs["chunk_size"] = _as_int(node["chunk_size"], "$.mc.chunk_size")
-        try:
-            mc = McConfig(**kwargs)
-        except LsemixError as exc:
-            raise _fail("$.mc", str(exc)) from exc
-
-    report_name, curves_name = DEFAULT_REPORT_NAME, DEFAULT_CURVES_NAME
-    if document.get("outputs") is not None:
-        node = _as_mapping(document["outputs"], "$.outputs")
-        _known_keys(node, "$.outputs", {"report", "curves"})
-        if "report" in node:
-            if not isinstance(node["report"], str) or not node["report"]:
-                raise _fail("$.outputs.report", "expected a nonempty file name")
-            report_name = node["report"]
-        if "curves" in node:
-            if not isinstance(node["curves"], str) or not node["curves"]:
-                raise _fail("$.outputs.curves", "expected a nonempty file name")
-            curves_name = node["curves"]
-
-    return ScenarioSpec(
-        seed=seed,
-        orders=orders,
-        block_1=block_1,
-        block_2=block_2,
-        mc=mc,
-        report_name=report_name,
-        curves_name=curves_name,
-    )
-
-
-# --------------------------------------------------------------------------
-# Serialization
-
-
-def _generator_node(gen: DensityGenerator) -> dict:
-    node = {"family": gen.family.value}
-    if gen.dof is not None:
-        node["dof"] = gen.dof
-    if gen.power is not None:
-        node["power"] = gen.power
-    return node
-
-
-def _map_node(ab: AlphaBetaMap) -> dict:
-    node = {"alpha": ab.alpha_kind.value, "beta": ab.beta_kind.value}
-    if ab.alpha_power is not None:
-        node["alpha_power"] = ab.alpha_power
-    if ab.beta_power is not None:
-        node["beta_power"] = ab.beta_power
-    return node
-
-
-def _mixing_node(mix: MixingDistribution) -> dict:
-    if isinstance(mix, Degenerate):
-        return {"kind": "degenerate", "z0": mix.z0}
-    if isinstance(mix, BetaLambdaOne):
-        return {"kind": "beta_lambda_one", "lam": mix.lam}
-    if isinstance(mix, GeneralizedInverseGaussian):
-        return {"kind": "gig", "lam": mix.lam, "chi": mix.chi, "tau": mix.tau}
-    if isinstance(mix, DiscreteWeighted):
-        return {"kind": "discrete", "atoms": [[z, w] for z, w in mix.atoms]}
-    raise ScenarioError(f"cannot serialize mixing law {mix!r}")
-
-
-def _block_node(block: DistributionBlock) -> dict:
-    return {
-        "mu": list(block.mu),
-        "sigma": [list(row) for row in block.sigma],
-        "delta": list(block.delta),
-        "generator": _generator_node(block.generator),
-        "map": _map_node(block.ab_map),
-        "mixing": _mixing_node(block.mixing),
-    }
+    mc = _read(McConfig, _MC, document["mc"], "$.mc", seed=seed) if "mc" in document else None
+    return _read(ScenarioSpec, _OUTPUTS, document.get("outputs", {}), "$.outputs", seed=seed,
+                 orders=orders, block_1=block_1, block_2=block_2, mc=mc)
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
@@ -454,15 +392,10 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
         "orders": [o.value for o in spec.orders],
         "distribution_1": _block_node(spec.block_1),
         "distribution_2": _block_node(spec.block_2),
-        "outputs": {"report": spec.report_name, "curves": spec.curves_name},
+        "outputs": _write(spec, _OUTPUTS),
     }
     if spec.mc is not None:
-        document["mc"] = {
-            "sample_count": spec.mc.sample_count,
-            "confidence_multiplier": spec.mc.confidence_multiplier,
-            "grid": None if spec.mc.grid is None else list(spec.mc.grid),
-            "chunk_size": spec.mc.chunk_size,
-        }
+        document["mc"] = _write(spec.mc, _MC)
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
@@ -728,20 +661,9 @@ def _cmd_cones(args: argparse.Namespace) -> int:
 
 
 def _cmd_assumptions(args: argparse.Namespace) -> int:
+    flags = {"family": args.family, "dof": args.dof, "power": args.power}
+    gen = _read(DensityGenerator, _GENERATOR, flags, "generator")
     try:
-        family = GeneratorFamily(args.family)
-    except ValueError:
-        raise ScenarioError(
-            f"unknown family {args.family!r}; choose from "
-            f"{[f.value for f in GeneratorFamily]}"
-        ) from None
-    kwargs = {}
-    if args.dof is not None:
-        kwargs["dof"] = args.dof
-    if args.power is not None:
-        kwargs["power"] = args.power
-    try:
-        gen = DensityGenerator(family, **kwargs)
         result = limit_ratio(gen, args.sigma1, args.sigma2)
     except LsemixError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -5,6 +5,8 @@ contract, artifact formats, and determinism guarantees are all exercised.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +271,80 @@ def test_parse_rejects_malformed_field(location, value, path, missing):
         assert missing in message, message
 
 
+NULL_OPTIONAL = [
+    ((), "orders"), ((), "mc"), ((), "outputs"), (("distribution_1",), "delta"),
+    (("distribution_1", "generator"), "dof"), (("distribution_1", "generator"), "power"),
+    (("distribution_1", "map"), "alpha_power"), (("mc",), "grid"), (("mc",), "chunk_size"),
+    (("mc",), "confidence_multiplier"), (("outputs",), "report"),
+]
+
+
+@pytest.mark.parametrize("location, key", NULL_OPTIONAL,
+                         ids=[".".join(("$",) + loc + (key,)) for loc, key in NULL_OPTIONAL])
+def test_null_optional_key_counts_as_absent(location, key):
+    with_null, without = full_document(), full_document()
+    for document, value in ((with_null, None), (without, ABSENT)):
+        node = document
+        for part in location:
+            node = node[part]
+        node.pop(key, None)
+        if value is None:
+            node[key] = None
+    assert parse_scenario(json.dumps(with_null)) == parse_scenario(json.dumps(without))
+
+
+NULL_REQUIRED = [
+    ((), "$", "seed"), ((), "$", "distribution_2"),
+    (("distribution_1",), D1, "mu"), (("distribution_1",), D1, "mixing"),
+    (("distribution_1", "generator"), GEN, "family"),
+    (("distribution_1", "map"), MAP, "alpha"), (("distribution_1", "map"), MAP, "beta"),
+    (("distribution_1", "mixing"), MIX, "kind"), (("distribution_1", "mixing"), MIX, "z0"),
+    (("mc",), "$.mc", "sample_count"),
+]
+
+
+@pytest.mark.parametrize("location, path, key", NULL_REQUIRED,
+                         ids=[f"{path}.{key}" for _, path, key in NULL_REQUIRED])
+def test_null_required_key_is_missing(location, path, key):
+    document = full_document()
+    for block in ("distribution_1", "distribution_2"):
+        document[block]["map"] = dict(EXPLICIT)
+    node = document
+    for part in location:
+        node = node[part]
+    node[key] = None
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(document))
+    assert str(info.value) == f"{path}: missing required key {key!r}"
+
+
+BIG = "1" + "0" * 400  # an integer literal past the double range
+
+
+@pytest.mark.parametrize("location, path", [
+    (("mu", 1), f"{D1}.mu[1]"),
+    (("sigma", 0, 0), f"{D1}.sigma[0][0]"),
+    (("mixing", "z0"), f"{MIX}.z0"),
+])
+def test_integer_past_the_double_range_is_an_error(tmp_path, capsys, location, path):
+    document = full_document()
+    *parents, leaf = location
+    node = document["distribution_1"]
+    for part in parents:
+        node = node[part]
+    node[leaf] = "BIG"
+    spec = write_spec(tmp_path, json.dumps(document).replace('"BIG"', BIG))
+    assert main(["check", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: expected a finite number\n"
+
+
+def test_unhashable_preset_is_an_error():
+    document = full_document()
+    document["distribution_1"]["map"] = {"preset": []}
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(MAP)}\.preset: unknown value \[\]"):
+        parse_scenario(json.dumps(document))
+
+
 # --- round trip ------------------------------------------------------------------
 
 
@@ -296,10 +372,45 @@ ROUND_TRIP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("text", ROUND_TRIP_CASES)
+FAMILIES = [{"family": "normal"}, {"family": "laplace"}, {"family": "cauchy"},
+            {"family": "logistic"}, {"family": "student", "dof": 3},
+            {"family": "exponential_power", "power": 1.5}]
+MAPS = [{"preset": name} for name in
+        ("plain", "mean_variance", "skew_slash", "location_mixture", "scale_only")] + [
+    {"alpha": "power", "beta": "power", "alpha_power": -0.25, "beta_power": 2.0}]
+MC_BLOCKS = [{"sample_count": 20000},
+             {"sample_count": 20000, "confidence_multiplier": 2.5, "chunk_size": 5000},
+             {"sample_count": 20000, "grid": [-1.0, 0.5, 2.0]}]
+
+
+def catalog_case(generator=None, ab=None, mixing=None, **extra):
+    b1 = normal_block([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]], delta=[0.1, 0.0],
+                      generator=generator, ab=ab, mixing=mixing)
+    b2 = normal_block([0.2, 1.0], [[2.0, 0.3], [0.3, 1.5]], generator=generator, ab=ab,
+                      mixing=mixing)
+    return scenario(b1, b2, **extra)
+
+
+ROUND_TRIP_CASES += (
+    [catalog_case(generator=g) for g in FAMILIES]
+    + [catalog_case(ab=m) for m in MAPS]
+    + [catalog_case(mixing=m) for m in MIXINGS.values()]
+    + [catalog_case(mc=mc) for mc in MC_BLOCKS]
+    + [catalog_case(mc=MC_BLOCKS[2], outputs={"curves": "c.csv"})]
+)
+SCENARIO_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "scripts" / "scenarios").glob("*.json")
+) + sorted((Path(__file__).resolve().parent / "golden_mc" / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_CASES + [p.read_text() for p in SCENARIO_FILES],
+                         ids=[f"case{i}" for i in range(len(ROUND_TRIP_CASES))]
+                         + [p.name for p in SCENARIO_FILES])
 def test_round_trip_identity(text):
     spec = parse_scenario(text)
-    assert parse_scenario(serialize_scenario(spec)) == spec
+    written = serialize_scenario(spec)
+    assert parse_scenario(written) == spec
+    assert serialize_scenario(parse_scenario(written)) == written
 
 
 def test_preset_map_round_trips_to_explicit_kinds():
