@@ -231,9 +231,10 @@ class GeneralizedInverseGaussian(MixingDistribution):
     def support_bounds(self) -> tuple[float, float]:
         return 0.0, math.inf
 
-    def _log_mass(self, v: float) -> float:
-        # log of w * h(w) at w = e^v, up to the normalizing constant.
-        return self.lam * v - 0.5 * (self.chi * math.exp(-v) + self.tau * math.exp(v))
+    def _log_mass(self, v):
+        # log of w * h(w) at w = e^v (a float or an array), up to the
+        # normalizing constant: the density of V = log(Z)
+        return self.lam * v - 0.5 * (self.chi * np.exp(-v) + self.tau * np.exp(v))
 
     @cached_property
     def _log_bounds(self) -> tuple[float, float]:
@@ -249,7 +250,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
         lo, hi = self._log_bounds
         v, w = gauss_legendre(lo, hi, QUAD_NODES)
         log_c = gig_log_normalizer(self.lam, self.chi, self.tau)
-        weights = w * np.exp(log_c + self.lam * v - 0.5 * (self.chi * np.exp(-v) + self.tau * np.exp(v)))
+        weights = w * np.exp(log_c + self._log_mass(v))
         return np.exp(v), weights
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,12 +275,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
     @cached_property
     def _inverse_cdf(self):
         lo, hi = self._log_bounds
-
-        def log_density_v(v: np.ndarray) -> np.ndarray:
-            # density of V = log(Z), i.e. w h(w) at w = e^v
-            return self.lam * v - 0.5 * (self.chi * np.exp(-v) + self.tau * np.exp(v))
-
-        return build_inverse_cdf_table(log_density_v, lo, hi, CDF_TABLE_SIZE)
+        return build_inverse_cdf_table(self._log_mass, lo, hi, CDF_TABLE_SIZE)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.exp(self._inverse_cdf(rng.random(count)))
