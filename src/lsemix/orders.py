@@ -820,12 +820,17 @@ def check_collective_risk(
     """
     if order not in (OrderKind.ST, OrderKind.ICX):
         raise UsageError("collective risk comparison supports only st and icx")
+    order = OrderKind(order)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != d1.dim:
         raise UsageError(
             f"expected {d1.dim} portfolio weights, got {weights.size}")
+    if not np.all(np.isfinite(weights)):
+        raise UsageError("portfolio weights must be finite")
     if np.any(weights < 0.0):
         raise UsageError("portfolio weights must be nonnegative")
+    if not np.any(weights > 0.0):
+        raise UsageError("portfolio weights must not all be zero")
     pair = _validate_pair(d1, d2)
     location, scale = _ORDERS[order].sufficient
     if all(pair.condition(tag) for tag in (location, scale)):

@@ -837,6 +837,17 @@ def test_collective_risk_validations():
         check_collective_risk(d, d, [0.5, 0.5], OrderKind.CX)
     with pytest.raises(UsageError):
         check_collective_risk(d, d, [0.5], OrderKind.ST)
+    # an order name is read as the order, on the sufficient path and the projected one
+    projected = mk([0.0, 0.0], np.array([[1.0, 0.5], [0.5, 1.0]]))
+    for d1, d2 in ((d, d), (d, projected)):
+        for order in (OrderKind.ST, OrderKind.ICX):
+            assert (check_collective_risk(d1, d2, [0.5, 0.5], order.value)
+                    == check_collective_risk(d1, d2, [0.5, 0.5], order))
+    # weights that are not finite or all zero fail alike on both paths
+    for d1, d2 in ((d, d), (d, projected)):
+        for weights in ([np.nan, 0.5], [0.5, np.inf], [0.0, 0.0]):
+            with pytest.raises(UsageError, match="portfolio weights"):
+                check_collective_risk(d1, d2, weights, OrderKind.ST)
 
 
 # --- scale-mixture oracle ---------------------------------------------------------------
