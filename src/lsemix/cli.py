@@ -362,12 +362,11 @@ def parse_scenario(text: str) -> ScenarioSpec:
     document = _as_mapping(document, "$")
     _known_keys(document, "$",
                 ["seed", "orders", "distribution_1", "distribution_2", "mc", "outputs"])
-    _required_keys(document, "$", ["seed"])
+    _required_keys(document, "$", ["seed", "distribution_1", "distribution_2"])
     seed = _as_seed(document["seed"], "$.seed")
     orders = tuple(OrderKind)
     if "orders" in document:
         orders = _as_orders(document["orders"], "$.orders")
-    _required_keys(document, "$", ["distribution_1", "distribution_2"])
     block_1 = _read_block(document["distribution_1"], "$.distribution_1")
     block_2 = _read_block(document["distribution_2"], "$.distribution_2")
     dim_1, dim_2 = len(block_1.mu), len(block_2.mu)
