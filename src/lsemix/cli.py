@@ -194,11 +194,10 @@ def _as_name(node, path: str) -> str:
     return node
 
 
-def _as_enum(choices, node, path: str) -> str:
-    """``node`` if it names one of ``choices``: an Enum's values, or the names given."""
-    names = [getattr(choice, "value", choice) for choice in choices]
+def _as_enum(names, node, path: str) -> str:
+    """``node`` if it is one of ``names`` (an Enum's values or a table's keys)."""
     if not isinstance(node, str) or node not in names:
-        raise _fail(path, f"unknown value {node!r}; choose from {names}")
+        raise _fail(path, f"unknown value {node!r}; choose from {list(names)}")
     return node
 
 
@@ -234,13 +233,13 @@ def _as_atoms(node, path: str) -> tuple[tuple[float, ...], ...]:
 
 
 _GENERATOR = (
-    ("family", "family", partial(_as_enum, GeneratorFamily)),
+    ("family", "family", partial(_as_enum, [f.value for f in GeneratorFamily])),
     ("dof", "dof", _as_int),
     ("power", "power", _as_number),
 )
 _MAP = (
-    ("alpha", "alpha_kind", partial(_as_enum, AlphaKind)),
-    ("beta", "beta_kind", partial(_as_enum, BetaKind)),
+    ("alpha", "alpha_kind", partial(_as_enum, [k.value for k in AlphaKind])),
+    ("beta", "beta_kind", partial(_as_enum, [k.value for k in BetaKind])),
     ("alpha_power", "alpha_power", _as_number),
     ("beta_power", "beta_power", _as_number),
 )
@@ -349,8 +348,9 @@ def _block_node(block: DistributionBlock) -> dict:
 def _as_orders(node, path: str) -> tuple[OrderKind, ...]:
     if not isinstance(node, list) or not node:
         raise _fail(path, "expected a nonempty array of order names")
-    names = (_as_enum(OrderKind, name, f"{path}[{i}]") for i, name in enumerate(node))
-    return tuple(dict.fromkeys(OrderKind(name) for name in names))
+    names = [order.value for order in OrderKind]
+    return tuple(dict.fromkeys(OrderKind(_as_enum(names, name, f"{path}[{i}]"))
+                               for i, name in enumerate(node)))
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
