@@ -159,6 +159,13 @@ def full_document():
     }
 
 
+def at(document, location):
+    """The node of ``document`` that the keys and indices of ``location`` lead to."""
+    for part in location:
+        document = document[part]
+    return document
+
+
 def with_key(node, key, value):
     return {**{k: v for k, v in node.items() if k != key},
             **({} if value is ABSENT else {key: value})}
@@ -256,11 +263,7 @@ def test_parse_rejects_malformed_field(location, value, path, missing):
     reader may name a node inside that path, never an ancestor or a sibling."""
     document = full_document()
     if location:
-        *parents, leaf = location
-        node = document
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
+        at(document, location[:-1])[location[-1]] = value
     else:
         document = value
     with pytest.raises(ScenarioError) as info:
@@ -283,13 +286,8 @@ NULL_OPTIONAL = [
                          ids=[".".join(("$",) + loc + (key,)) for loc, key in NULL_OPTIONAL])
 def test_null_optional_key_counts_as_absent(location, key):
     with_null, without = full_document(), full_document()
-    for document, value in ((with_null, None), (without, ABSENT)):
-        node = document
-        for part in location:
-            node = node[part]
-        node.pop(key, None)
-        if value is None:
-            node[key] = None
+    at(with_null, location)[key] = None
+    at(without, location).pop(key, None)
     assert parse_scenario(json.dumps(with_null)) == parse_scenario(json.dumps(without))
 
 
@@ -309,10 +307,7 @@ def test_null_required_key_is_missing(location, path, key):
     document = full_document()
     for block in ("distribution_1", "distribution_2"):
         document[block]["map"] = dict(EXPLICIT)
-    node = document
-    for part in location:
-        node = node[part]
-    node[key] = None
+    at(document, location)[key] = None
     with pytest.raises(ScenarioError) as info:
         parse_scenario(json.dumps(document))
     assert str(info.value) == f"{path}: missing required key {key!r}"
@@ -328,11 +323,7 @@ BIG = "1" + "0" * 400  # an integer literal past the double range
 ])
 def test_integer_past_the_double_range_is_an_error(tmp_path, capsys, location, path):
     document = full_document()
-    *parents, leaf = location
-    node = document["distribution_1"]
-    for part in parents:
-        node = node[part]
-    node[leaf] = "BIG"
+    at(document["distribution_1"], location[:-1])[location[-1]] = "BIG"
     spec = write_spec(tmp_path, json.dumps(document).replace('"BIG"', BIG))
     assert main(["check", "--spec", str(spec), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: expected a finite number\n"
