@@ -35,7 +35,9 @@ key takes its default, and a required one is reported missing.  The keys of
 the generator, the explicit map, each mixing kind, ``mc`` and ``outputs``
 are the rows of one table each (``_GENERATOR``, ``_MAP``, ``_MIXING``,
 ``_MC``, ``_OUTPUTS``), which ``parse_scenario`` reads and
-``serialize_scenario`` and the report write.
+``serialize_scenario`` and the report write.  ``parse_scenario`` builds each
+distribution block once, as the ``LseDistribution`` that the ``ScenarioSpec``
+holds; ``run_check`` compares the two and serialises them from their arrays.
 
 Every random quantity in a run is derived from the single root ``seed``, so
 rerunning a scenario reproduces the report and curve files byte for byte.
@@ -77,11 +79,10 @@ from .mixing import (
     GeneralizedInverseGaussian,
     MixingDistribution,
 )
-from .orders import OrderKind, OrderReport, Verdict, axis_pair_directions, check_order
+from .orders import OrderKind, OrderReport, Verdict, axis_pair_directions, compare
 
 __all__ = [
     "ScenarioSpec",
-    "DistributionBlock",
     "parse_scenario",
     "serialize_scenario",
     "run_check",
@@ -104,33 +105,11 @@ _MAP_PRESETS = ("plain", "mean_variance", "skew_slash", "location_mixture", "sca
 
 
 @dataclass(frozen=True)
-class DistributionBlock:
-    """Plain, comparison-friendly form of one distribution in a scenario."""
-
-    mu: tuple[float, ...]
-    sigma: tuple[tuple[float, ...], ...]
-    delta: tuple[float, ...]
-    generator: DensityGenerator
-    ab_map: AlphaBetaMap
-    mixing: MixingDistribution
-
-    def build(self) -> LseDistribution:
-        return LseDistribution(
-            mu=np.asarray(self.mu, dtype=float),
-            sigma=np.asarray(self.sigma, dtype=float),
-            delta=np.asarray(self.delta, dtype=float),
-            generator=self.generator,
-            ab_map=self.ab_map,
-            mixing=self.mixing,
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     seed: int
     orders: tuple[OrderKind, ...]
-    block_1: DistributionBlock
-    block_2: DistributionBlock
+    distribution_1: LseDistribution
+    distribution_2: LseDistribution
     mc: McConfig | None
     report_name: str = DEFAULT_REPORT_NAME
     curves_name: str = DEFAULT_CURVES_NAME
@@ -308,7 +287,7 @@ def _mixing_node(mix: MixingDistribution) -> dict:
     raise ScenarioError(f"cannot serialize mixing law {mix!r}")
 
 
-def _read_block(node, path: str) -> DistributionBlock:
+def _read_distribution(node, path: str) -> LseDistribution:
     node = _as_mapping(node, path)
     _known_keys(node, path, ["mu", "sigma", "delta", "generator", "map", "mixing"])
     _required_keys(node, path, ["mu", "sigma", "generator", "map", "mixing"])
@@ -319,29 +298,24 @@ def _read_block(node, path: str) -> DistributionBlock:
     delta = _as_vector(node["delta"], f"{path}.delta") if "delta" in node else (0.0,) * len(mu)
     if len(delta) != len(mu):
         raise _fail(f"{path}.delta", f"size {len(delta)} does not match mu size {len(mu)}")
-    block = DistributionBlock(
-        mu=mu,
-        sigma=sigma,
-        delta=delta,
-        generator=_read(DensityGenerator, _GENERATOR, node["generator"], f"{path}.generator"),
-        ab_map=_read_map(node["map"], f"{path}.map"),
-        mixing=_read_mixing(node["mixing"], f"{path}.mixing"),
-    )
-    try:
-        block.build()  # symmetry / positive-definiteness / domain checks
+    generator = _read(DensityGenerator, _GENERATOR, node["generator"], f"{path}.generator")
+    ab_map = _read_map(node["map"], f"{path}.map")
+    mixing = _read_mixing(node["mixing"], f"{path}.mixing")
+    try:  # symmetry / positive-definiteness / domain checks
+        return LseDistribution(mu=mu, sigma=sigma, delta=delta, generator=generator,
+                               ab_map=ab_map, mixing=mixing)
     except LsemixError as exc:
         raise _fail(path, str(exc)) from exc
-    return block
 
 
-def _block_node(block: DistributionBlock) -> dict:
+def _distribution_node(d: LseDistribution) -> dict:
     return {
-        "mu": block.mu,
-        "sigma": block.sigma,
-        "delta": block.delta,
-        "generator": _write(block.generator, _GENERATOR),
-        "map": _write(block.ab_map, _MAP),
-        "mixing": _mixing_node(block.mixing),
+        "mu": d.mu.tolist(),
+        "sigma": d.sigma.tolist(),
+        "delta": d.delta.tolist(),
+        "generator": _write(d.generator, _GENERATOR),
+        "map": _write(d.ab_map, _MAP),
+        "mixing": _mixing_node(d.mixing),
     }
 
 
@@ -367,21 +341,16 @@ def parse_scenario(text: str) -> ScenarioSpec:
     orders = tuple(OrderKind)
     if "orders" in document:
         orders = _as_orders(document["orders"], "$.orders")
-    block_1 = _read_block(document["distribution_1"], "$.distribution_1")
-    block_2 = _read_block(document["distribution_2"], "$.distribution_2")
-    dim_1, dim_2 = len(block_1.mu), len(block_2.mu)
-    if dim_1 != dim_2:
-        raise _fail("$", f"the blocks have different dimensions ({dim_1} vs {dim_2})")
-    if ((block_1.generator, block_1.ab_map, block_1.mixing)
-            != (block_2.generator, block_2.ab_map, block_2.mixing)):
-        raise _fail(
-            "$",
-            "the two blocks must share generator, map, and mixing law; got "
-            f"{block_1.build().describe()} vs {block_2.build().describe()}",
-        )
+    d1 = _read_distribution(document["distribution_1"], "$.distribution_1")
+    d2 = _read_distribution(document["distribution_2"], "$.distribution_2")
+    if d1.dim != d2.dim:
+        raise _fail("$", f"the blocks have different dimensions ({d1.dim} vs {d2.dim})")
+    if not d1.shares_family(d2):
+        raise _fail("$", "the two blocks must share generator, map, and mixing law; got "
+                         f"{d1.describe()} vs {d2.describe()}")
     mc = _read(McConfig, _MC, document["mc"], "$.mc", seed=seed) if "mc" in document else None
     return _read(ScenarioSpec, _OUTPUTS, document.get("outputs", {}), "$.outputs", seed=seed,
-                 orders=orders, block_1=block_1, block_2=block_2, mc=mc)
+                 orders=orders, distribution_1=d1, distribution_2=d2, mc=mc)
 
 
 def serialize_scenario(spec: ScenarioSpec) -> str:
@@ -389,8 +358,8 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
     document = {
         "seed": spec.seed,
         "orders": [o.value for o in spec.orders],
-        "distribution_1": _block_node(spec.block_1),
-        "distribution_2": _block_node(spec.block_2),
+        "distribution_1": _distribution_node(spec.distribution_1),
+        "distribution_2": _distribution_node(spec.distribution_2),
         "outputs": _write(spec, _OUTPUTS),
     }
     if spec.mc is not None:
@@ -532,17 +501,15 @@ def run_check(
     stream = stream if stream is not None else sys.stdout
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    d1, d2 = spec.block_1.build(), spec.block_2.build()
+    d1, d2 = spec.distribution_1, spec.distribution_2
 
     def say(message: str) -> None:
         if not quiet:
             print(message, file=stream)
 
-    reports: dict[OrderKind, OrderReport] = {}
-    if not curves_only:
-        for order in spec.orders:
-            reports[order] = check_order(d1, d2, order)
-            say(f"{order.value}: {reports[order].verdict.value}")
+    reports = {} if curves_only else compare(d1, d2, spec.orders)
+    for order, report in reports.items():
+        say(f"{order.value}: {report.verdict.value}")
 
     mc_blocks: dict = {}
     curve = None
@@ -560,8 +527,8 @@ def run_check(
         payload = {
             "schema_version": SCHEMA_VERSION,
             "seed": spec.seed,
-            "distribution_1": _block_node(spec.block_1),
-            "distribution_2": _block_node(spec.block_2),
+            "distribution_1": _distribution_node(d1),
+            "distribution_2": _distribution_node(d2),
             "orders": {k.value: _order_node(v) for k, v in reports.items()},
         }
         if spec.mc is not None:

@@ -95,8 +95,8 @@ class ConeVerdict:
 def _prepare(a, tol: float) -> tuple[np.ndarray, float]:
     """Validate symmetry, return (symmetrized copy, absolute tolerance)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise UsageError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise UsageError("matrix entries must be finite")
     tol_abs = _absolute_tolerance(a, tol)

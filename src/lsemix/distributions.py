@@ -88,9 +88,13 @@ class MomentSummary:
     e_alpha_sq: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LseDistribution:
     """A location-scale mixture of an elliptical distribution.
+
+    Two distributions are equal when their six parameters are: mu, sigma
+    as stored (symmetrised), delta, generator, map and mixing law.  Array
+    entries compare as floats, so -0.0 equals 0.0.
 
     Parameters
     ----------
@@ -154,6 +158,19 @@ class LseDistribution:
         object.__setattr__(self, "delta", delta)
 
     # Basic structure ------------------------------------------------------
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (tuple(self.mu.tolist()), tuple(self.sigma.ravel().tolist()),
+                tuple(self.delta.tolist()), self.generator, self.ab_map, self.mixing)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LseDistribution):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def dim(self) -> int:
@@ -347,9 +364,6 @@ class LseDistribution:
 
     # Sampling ---------------------------------------------------------------
 
-    def _radial_draws(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return _draw_radial(self.generator, self.dim, rng, count)
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` vectors; shape (count, n).
 
@@ -362,7 +376,7 @@ class LseDistribution:
         if count < 1:
             raise UsageError("count must be at least 1")
         z = self.mixing.sample(rng, count)
-        r = self._radial_draws(rng, count)
+        r = _draw_radial(self.generator, self.dim, rng, count)
         u = _sphere_draws(rng, count, self.dim)
         return self._assemble(z, r, u)
 
@@ -490,6 +504,6 @@ def sample_coupled(
     if not d1.shares_family(d2):
         raise UsageError("coupled sampling requires a shared profile, map, and mixing law")
     z = d1.mixing.sample(rng, count)
-    r = d1._radial_draws(rng, count)
+    r = _draw_radial(d1.generator, d1.dim, rng, count)
     u = _sphere_draws(rng, count, d1.dim)
     return d1._assemble(z, r, u), d2._assemble(z, r, u)

@@ -335,12 +335,9 @@ def _summarize(
     # se == 0 with diff > 0 is a certain violation; encode as a huge z.
     z = diff / np.maximum(se, 1e-300)
     flagged = z > multiplier
-    if adjacency and diff.size > 1:
-        confirmed = bool(np.any(flagged[:-1] & flagged[1:]))
-    elif adjacency:
-        confirmed = False
-    else:
-        confirmed = bool(np.any(flagged))
+    if adjacency:
+        flagged = flagged[:-1] & flagged[1:]
+    confirmed = bool(np.any(flagged))
     j = int(np.argmax(z))
     max_violation = float(diff[j])
     point = points[j] if max_violation > 0 else None

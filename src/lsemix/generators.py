@@ -273,10 +273,8 @@ def radial_second_moment(gen: DensityGenerator, n: int) -> float:
     fam = gen.family
     if fam is GeneratorFamily.NORMAL:
         return float(n)
-    if fam is GeneratorFamily.CAUCHY:
-        return math.inf
-    if fam is GeneratorFamily.STUDENT:
-        m = gen.dof
+    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
+        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
         return n * m / (m - 2.0) if m > 2 else math.inf
     if fam in (GeneratorFamily.EXPONENTIAL_POWER, GeneratorFamily.LAPLACE):
         s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
@@ -308,7 +306,7 @@ def limit_ratio(
     Parameters
     ----------
     sigma1, sigma2 : float
-        Positive scales with ``sigma1 != sigma2`` (the classification is
+        Finite positive scales with ``sigma1 != sigma2`` (the classification is
         vacuous for equal scales).
 
     Closed forms: student/cauchy give C = (sigma2/sigma1)^m (m = 1 for
@@ -318,8 +316,8 @@ def limit_ratio(
     """
     sigma1 = float(sigma1)
     sigma2 = float(sigma2)
-    if not (sigma1 > 0 and sigma2 > 0):
-        raise ParameterError("scales must be positive")
+    if not (0.0 < sigma1 < math.inf and 0.0 < sigma2 < math.inf):
+        raise ParameterError("scales must be finite and positive")
     if sigma1 == sigma2:
         raise ParameterError("tail-ratio classification requires sigma1 != sigma2")
     fam = gen.family

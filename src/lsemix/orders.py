@@ -44,8 +44,8 @@ clause that names its tag), each order's report (a projection order reads
 its parent's, so the parent's necessary clauses are the very same objects),
 one ``_Projections`` per direction set (signed for lcx and ilcx, unsigned
 for plst and iplcx) and, on it, the projected statuses of each parent (ilcx
-reads lcx's).  The same holds for runs of check_order on one pair, as
-``lsemix check`` makes them.
+reads lcx's).  Runs of check_order on one pair outside compare() share it
+too.
 
 Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
 difference is mu_2 - mu_1 even when E(beta) diverges.  Equalities and
@@ -845,11 +845,19 @@ def check_collective_risk(
 # --- dispatch ----------------------------------------------------------------
 
 
+def _as_order(order) -> OrderKind:
+    try:
+        return OrderKind(order)
+    except ValueError as exc:
+        raise UsageError(f"unknown order {order!r}; choose from "
+                         f"{[kind.value for kind in OrderKind]}") from exc
+
+
 def check_order(
     d1: LseDistribution, d2: LseDistribution, order: OrderKind
 ) -> OrderReport:
     """Evaluate one order (projection-derived orders included) on a pair."""
-    order = OrderKind(order)
+    order = _as_order(order)
     pair = _validate_pair(d1, d2)
     return _once(pair.reports, order, _derived if order in _PARENT_OF else _direct,
                  order, pair)
@@ -862,6 +870,6 @@ def compare(
 ) -> dict[OrderKind, OrderReport]:
     """Evaluate a batch of orders; defaults to all thirteen."""
     global _last_pair
-    selected = [OrderKind(o) for o in orders] if orders is not None else list(OrderKind)
+    selected = [_as_order(o) for o in orders] if orders is not None else list(OrderKind)
     _last_pair = None
     return {order: check_order(d1, d2, order) for order in selected}

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lsemix.cli as cli
+import lsemix.orders as orders_module
 from lsemix.cli import (
     CSV_HEADER,
     DEFAULT_CURVES_NAME,
@@ -22,6 +24,7 @@ from lsemix.cli import (
     serialize_scenario,
 )
 from lsemix.cones import HORN_MATRIX
+from lsemix.distributions import LseDistribution
 from lsemix.empirical import McConfig
 from lsemix.errors import ScenarioError
 from lsemix.orders import OrderKind
@@ -60,7 +63,7 @@ def test_parse_minimal_defaults():
     assert spec.mc is None
     assert spec.report_name == DEFAULT_REPORT_NAME
     assert spec.curves_name == DEFAULT_CURVES_NAME
-    assert spec.block_1.delta == (0.0,)
+    assert spec.distribution_1.delta.tolist() == [0.0]
 
 
 def test_parse_skewed_scale_mixture():
@@ -68,7 +71,7 @@ def test_parse_skewed_scale_mixture():
                          mixing={"kind": "beta_lambda_one", "lam": 3.0},
                          ab={"preset": "skew_slash"})
     spec = parse_scenario(scenario(block, block))
-    d = spec.block_1.build()
+    d = spec.distribution_1
     assert d.dim == 1
 
 
@@ -408,7 +411,7 @@ def test_preset_map_round_trips_to_explicit_kinds():
     block = normal_block([0.0], [[1.0]], ab={"preset": "mean_variance"})
     spec = parse_scenario(scenario(block, block))
     again = parse_scenario(serialize_scenario(spec))
-    assert again.block_1.ab_map == spec.block_1.ab_map
+    assert again.distribution_1.ab_map == spec.distribution_1.ab_map
 
 
 # --- run_check ---------------------------------------------------------------------
@@ -671,6 +674,16 @@ def test_assumptions_subcommand_student_ratio(capsys):
     assert "satisfied" in out
 
 
+@pytest.mark.parametrize("sigma1, sigma2", [("inf", "1"), ("2", "inf")])
+def test_assumptions_subcommand_rejects_infinite_scale(capsys, sigma1, sigma2):
+    assert main(["assumptions", "--family", "student", "--dof", "3",
+                 "--sigma1", sigma1, "--sigma2", sigma2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "scales must be finite and positive" in captured.err
+
+
 def test_assumptions_subcommand_rejects_unknown_family(capsys):
     assert main(["assumptions", "--family", "gamma",
                  "--sigma1", "2", "--sigma2", "1"]) == 1
@@ -686,6 +699,29 @@ def test_missing_spec_file_exits_one(tmp_path):
 
 def test_unknown_flag_exits_one(capsys):
     assert main(["check", "--nonsense"]) == 1
+
+
+def test_check_builds_each_distribution_once_and_compares_once(tmp_path, monkeypatch):
+    builds, compared = [], []
+    build = LseDistribution.__post_init__
+
+    def counted_build(self):
+        builds.append(self)
+        build(self)
+
+    def counted_compare(*args, **kwargs):
+        compared.append(args)
+        return orders_module.compare(*args, **kwargs)
+
+    monkeypatch.setattr(LseDistribution, "__post_init__", counted_build)
+    monkeypatch.setattr(cli, "compare", counted_compare, raising=False)
+    block_1 = normal_block([0.0, 0.5], [[1.0, 0.2], [0.2, 1.0]])
+    block_2 = normal_block([0.3, 0.5], [[1.0, 0.2], [0.2, 1.0]])
+    path = write_spec(tmp_path, scenario(block_1, block_2, mc={"sample_count": 10000}))
+    assert main(["check", "--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert len(builds) == 2
+    assert len(compared) == 1
+    assert compared[0][0] is builds[0] and compared[0][1] is builds[1]
 
 
 def test_run_check_accepts_parsed_spec(tmp_path):

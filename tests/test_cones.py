@@ -95,6 +95,12 @@ def test_psd_rejects_nonfinite():
         is_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("test", [is_psd, is_copositive, is_completely_positive])
+def test_empty_matrix_is_a_usage_error(test):
+    with pytest.raises(UsageError, match="nonempty square matrix"):
+        test(np.zeros((0, 0)))
+
+
 # --- copositivity --------------------------------------------------------------
 
 

@@ -150,6 +150,45 @@ class TestConstruction:
         assert zero_map.is_sme
 
 
+class TestEquality:
+    """Value equality and hash over the six parameters, at n = 2."""
+
+    @staticmethod
+    def make(mu=(0.5, 0.0), sigma=((2.0, 0.3), (0.3, 1.0)), delta=(0.0, 0.4),
+             generator=NORMAL):
+        return LseDistribution(
+            mu=np.array(mu), sigma=np.array(sigma), delta=np.array(delta),
+            generator=generator, ab_map=AlphaBetaMap.skew_slash(), mixing=BetaLambdaOne(3.0),
+        )
+
+    def test_equal_copies(self):
+        d, copy = self.make(), self.make()
+        assert d is not copy
+        assert d == copy
+        assert hash(d) == hash(copy)
+        assert len({d, copy}) == 1
+
+    def test_negative_zero_equals_zero(self):
+        d, signed = self.make(), self.make(mu=(0.5, -0.0), delta=(-0.0, 0.4))
+        assert d == signed
+        assert hash(d) == hash(signed)
+
+    def test_one_differing_sigma_entry(self):
+        d, other = self.make(), self.make(sigma=((2.0, 0.3), (0.3, 1.5)))
+        assert d != other
+        assert len({d, other}) == 2
+
+    def test_different_family(self):
+        assert self.make() != self.make(generator=STUDENT5)
+
+    @pytest.mark.parametrize("operand", [None, "lse", 1.0, (0.5, 0.0)])
+    def test_non_distribution_operand(self, operand):
+        d = self.make()
+        assert d.__eq__(operand) is NotImplemented
+        assert d != operand
+        assert not d == operand
+
+
 class TestPdf:
     def test_standard_peak_value(self):
         d = plain_normal(0.0, 1.0)

@@ -350,6 +350,11 @@ class TestLimitRatio:
         with pytest.raises(ParameterError):
             limit_ratio(DensityGenerator(GeneratorFamily.NORMAL), -1.0, 1.0)
 
+    @pytest.mark.parametrize("sigma1, sigma2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_nonfinite_scales_rejected(self, sigma1, sigma2):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            limit_ratio(DensityGenerator(GeneratorFamily.STUDENT, dof=3), sigma1, sigma2)
+
     def test_every_catalog_family_passes_both_gates(self):
         for gen in ALL_FAMILIES:
             sat1, sat2, probes = assumption_profile(gen)

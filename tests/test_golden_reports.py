@@ -48,7 +48,7 @@ def test_fixture_covers_the_battery():
     "case", CASES + LOGISTIC_CASES, ids=[case["label"] for case in CASES + LOGISTIC_CASES])
 def test_reports_match_golden(case):
     spec = parse_scenario(json.dumps(case["scenario"]))
-    reports = compare(spec.block_1.build(), spec.block_2.build())
+    reports = compare(spec.distribution_1, spec.distribution_2)
     got = {kind.value: _json_safe(_order_node(r)) for kind, r in reports.items()}
     assert got == case["reports"]
     for report in reports.values():

@@ -107,6 +107,13 @@ def test_dimension_mismatch_rejected():
         check_order(mk([0.0], [[1.0]]), mk([0.0, 0.0], np.eye(2)), OrderKind.ST)
 
 
+def test_unknown_order_name_is_a_usage_error():
+    d = mk(0.0, [[1.0]])
+    for call in (lambda: check_order(d, d, "bogus"), lambda: compare(d, d, ["st", "bogus"])):
+        with pytest.raises(UsageError, match=r"unknown order 'bogus'; choose from \['st', "):
+            call()
+
+
 def test_generator_mismatch_rejected():
     with pytest.raises(IncomparableFamiliesError):
         check_order(mk(0.0, [[1.0]]), mk(0.0, [[1.0]], gen=STUDENT5), OrderKind.ST)
@@ -762,7 +769,7 @@ GOLDEN = list(golden_scenarios())
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
 def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
     spec = parse_scenario(json.dumps(case["scenario"]))
-    d1, d2 = spec.block_1.build(), spec.block_2.build()
+    d1, d2 = spec.distribution_1, spec.distribution_2
     got = [compare(d1, d2), compare(d2, d1), {k: check_order(d1, d2, k) for k in OrderKind}]
     assert got == [fresh(d1, d2), fresh(d2, d1), fresh(d1, d2)]
 
@@ -770,7 +777,7 @@ def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
 def test_projections_match_reference_on_the_decide_battery(case):
     spec = parse_scenario(json.dumps(case["scenario"]))
-    assert_projections_match(spec.block_1.build(), spec.block_2.build())
+    assert_projections_match(spec.distribution_1, spec.distribution_2)
 
 
 def test_halton_points_match_scipy():

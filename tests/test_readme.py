@@ -1,0 +1,20 @@
+"""The README's Quick start block runs as written against the current API."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start() -> str:
+    section = README.read_text().split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_quick_start_runs(capsys):
+    exec(compile(quick_start(), f"{README}:Quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Verdict.ORDERED"
+    assert lines[-1].startswith("True ")
