@@ -29,7 +29,7 @@ from lsemix import (
     LseDistribution,
     McConfig,
     OrderKind,
-    check_order,
+    compare,
     stoploss_dominance,
     verify_st,
 )
@@ -63,8 +63,7 @@ def main(argv=None) -> int:
 
     d1 = build(args.mu1, args.sigma1, args.delta1, args.lam)
     d2 = build(args.mu2, args.sigma2, args.delta2, args.lam)
-    for order in (OrderKind.ST, OrderKind.ICX):
-        report = check_order(d1, d2, order)
+    for order, report in compare(d1, d2, [OrderKind.ST, OrderKind.ICX]).items():
         print(f"analytic {order.value}: {report.verdict.value}")
 
     cfg = McConfig(sample_count=args.samples, seed=args.seed)

@@ -54,6 +54,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -606,16 +607,21 @@ def _verdict_line(label: str, verdict) -> str:
 def _cmd_cones(args: argparse.Namespace) -> int:
     path = Path(args.matrix)
     try:
-        matrix = np.loadtxt(path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file: the shape check below names it
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(path, dtype=float, ndmin=2)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: not a numeric matrix: {exc}") from exc
-    print(f"matrix: {matrix.shape[0]} x {matrix.shape[1]}")
-    print(_verdict_line("psd", is_psd(matrix)))
+    # Every test validates the matrix, so all run before anything is printed.
+    psd = is_psd(matrix)
     copositive = is_copositive(matrix)
-    print(_verdict_line("copositive", copositive))
     completely_positive = is_completely_positive(matrix)
+    print(f"matrix: {matrix.shape[0]} x {matrix.shape[1]}")
+    print(_verdict_line("psd", psd))
+    print(_verdict_line("copositive", copositive))
     print(_verdict_line("completely_positive", completely_positive))
     if copositive.witness is not None and copositive.status.value == "outside":
         quadratic = float(copositive.witness @ matrix @ copositive.witness)

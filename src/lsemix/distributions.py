@@ -44,6 +44,7 @@ from .errors import (
 from .generators import (
     DensityGenerator,
     GeneratorFamily,
+    _base_family,
     log_eval_generator,
     normalizing_constant,
     radial_profile_integral,
@@ -479,11 +480,10 @@ def _radial_table(gen: DensityGenerator, n: int):
 
 
 def _draw_radial(gen: DensityGenerator, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    fam = gen.family
+    fam, m = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return np.sqrt(rng.chisquare(n, size=count))
-    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
-        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
+    if fam is GeneratorFamily.STUDENT:
         # R^2 = m * chi2_n / chi2_m = n * F(n, m).
         return np.sqrt(n * rng.f(n, m, size=count))
     table = _radial_table(gen, n)

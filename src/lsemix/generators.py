@@ -141,6 +141,20 @@ class LimitRatioResult:
     sigma2: float
 
 
+#: The family rule: cauchy is student with m = 1 and laplace is
+#: exponential_power with s = 1.
+_ALIASES = {
+    GeneratorFamily.CAUCHY: (GeneratorFamily.STUDENT, 1),
+    GeneratorFamily.LAPLACE: (GeneratorFamily.EXPONENTIAL_POWER, 1.0),
+}
+
+
+def _base_family(gen: DensityGenerator) -> tuple[GeneratorFamily, int | float | None]:
+    """(family, parameter) under the family rule: normal, student with its
+    dof m, exponential_power with its shape s, or logistic (parameter None)."""
+    return _ALIASES.get(gen.family) or (gen.family, gen.power if gen.dof is None else gen.dof)
+
+
 def _validate_dimension(n: int) -> int:
     if int(n) != n or n < 1:
         raise ParameterError("dimension n must be a positive integer")
@@ -153,22 +167,14 @@ def log_eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise DomainError("generator argument u must be nonnegative")
-    fam = gen.family
+    fam, p = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return -0.5 * u
-    if fam is GeneratorFamily.CAUCHY:
-        return -0.5 * (n + 1) * np.log1p(u)
     if fam is GeneratorFamily.STUDENT:
-        m = gen.dof
-        return -0.5 * (n + m) * np.log1p(u / m)
-    if fam is GeneratorFamily.LAPLACE:
-        return -np.sqrt(u)
+        return -0.5 * (n + p) * np.log1p(u / p)
     if fam is GeneratorFamily.EXPONENTIAL_POWER:
-        s = gen.power
-        return -(u ** (s / 2.0)) / s
-    if fam is GeneratorFamily.LOGISTIC:
-        return -u - 2.0 * np.log1p(np.exp(-u))
-    raise ParameterError(f"unknown generator family {fam!r}")
+        return -(u ** (p / 2.0)) / p
+    return -u - 2.0 * np.log1p(np.exp(-u))
 
 
 def eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
@@ -195,19 +201,15 @@ def radial_profile_integral(gen: DensityGenerator, n: int) -> float:
 
 
 def _profile_integral(gen: DensityGenerator, n: int) -> float:
-    fam = gen.family
+    fam, p = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return 2.0 ** (n / 2.0) * math.gamma(n / 2.0)
-    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
-        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
-        log_beta = math.lgamma(n / 2.0) + math.lgamma(m / 2.0) - math.lgamma((n + m) / 2.0)
-        return m ** (n / 2.0) * math.exp(log_beta)
-    if fam in (GeneratorFamily.EXPONENTIAL_POWER, GeneratorFamily.LAPLACE):
-        s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
-        return 2.0 * s ** (n / s - 1.0) * math.gamma(n / s)
-    if fam is GeneratorFamily.LOGISTIC:
-        return math.gamma(n / 2.0) * _eta(n / 2.0 - 1.0)
-    raise ParameterError(f"unknown generator family {fam!r}")
+    if fam is GeneratorFamily.STUDENT:
+        log_beta = math.lgamma(n / 2.0) + math.lgamma(p / 2.0) - math.lgamma((n + p) / 2.0)
+        return p ** (n / 2.0) * math.exp(log_beta)
+    if fam is GeneratorFamily.EXPONENTIAL_POWER:
+        return 2.0 * p ** (n / p - 1.0) * math.gamma(n / p)
+    return math.gamma(n / 2.0) * _eta(n / 2.0 - 1.0)
 
 
 def normalizing_constant(gen: DensityGenerator, n: int) -> float:
@@ -270,18 +272,14 @@ def radial_second_moment(gen: DensityGenerator, n: int) -> float:
     (laplace: s = 1); (n/2) eta(n/2) / eta(n/2 - 1) for logistic.
     """
     n = _validate_dimension(n)
-    fam = gen.family
+    fam, p = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return float(n)
-    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
-        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
-        return n * m / (m - 2.0) if m > 2 else math.inf
-    if fam in (GeneratorFamily.EXPONENTIAL_POWER, GeneratorFamily.LAPLACE):
-        s = gen.power if fam is GeneratorFamily.EXPONENTIAL_POWER else 1.0
-        return s ** (2.0 / s) * math.exp(math.lgamma((n + 2.0) / s) - math.lgamma(n / s))
-    if fam is GeneratorFamily.LOGISTIC:
-        return n / 2.0 * _eta(n / 2.0) / _eta(n / 2.0 - 1.0)
-    raise ParameterError(f"unknown generator family {fam!r}")
+    if fam is GeneratorFamily.STUDENT:
+        return n * p / (p - 2.0) if p > 2 else math.inf
+    if fam is GeneratorFamily.EXPONENTIAL_POWER:
+        return p ** (2.0 / p) * math.exp(math.lgamma((n + 2.0) / p) - math.lgamma(n / p))
+    return n / 2.0 * _eta(n / 2.0) / _eta(n / 2.0 - 1.0)
 
 
 def covariance_factor(gen: DensityGenerator, n: int) -> float:
@@ -320,9 +318,8 @@ def limit_ratio(
         raise ParameterError("scales must be finite and positive")
     if sigma1 == sigma2:
         raise ParameterError("tail-ratio classification requires sigma1 != sigma2")
-    fam = gen.family
-    if fam in (GeneratorFamily.STUDENT, GeneratorFamily.CAUCHY):
-        m = gen.dof if fam is GeneratorFamily.STUDENT else 1
+    fam, m = _base_family(gen)
+    if fam is GeneratorFamily.STUDENT:
         c = (sigma2 / sigma1) ** m
     else:
         c = 0.0 if sigma1 > sigma2 else math.inf

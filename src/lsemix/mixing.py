@@ -466,9 +466,6 @@ def beta_range(mix: MixingDistribution, ab_map: AlphaBetaMap) -> tuple[float, fl
     b = ab_map.beta_exponent
     if b is None:
         return 0.0, 0.0
-    if isinstance(mix, DiscreteWeighted):
-        values = [z ** b for z, _ in mix.atoms]
-        return min(values), max(values)
     lo, hi = mix.support_bounds()
     if b == 0.0:
         return 1.0, 1.0

@@ -35,17 +35,15 @@ read a pair: the view supplies the comparisons (of vectors on a pair, column
 by column on projections) and the cone rule (the 1x1 rule on projections).
 No distribution is built per direction.
 
-All the orders of one compare() share one ``_Pair``: ``_validate_pair``
-returns the last pair again when it is called with the very same two (frozen)
-distributions, and compare() starts from an empty slot.  Everything the
-orders have in common is computed once per pair and kept on it: each cone
-test of Sigma2 - Sigma1, each condition of ``_CONDITIONS`` (read by every
-clause that names its tag), each order's report (a projection order reads
-its parent's, so the parent's necessary clauses are the very same objects),
-one ``_Projections`` per direction set (signed for lcx and ilcx, unsigned
-for plst and iplcx) and, on it, the projected statuses of each parent (ilcx
-reads lcx's).  Runs of check_order on one pair outside compare() share it
-too.
+Each compare() builds one ``_Pair`` and asks it for each order's report;
+check_order is a one-order compare().  Everything the orders have in common
+is computed once per pair and kept on it: each cone test of Sigma2 - Sigma1,
+each condition of ``_CONDITIONS`` (read by every clause that names its tag),
+each order's report (a projection order reads its parent's, so the parent's
+necessary clauses are the very same objects), one ``_Projections`` per
+direction set (signed for lcx and ilcx, unsigned for plst and iplcx) and, on
+it, the projected statuses of each parent (ilcx reads lcx's).  Nothing is
+kept between calls: the pair is dropped when compare() returns.
 
 Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
 difference is mu_2 - mu_1 even when E(beta) diverges.  Equalities and
@@ -303,6 +301,11 @@ class _Pair(_View):
         """The ``_CONDITIONS`` predicate of ``tag`` on this pair, evaluated once."""
         return _once(self.conditions, tag, _CONDITIONS[tag].test, self)
 
+    def report(self, order: OrderKind) -> OrderReport:
+        """The report of ``order`` on this pair, built once."""
+        return _once(self.reports, order, _derived if order in _PARENT_OF else _direct,
+                     order, self)
+
     # condition primitives ----------------------------------------------------
 
     def location_all_z(self) -> bool:
@@ -379,19 +382,7 @@ def _inside(verdict: ConeVerdict | None) -> bool | None:
     return verdict.status is ConeStatus.INSIDE
 
 
-#: The last pair built, returned again for the very same two objects, so
-#: that the orders of one compare(), each checked through check_order, share
-#: the pair's cached cone verdicts.  Sound because LseDistribution is frozen
-#: and its arrays are read-only; compare() empties the slot, so each call
-#: builds one pair of its own.
-_last_pair: _Pair | None = None
-
-
 def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
-    global _last_pair
-    last = _last_pair
-    if last is not None and last.d1 is d1 and last.d2 is d2:
-        return last
     if d1.dim != d2.dim:
         raise UsageError(f"dimension mismatch: {d1.dim} vs {d2.dim}")
     if not d1.shares_family(d2):
@@ -400,8 +391,7 @@ def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
             "map, and mixing law; got "
             f"({d1.describe()}) vs ({d2.describe()})"
         )
-    _last_pair = _Pair(d1, d2)
-    return _last_pair
+    return _Pair(d1, d2)
 
 
 # --- the condition table -----------------------------------------------------
@@ -552,6 +542,18 @@ _PARENT_OF = {
 # --- the interpreter ---------------------------------------------------------
 
 
+#: A group of necessary conditions reads the first of these whose flag is
+#: set (one is violated, one is skipped for the tail assumption, one is
+#: undecided), and HOLDS when none is.
+_PRECEDENCE = (NecessaryStatus.VIOLATED, NecessaryStatus.ASSUMPTION_UNMET,
+               NecessaryStatus.NOT_APPLICABLE)
+
+
+def _necessary_status(*flags) -> NecessaryStatus:
+    return next((status for status, flag in zip(_PRECEDENCE, flags) if flag),
+                NecessaryStatus.HOLDS)
+
+
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
     condition = _CONDITIONS[entry.tag]
     tag = "necessary/" + entry.tag
@@ -577,14 +579,9 @@ def _report(
         suff_status = SufficientStatus.FAILS
     else:
         suff_status = SufficientStatus.NOT_APPLICABLE
-    if any(c.passed is False for c in necessary):
-        nec_status = NecessaryStatus.VIOLATED
-    elif any(c.skip is SkipReason.ASSUMPTION for c in necessary):
-        nec_status = NecessaryStatus.ASSUMPTION_UNMET
-    elif any(c.passed is None for c in necessary):
-        nec_status = NecessaryStatus.NOT_APPLICABLE
-    else:
-        nec_status = NecessaryStatus.HOLDS
+    nec_status = _necessary_status(any(c.passed is False for c in necessary),
+                                   any(c.skip is SkipReason.ASSUMPTION for c in necessary),
+                                   any(c.passed is None for c in necessary))
     verdict = _verdict_of(suff_status, nec_status)
     return OrderReport(order, suff_status, nec_status, verdict,
                        tuple(sufficient + necessary), assumption_checks)
@@ -758,11 +755,7 @@ def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[Ne
         passed = np.asarray(_CONDITIONS[entry.tag].test(projections), dtype=float)
         violated |= evaluated & (passed == 0.0)
         undecided |= evaluated & np.isnan(passed)
-    return [
-        NecessaryStatus.VIOLATED if v else NecessaryStatus.ASSUMPTION_UNMET if a
-        else NecessaryStatus.NOT_APPLICABLE if u else NecessaryStatus.HOLDS
-        for v, a, u in zip(violated, assumption, undecided)
-    ]
+    return [_necessary_status(*flags) for flags in zip(violated, assumption, undecided)]
 
 
 def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
@@ -775,7 +768,7 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     deterministic direction set.
     """
     parent_kind = _PARENT_OF[order]
-    parent = _once(pair.reports, parent_kind, _direct, parent_kind, pair)
+    parent = pair.report(parent_kind)
     sufficient = [Clause(
         "sufficient/parent-order",
         f"the {parent_kind.value} sufficient conditions hold (implies {order.value})",
@@ -793,16 +786,14 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
         f"univariate {parent_kind.value} necessary conditions along "
         f"{len(projections.directions)} fixed directions"
     )
-    if NecessaryStatus.VIOLATED in statuses:
-        first_violation = statuses.index(NecessaryStatus.VIOLATED)
-        clause = Clause(tag, f"{text} (violated at direction {first_violation})", False)
-    elif NecessaryStatus.ASSUMPTION_UNMET in statuses:
-        clause = Clause(tag, text + SkipReason.ASSUMPTION.value, None,
-                        SkipReason.ASSUMPTION)
-    elif NecessaryStatus.NOT_APPLICABLE in statuses:
-        clause = Clause(tag, text + SkipReason.MOMENTS.value, None, SkipReason.MOMENTS)
-    else:
+    status = _necessary_status(*(kind in statuses for kind in _PRECEDENCE))
+    if status is NecessaryStatus.VIOLATED:
+        clause = Clause(tag, f"{text} (violated at direction {statuses.index(status)})", False)
+    elif status is NecessaryStatus.HOLDS:
         clause = Clause(tag, text, True)
+    else:
+        skip = SkipReason.ASSUMPTION if status is NecessaryStatus.ASSUMPTION_UNMET else SkipReason.MOMENTS
+        clause = Clause(tag, text + skip.value, None, skip)
     return _report(order, sufficient, necessary + [clause], parent.assumption_checks)
 
 
@@ -838,8 +829,8 @@ def check_collective_risk(
                 f"{order.value} ordering of the weighted sums")
         clause = Clause("sufficient/portfolio-aggregate", text, True)
         return _report(order, [clause], [])
-    return _direct(order, _validate_pair(
-        d1.linear_functional(weights), d2.linear_functional(weights)))
+    return _validate_pair(
+        d1.linear_functional(weights), d2.linear_functional(weights)).report(order)
 
 
 # --- dispatch ----------------------------------------------------------------
@@ -856,11 +847,9 @@ def _as_order(order) -> OrderKind:
 def check_order(
     d1: LseDistribution, d2: LseDistribution, order: OrderKind
 ) -> OrderReport:
-    """Evaluate one order (projection-derived orders included) on a pair."""
+    """Evaluate one order (projection-derived orders included): a one-order compare()."""
     order = _as_order(order)
-    pair = _validate_pair(d1, d2)
-    return _once(pair.reports, order, _derived if order in _PARENT_OF else _direct,
-                 order, pair)
+    return compare(d1, d2, [order])[order]
 
 
 def compare(
@@ -868,8 +857,7 @@ def compare(
     d2: LseDistribution,
     orders: list[OrderKind] | None = None,
 ) -> dict[OrderKind, OrderReport]:
-    """Evaluate a batch of orders; defaults to all thirteen."""
-    global _last_pair
+    """Evaluate a batch of orders on one pair; defaults to all thirteen."""
     selected = [_as_order(o) for o in orders] if orders is not None else list(OrderKind)
-    _last_pair = None
-    return {order: check_order(d1, d2, order) for order in selected}
+    pair = _validate_pair(d1, d2)
+    return {order: pair.report(order) for order in selected}

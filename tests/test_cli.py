@@ -6,6 +6,7 @@ contract, artifact formats, and determinism guarantees are all exercised.
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -664,6 +665,21 @@ def test_cones_subcommand_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n3 nope\n")
     assert main(["cones", str(path)]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "", "1 2 3\n4 5 6\n", "1 2\n0 1\n", "\n".join(" ".join("1" if i == j else "0"
+                                                         for j in range(11)) for i in range(11)),
+], ids=["empty", "2x3", "asymmetric", "past-the-copositivity-cap"])
+def test_cones_subcommand_bad_matrix_prints_only_the_error(tmp_path, capsys, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cones", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_assumptions_subcommand_student_ratio(capsys):

@@ -13,6 +13,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -664,24 +666,18 @@ def test_one_compare_runs_each_cone_test_once(monkeypatch):
 
 def fresh(a, b):
     """Every order's report, each on a pair of its own."""
-    reports = {}
-    for order in OrderKind:
-        orders_module._last_pair = None
-        reports[order] = check_order(a, b, order)
-    return reports
+    return {order: check_order(a, b, order) for order in OrderKind}
 
 
 def test_shared_pair_is_never_stale():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.1, 0.1], [[2.0, 0.3], [0.3, 2.0]])
     d3 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
-    # Back to back, each pair shares one object, in one slot, with the last;
-    # through compare() and through runs of check_order, as `lsemix check`
-    # makes them.
+    # Back to back, one compare() per pair gives what each order gives on a
+    # pair of its own.
     sequence = ((d1, d2), (d2, d1), (d1, d3), (d1, d2), (d3, d2))
     expected = [fresh(a, b) for a, b in sequence]
     assert [compare(a, b) for a, b in sequence] == expected
-    assert [{k: check_order(a, b, k) for k in OrderKind} for a, b in sequence] == expected
     distinct = [expected[i] for i in (0, 1, 2, 4)]
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
@@ -724,14 +720,6 @@ def test_each_report_projection_and_condition_built_once_per_pair(monkeypatch):
     compare(d1, d2)
     assert counts == once
     assert sorted(evaluated) == sorted(orders_module._CONDITIONS)
-    # `lsemix check`: one check_order per order on one pair.
-    monkeypatch.setattr(orders_module, "_last_pair", None)
-    counts.update(dict.fromkeys(counts, 0))
-    evaluated.clear()
-    for order in OrderKind:
-        check_order(d1, d2, order)
-    assert counts == once
-    assert sorted(evaluated) == sorted(orders_module._CONDITIONS)
 
 
 def test_projection_orders_share_their_parent_clauses():
@@ -750,10 +738,59 @@ def test_pairs_and_their_memos_are_freed_without_cycle_collection():
     gc.disable()
     try:
         compare(d1, d2)
-        compare(d2, d1)  # empties the slot that held the first pair
+        compare(d2, d1)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_pair_outlives_its_call(monkeypatch):
+    built = []
+
+    class Recorded(orders_module._Pair):
+        def __init__(self, d1, d2):
+            super().__init__(d1, d2)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(orders_module, "_Pair", Recorded)
+    d1 = mk([0.0, 0.0], np.eye(2))
+    d2 = mk([0.1, 0.1], [[2.0, -0.9], [-0.9, 0.5]])
+    assert len(compare(d1, d2)) == len(OrderKind)
+    assert len(built) == 1 and built[0]() is None
+    check_order(d1, d2, OrderKind.LCX)
+    check_collective_risk(d1, d2, [1.0, 2.0], OrderKind.ICX)
+    assert len(built) == 4 and all(ref() is None for ref in built)
+
+
+def test_compare_on_two_threads_matches_serial():
+    pairs = [
+        # copositive_gap: Sigma2 - Sigma1 = Horn / 2, copositive but not PSD.
+        (mk(np.zeros(5), 3.0 * np.eye(5)), mk(np.zeros(5), 3.0 * np.eye(5) + 0.5 * HORN_MATRIX)),
+        (ghss([0.0, 0.0], np.eye(2), [0.2, 0.1]),
+         ghss([0.1, 0.3], [[2.0, 0.3], [0.3, 1.5]], [0.5, 0.1])),
+    ]
+    serial = [compare(*pair) for pair in pairs]
+    rounds = 5
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def run(index):
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            got[index].append(compare(*pairs[index]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[reports] * rounds for reports in serial]
 
 
 def golden_scenarios():
@@ -770,8 +807,7 @@ GOLDEN = list(golden_scenarios())
 def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
     spec = parse_scenario(json.dumps(case["scenario"]))
     d1, d2 = spec.distribution_1, spec.distribution_2
-    got = [compare(d1, d2), compare(d2, d1), {k: check_order(d1, d2, k) for k in OrderKind}]
-    assert got == [fresh(d1, d2), fresh(d2, d1), fresh(d1, d2)]
+    assert [compare(d1, d2), compare(d2, d1)] == [fresh(d1, d2), fresh(d2, d1)]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
