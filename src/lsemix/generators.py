@@ -170,10 +170,12 @@ def log_eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
     fam, p = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return -0.5 * u
+    # At m = 1 and s = 1 (cauchy, laplace) the division and the power are
+    # skipped: same values, one pass fewer over u.
     if fam is GeneratorFamily.STUDENT:
-        return -0.5 * (n + p) * np.log1p(u / p)
+        return -0.5 * (n + p) * np.log1p(u if p == 1 else u / p)
     if fam is GeneratorFamily.EXPONENTIAL_POWER:
-        return -(u ** (p / 2.0)) / p
+        return -np.sqrt(u) if p == 1.0 else -(u ** (p / 2.0)) / p
     return -u - 2.0 * np.log1p(np.exp(-u))
 
 
