@@ -543,15 +543,14 @@ _PARENT_OF = {
 
 
 #: A group of necessary conditions reads the first of these whose flag is
-#: set (one is violated, one is skipped for the tail assumption, one is
-#: undecided), and HOLDS when none is.
+#: set: one of them is violated, one is skipped for the tail assumption, one
+#: is undecided, or (always set) none of these.
 _PRECEDENCE = (NecessaryStatus.VIOLATED, NecessaryStatus.ASSUMPTION_UNMET,
-               NecessaryStatus.NOT_APPLICABLE)
+               NecessaryStatus.NOT_APPLICABLE, NecessaryStatus.HOLDS)
 
 
-def _necessary_status(*flags) -> NecessaryStatus:
-    return next((status for status, flag in zip(_PRECEDENCE, flags) if flag),
-                NecessaryStatus.HOLDS)
+def _necessary_status(violated: bool, assumption: bool, undecided: bool) -> NecessaryStatus:
+    return _PRECEDENCE[[violated, assumption, undecided, True].index(True)]
 
 
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
@@ -755,7 +754,8 @@ def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[Ne
         passed = np.asarray(_CONDITIONS[entry.tag].test(projections), dtype=float)
         violated |= evaluated & (passed == 0.0)
         undecided |= evaluated & np.isnan(passed)
-    return [_necessary_status(*flags) for flags in zip(violated, assumption, undecided)]
+    return [_necessary_status(*flags)
+            for flags in zip(violated.tolist(), assumption.tolist(), undecided.tolist())]
 
 
 def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
@@ -786,7 +786,9 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
         f"univariate {parent_kind.value} necessary conditions along "
         f"{len(projections.directions)} fixed directions"
     )
-    status = _necessary_status(*(kind in statuses for kind in _PRECEDENCE))
+    status = _necessary_status(NecessaryStatus.VIOLATED in statuses,
+                               NecessaryStatus.ASSUMPTION_UNMET in statuses,
+                               NecessaryStatus.NOT_APPLICABLE in statuses)
     if status is NecessaryStatus.VIOLATED:
         clause = Clause(tag, f"{text} (violated at direction {statuses.index(status)})", False)
     elif status is NecessaryStatus.HOLDS:
