@@ -27,9 +27,11 @@ functions; see ``radial_profile_integral`` and ``radial_second_moment``).  For
 the logistic profile, g(u) = sum_{k>=1} (-1)^(k-1) k e^(-k u) integrates term
 by term to
 
-    I_n = Gamma(n/2) eta(n/2 - 1),      eta(s) = (1 - 2^(1-s)) zeta(s),
+    I_n = Gamma(n/2) eta(n/2 - 1),      eta(s) = sum_{k>=1} (-1)^(k-1) k^(-s),
 
-the Dirichlet eta function, with eta(1) = ln 2 where zeta has its pole.
+the Dirichlet eta function (eta(1) = ln 2), which ``_eta`` sums by
+Borwein's (2000) accelerated alternating series; the module needs numpy
+and nothing else.
 
 The module also classifies the tail-ratio behaviour used to gate necessity
 arguments in the ordering engine: for a univariate pair with scales
@@ -51,9 +53,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NonIntegrableError, ParameterError
 
@@ -165,8 +167,8 @@ def log_eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
     """log g_n(u) for u >= 0, vectorised over u."""
     n = _validate_dimension(n)
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise DomainError("generator argument u must be nonnegative")
+    if not np.all(u >= 0):
+        raise DomainError("generator argument u must be nonnegative (and not NaN)")
     fam, p = _base_family(gen)
     if fam is GeneratorFamily.NORMAL:
         return -0.5 * u
@@ -184,11 +186,28 @@ def eval_generator(gen: DensityGenerator, u, n: int = 1) -> np.ndarray:
     return np.exp(log_eval_generator(gen, u, n))
 
 
+def _borwein_weights(count: int) -> np.ndarray:
+    """(-1)^k (d_count - d_k) / d_count for k < count, from the exact integers
+    d_k = count sum_{i<=k} (count+i-1)! 4^i / ((count-i)! (2i)!); each weight
+    is the correctly rounded quotient of two integers."""
+    f = math.factorial
+    d = list(accumulate(count * f(count + i - 1) * 4 ** i // (f(count - i) * f(2 * i))
+                        for i in range(count + 1)))
+    return np.array([(-1) ** k * (d[-1] - d[k]) / d[-1] for k in range(count)])
+
+
+#: Borwein's algorithm 2 with 28 terms.  Against mpmath it is within 2e-16
+#: relative of eta(s) at s = n/2 - 1 and n/2 for n = 1..343.  The hardest
+#: argument is s = -1/2 (n = 1), whose terms grow with k: 20 terms miss it
+#: by 5e-14, and 40 terms lose 5e-15 to the rounding of the larger terms.
+_ETA_WEIGHTS = _borwein_weights(28)
+_ETA_BASES = np.arange(1.0, _ETA_WEIGHTS.size + 1.0)
+
+
 def _eta(s: float) -> float:
-    """Dirichlet eta(s) = (1 - 2^(1-s)) zeta(s); eta(1) = ln 2 sits at zeta's pole."""
-    if s == 1.0:
-        return math.log(2.0)
-    return (1.0 - 2.0 ** (1.0 - s)) * float(special.zeta(s))
+    """Dirichlet eta(s) = sum_{k>=1} (-1)^(k-1) k^(-s), by Borwein's (2000)
+    algorithm 2, summed exactly over the rounded terms."""
+    return math.fsum(_ETA_WEIGHTS * _ETA_BASES ** -s)
 
 
 def radial_profile_integral(gen: DensityGenerator, n: int) -> float:

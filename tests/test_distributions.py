@@ -19,6 +19,7 @@ from scipy import integrate, stats
 
 from lsemix.distributions import LseDistribution, sample_coupled
 from lsemix.errors import (
+    DomainError,
     ParameterError,
     SingularTransformError,
     UnsupportedGeneratorError,
@@ -325,6 +326,17 @@ class TestPdf:
         d = plain_normal(np.zeros(2), np.eye(2))
         with pytest.raises(UsageError):
             d.pdf(np.zeros(3))
+
+    @pytest.mark.parametrize("method", ["pdf", "log_pdf"])
+    def test_nan_point_rejected(self, method):
+        d = ghss(3.0, 0.0, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            getattr(d, method)(math.nan)
+        with pytest.raises(DomainError):
+            getattr(d, method)(np.array([0.0, math.nan, 1.0]))
+        d2 = plain_normal(np.zeros(2), np.eye(2))
+        with pytest.raises(DomainError):
+            getattr(d2, method)(np.array([[0.0, 0.0], [1.0, math.nan]]))
 
     def test_log_pdf_consistency(self):
         d = ghss(3.0, 0.0, 1.0, 0.5)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ladder_oracle import ladder_limit
 from scipy import integrate
 
+import lsemix.generators as generators_module
 from lsemix.errors import DomainError, ParameterError
 from lsemix.generators import (
     DensityGenerator,
@@ -94,6 +95,12 @@ class TestEvalGenerator:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             eval_generator(DensityGenerator(GeneratorFamily.NORMAL), -0.5, 1)
+
+    @pytest.mark.parametrize("gen", ALL_FAMILIES, ids=lambda g: g.describe())
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan, 2.0]], ids=["scalar", "array"])
+    def test_nan_argument_rejected(self, gen, u):
+        with pytest.raises(DomainError):
+            log_eval_generator(gen, u, 2)
 
     def test_log_matches_linear(self):
         u = np.linspace(0.0, 30.0, 50)
@@ -189,6 +196,20 @@ class TestNormalizingConstant:
         series = float(mpmath.gamma(mpmath.mpf(n) / 2) * mpmath.altzeta(mpmath.mpf(n) / 2 - 1))
         logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
         assert radial_profile_integral(logistic, n) == pytest.approx(series, rel=1e-13)
+
+    def test_eta_against_mpmath_in_every_supported_dimension(self):
+        # Borwein's sum against mpmath's altzeta at both arguments the
+        # logistic profile needs, eta(n/2 - 1) for I_n and eta(n/2) for
+        # E(R^2), in every dimension whose I_n is a double (n = 1 reaches
+        # the smallest argument, -1/2; n = 4 and 2 reach ln 2 and 1/2).
+        logistic = DensityGenerator(GeneratorFamily.LOGISTIC)
+        with pytest.raises(ParameterError, match="largest dimension it supports is 343"):
+            radial_profile_integral(logistic, 344)
+        with mpmath.workdps(30):
+            for n in range(1, 344):
+                for s in (n / 2.0 - 1.0, n / 2.0):
+                    exact = mpmath.altzeta(s)
+                    assert abs((generators_module._eta(s) - exact) / exact) <= 1e-14, (n, s)
 
     def test_existence_over_dimensions(self):
         for gen in ALL_FAMILIES:

@@ -2,13 +2,15 @@
 
 Oracles: scipy.integrate.quad on the raw densities (independent of the
 package's fixed-node rules), the Bessel-function moment identities for the
-generalized inverse gaussian, and hand-computed beta-law moments.
+generalized inverse gaussian (scipy.special, and mpmath at 30 digits for
+the log-scale K_nu), and hand-computed beta-law moments.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,14 @@ from lsemix.mixing import (
     Degenerate,
     DiscreteWeighted,
     GeneralizedInverseGaussian,
+    _log_kve,
     alpha_square_mean,
     beta_mean,
     beta_range,
     beta_variance,
     expectation,
     gig_density,
+    gig_log_normalizer,
 )
 
 GIG_GRID = [
@@ -148,6 +152,64 @@ class TestGigDensity:
                 lhs = special.kv(lam + 1, x)
                 rhs = special.kv(lam - 1, x) + (2 * lam / x) * special.kv(lam, x)
                 assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _mp_digits(x: float) -> int:
+    # 30 significant digits in log(K_nu(x)) + x, which cancels about
+    # log10(x) digits at large x.
+    return 30 + max(0, int(math.log10(x)))
+
+
+#: The extreme GIG parameters of the log-scale tests: K_lam overflows at the
+#: first two and sqrt(chi tau) at the third.
+GIG_EXTREMES = [(100.0, 1e-10, 1.0), (400.0, 1e-3, 1e-3), (2.0, 1e300, 1e300)]
+
+
+class TestLogScaleBessel:
+    """``_log_kve`` and the GIG normalizer and moments built on it, against
+    mpmath.  The log is compared with an absolute bound of 1e-13 up to
+    magnitude 1 and a relative one above: at x = 1e-300 and nu = 60 it is
+    about 4.1e4, where one double spacing is 7.3e-12."""
+
+    @pytest.mark.parametrize("nu", [-60.0, -37.5, -12.25, -2.5, -0.5, 0.0, 1e-3, 0.5, 1.0,
+                                    3.5, 5.5, 7.25, 12.0, 60.0])
+    def test_log_kve_against_mpmath(self, nu):
+        # 1.5e308: sqrt(2 x) overflows, sqrt(2) sqrt(x) does not.
+        points = [1e-300, 1e-100, 1e-10, 1e-5, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 1e3,
+                  1e6, 1e100, 1e300, 1.5e308]
+        for x in points:
+            with mpmath.workdps(_mp_digits(x)):
+                exact = mpmath.log(mpmath.besselk(nu, x)) + x
+            assert abs(_log_kve(nu, x) - exact) <= 1e-13 * max(1.0, abs(exact)), (nu, x)
+
+    @pytest.mark.parametrize("lam,chi,tau", GIG_EXTREMES)
+    def test_extreme_parameters_against_mpmath(self, lam, chi, tau):
+        omega = math.sqrt(chi) * math.sqrt(tau)
+        for nu in (lam, lam + 2.0, lam - 1.0):
+            with mpmath.workdps(_mp_digits(omega)):
+                exact = mpmath.log(mpmath.besselk(nu, omega)) + omega
+            assert abs(_log_kve(nu, omega) - exact) <= 1e-13 * max(1.0, abs(exact)), nu
+        mix = GeneralizedInverseGaussian(lam, chi, tau)
+        with mpmath.workdps(_mp_digits(omega)):
+            lam_, chi_, tau_ = mpmath.mpf(lam), mpmath.mpf(chi), mpmath.mpf(tau)
+            w = mpmath.sqrt(chi_ * tau_)
+            k = mpmath.besselk(lam_, w)
+            log_c = lam_ / 2 * mpmath.log(tau_ / chi_) - mpmath.log(2) - mpmath.log(k)
+            moments = {p: (chi_ / tau_) ** (p / 2) * mpmath.besselk(lam_ + p, w) / k
+                       for p in (2.0, -1.0)}
+        assert gig_log_normalizer(lam, chi, tau) == pytest.approx(float(log_c), rel=1e-13)
+        for p, exact in moments.items():
+            # exp of a difference of two logs of magnitude up to 5e3.
+            assert mix.power_moment(p) == pytest.approx(float(exact), rel=1e-12), p
+
+    def test_moment_past_the_double_range_raises(self):
+        # E(Z^2) = (chi/tau) K_3(1) / K_1(1), about 1e600.
+        with pytest.raises(ParameterError, match="not a double"):
+            GeneralizedInverseGaussian(1.0, 1e300, 1e-300).power_moment(2.0)
+
+    def test_order_past_the_supported_range_raises(self):
+        with pytest.raises(ParameterError, match="Bessel order"):
+            gig_log_normalizer(1e13, 1.0, 1.0)
 
 
 class TestGeneralizedInverseGaussian:

@@ -822,21 +822,29 @@ def test_halton_points_match_scipy():
         assert np.array_equal(orders_module._halton_points(n), reference), n
 
 
-def test_import_loads_no_scipy_stats():
-    # Neither the import nor a logistic pair's compare() and pdf load the three.
+def test_lsemix_loads_no_scipy(tmp_path):
+    # scipy's only runtime user is the complete-positivity factorization
+    # search, which none of these steps reaches: the import, a GIG x
+    # logistic pair's compare() and pdf, and a check of a GIG x logistic
+    # scenario at 2 * 10^4 samples.
+    scenario = os.path.join(os.path.dirname(__file__), "golden_mc", "scenarios", "logistic_gig_2d.json")
     code = (
         "import sys, numpy as np, lsemix\n"
-        "from lsemix import AlphaBetaMap, BetaLambdaOne, DensityGenerator, LseDistribution\n"
+        "from lsemix import (AlphaBetaMap, DensityGenerator, GeneralizedInverseGaussian,\n"
+        "                    LseDistribution)\n"
+        "from lsemix.cli import main\n"
         "d1, d2 = (LseDistribution(np.full(2, mu), scale * np.eye(2), np.full(2, 0.3),\n"
-        "          DensityGenerator('logistic'), AlphaBetaMap.location_mixture(),\n"
-        "          BetaLambdaOne(2.0)) for mu, scale in ((0.0, 1.0), (0.2, 1.5)))\n"
+        "          DensityGenerator('logistic'), AlphaBetaMap.mean_variance(),\n"
+        "          GeneralizedInverseGaussian(1.0, 0.5, 2.0)) for mu, scale in ((0.0, 1.0), (0.2, 1.5)))\n"
         "lsemix.compare(d1, d2)\n"
         "d1.pdf(np.zeros(2))\n"
-        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
+        f"main(['check', '--spec', {scenario!r}, '--out', {str(tmp_path)!r},\n"
+        "      '--samples', '20000', '--quiet'])\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "False", "False"]
+    assert result.stdout.split() == []
 
 
 # --- collective risk -------------------------------------------------------------------
