@@ -306,25 +306,29 @@ class GeneralizedInverseGaussian(MixingDistribution):
         omega = math.sqrt(self.chi * self.tau)
         return omega if 0.0 < omega < math.inf else math.sqrt(self.chi) * math.sqrt(self.tau)
 
+    @cached_property
+    def _log_bessels(self) -> dict[float, float]:
+        """``_log_bessel`` by order, filled on first use.  The normalizer and
+        every interior power moment share the order-lam entry, and one
+        ``compare()`` asks a law for each of its moments two or three times."""
+        return {}
+
     def _log_bessel(self, nu: float) -> float:
         """log(e^omega K_nu(omega)) at this law's omega."""
-        if not abs(nu) <= _KVE_ORDER_MAX:
-            raise ParameterError(
-                f"{self.describe()}: Bessel order {nu} is past the supported {_KVE_ORDER_MAX:g}")
-        return _log_kve(nu, self._omega)
-
-    @cached_property
-    def _log_bessel_lam(self) -> float:
-        """log(e^omega K_lam(omega)): the normalizer's and every interior
-        power moment's denominator."""
-        return self._log_bessel(self.lam)
+        memo = self._log_bessels
+        if nu not in memo:
+            if not abs(nu) <= _KVE_ORDER_MAX:
+                raise ParameterError(
+                    f"{self.describe()}: Bessel order {nu} is past the supported {_KVE_ORDER_MAX:g}")
+            memo[nu] = _log_kve(nu, self._omega)
+        return memo[nu]
 
     @cached_property
     def _log_normalizer(self) -> float:
         lam, chi, tau = self.lam, self.chi, self.tau
         if chi > 0.0 and tau > 0.0:
             return (0.5 * lam * (math.log(tau) - math.log(chi)) - math.log(2.0)
-                    - self._log_bessel_lam + self._omega)
+                    - self._log_bessel(lam) + self._omega)
         if chi == 0.0:
             # Gamma(lam, rate tau/2): density (tau/2)^lam / Gamma(lam) * w^{lam-1} e^{-tau w / 2}
             return lam * math.log(tau / 2.0) - math.lgamma(lam)
@@ -346,7 +350,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
         lam, chi, tau = self.lam, self.chi, self.tau
         if chi > 0.0 and tau > 0.0:
             log_moment = (0.5 * p * (math.log(chi) - math.log(tau))
-                          + self._log_bessel(lam + p) - self._log_bessel_lam)
+                          + self._log_bessel(lam + p) - self._log_bessel(lam))
             if not log_moment < _LOG_DOUBLE_MAX:
                 raise ParameterError(f"{self.describe()}: E(Z^{p}) is not a double")
             return math.exp(log_moment)
