@@ -8,9 +8,9 @@ of the copositive cone under the trace inner product <A, B> = tr(A'B).
 Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general; for
 n <= 10 ``is_copositive`` decides it exactly by solving the KKT systems of
 all 2^n - 1 supports (quadratic programming over the simplex, Bomze 1998).
-Complete positivity is decided by a ladder of exact rules with a
-nonnegative-factorization search as the last resort; when the search fails
-the honest answer is Unknown rather than a guess.
+Complete positivity is decided by a ladder of exact rules; when none of
+them applies the honest answer is Unknown rather than a guess (membership
+is NP-hard in general).
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ __all__ = [
 #: Default absolute tolerance on normalized quadratic-form values.
 DEFAULT_TOL = 1e-9
 
-_FACTORIZATION_RESTARTS = 200
-_FACTORIZATION_POLISH = 6
-
 #: The classical 5x5 matrix that is copositive but neither positive
 #: semidefinite nor completely positive; it separates the three cones.
 HORN_MATRIX = np.array(
@@ -64,7 +61,6 @@ class ConeStatus(Enum):
 class CertificateKind(Enum):
     EIGEN = "eigen"
     SIMPLEX_POINT = "simplex_point"
-    FACTORIZATION = "factorization"
     SUFFICIENT_RULE = "sufficient_rule"
     EXACT_SMALL_N = "exact_small_n"
 
@@ -74,11 +70,10 @@ class ConeVerdict:
     """Membership decision with supporting evidence.
 
     For copositivity Outside the witness is a simplex point x >= 0 with
-    ||x||_1 = 1 and x'Ax < -tol.  For complete positivity Inside with a
-    Factorization certificate the witness is a nonnegative matrix B with
-    B'B = A within tolerance.  Witnesses for rule-based verdicts are the
-    object the rule exhibits (an eigenvector, a dual certificate matrix, an
-    explicit factor) and may be None when the rule needs none.
+    ||x||_1 = 1 and x'Ax < -tol.  Witnesses for rule-based verdicts are the
+    object the rule exhibits (an eigenvector, a dual certificate matrix, a
+    nonnegative factor B with B'B = A) and may be None when the rule needs
+    none.
     """
 
     status: ConeStatus
@@ -220,62 +215,22 @@ def _diagonally_dominant_factor(a: np.ndarray, tol_abs: float) -> np.ndarray | N
     return np.array(rows)
 
 
-def _factorization_search(a: np.ndarray, tol_abs: float) -> np.ndarray | None:
-    """Search for H >= 0 (n x r) with H H' = A; None when not found.
+def _scaled_dominant_factor(a: np.ndarray, tol: float) -> np.ndarray | None:
+    """The dominance rule on diag(x) A diag(x), x = (2 diag(A) - A)^{-1} 1.
 
-    Multiplicative updates on a deterministic batch of random restarts,
-    followed by bound-constrained quasi-Newton polish of the best candidates.
-    """
-    from scipy import optimize  # on first use: most matrices never reach the search
-
-    n = a.shape[0]
-    r = n * (n + 1) // 2
-    rng = np.random.default_rng(1234321)
-    h = rng.random((_FACTORIZATION_RESTARTS, n, r)) * math.sqrt(
-        max(float(np.abs(a).max()), 1e-12) / r
-    )
-    a_batch = a[None, :, :]
-    eps = 1e-12
-    for _ in range(400):
-        ah = a_batch @ h
-        hhh = h @ (np.transpose(h, (0, 2, 1)) @ h)
-        ratio = np.maximum(ah, 0.0) / (hhh + eps)
-        h *= 0.5 + 0.5 * ratio
-
-    residuals = np.abs(h @ np.transpose(h, (0, 2, 1)) - a_batch).max(axis=(1, 2))
-    order = np.argsort(residuals)[:_FACTORIZATION_POLISH]
-
-    def objective(flat: np.ndarray):
-        m = flat.reshape(n, r)
-        diff = m @ m.T - a
-        grad = 4.0 * diff @ m
-        return float(np.sum(diff * diff)), grad.ravel()
-
-    best: np.ndarray | None = None
-    best_residual = math.inf
-    for i in order:
-        if residuals[i] <= tol_abs:
-            candidate = h[i]
-        else:
-            result = optimize.minimize(
-                objective,
-                h[i].ravel(),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, None)] * (n * r),
-                options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14},
-            )
-            candidate = result.x.reshape(n, r)
-        candidate = np.maximum(candidate, 0.0)
-        residual = float(np.abs(candidate @ candidate.T - a).max())
-        if residual < best_residual:
-            best_residual = residual
-            best = candidate
-        if best_residual <= tol_abs:
-            break
-    if best is not None and best_residual <= tol_abs:
-        return best.T  # rows are factors: B'B = A with B = best.T
-    return None
+    If x > 0, scaled row i has surplus x_i: the rule holds whenever 2 diag(A) - A
+    is a nonsingular M-matrix, which permutations and positive rescalings keep.
+    x is only a candidate; the rule certifies, and its factor B gives A = (B/x)'(B/x)."""
+    try:
+        x = np.linalg.solve(2.0 * np.diag(np.diag(a)) - a, np.ones(a.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not (x.min() > 0.0 and x.max() < math.inf):
+        return None
+    x /= x.max()  # the scaled entries stay within those of A
+    scaled = x[:, None] * a * x[None, :]
+    factor = _diagonally_dominant_factor(scaled, _absolute_tolerance(scaled, tol))
+    return None if factor is None else factor / x
 
 
 def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
@@ -283,9 +238,9 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
 
     Ladder: negative entry or not PSD -> Outside with a dual copositive
     certificate; doubly nonnegative with n <= 4 -> Inside (exact equality of
-    the cones in low dimension); rank one or nonnegative diagonally
-    dominant -> Inside with an explicit factor; otherwise a factorization
-    search, whose failure yields Unknown (the membership problem is NP-hard).
+    the cones in low dimension); rank one, or nonnegative and diagonally
+    dominant as given or after a positive diagonal scaling -> Inside with an
+    explicit factor; otherwise Unknown.
     """
     a, tol_abs = _prepare(a, tol)
     n = a.shape[0]
@@ -317,16 +272,11 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
                 ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE, witness=b[None, :]
             )
     factor = _diagonally_dominant_factor(a, tol_abs)
-    if factor is not None:
-        return ConeVerdict(
-            ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE, witness=factor
-        )
-    found = _factorization_search(a, max(tol_abs, 1e-10))
-    if found is not None:
-        return ConeVerdict(
-            ConeStatus.INSIDE, CertificateKind.FACTORIZATION, witness=found
-        )
-    return ConeVerdict(ConeStatus.UNKNOWN)
+    if factor is None:
+        factor = _scaled_dominant_factor(a, tol)
+    if factor is None:
+        return ConeVerdict(ConeStatus.UNKNOWN)
+    return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE, witness=factor)
 
 
 def dual_pairing(a, b) -> float:

@@ -246,10 +246,18 @@ class LseDistribution:
         a sum of two nonnegative terms.  With d = 0, ``along`` is 0 and
         ``off`` is |w|^2.  A q beyond the double range is inf, whose term
         is 0; callers run the blocks under ``np.errstate(over="ignore")``.
+        A point with an infinite coordinate is whitened with that
+        coordinate at 0 and given ``off`` = inf, so q is inf at every node
+        (no inf - inf); a NaN coordinate keeps ``off`` NaN and is rejected.
         """
         nodes, weights = self.mixing.quadrature()
         alphas = self.ab_map.alpha(nodes)
         chol = self._chol_lower
+        infinite = np.isinf(points)
+        far = 0.0
+        if infinite.any():  # a flat pass; the row-wise any is many times slower
+            far = np.where(infinite.any(axis=1), np.inf, 0.0)
+            points = np.where(infinite, 0.0, points)
         white = np.linalg.solve(chol, (points - self.mu).T)
         white_delta = np.linalg.solve(chol, self.delta)
         norm = math.hypot(*white_delta)
@@ -259,7 +267,7 @@ class LseDistribution:
             rest = white - np.outer(unit, along)
         else:
             along, rest = np.zeros(points.shape[0]), white
-        off = np.einsum("ij,ij->j", rest, rest)
+        off = np.einsum("ij,ij->j", rest, rest) + far
         shifts = self.ab_map.beta(nodes) * norm
         scales = 1.0 / (alphas * alphas)
         log_scales = (self._log_norm_const - self._log_sqrt_det) - self.dim * np.log(alphas)

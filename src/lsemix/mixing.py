@@ -329,11 +329,13 @@ class GeneralizedInverseGaussian(MixingDistribution):
         if chi > 0.0 and tau > 0.0:
             return (0.5 * lam * (math.log(tau) - math.log(chi)) - math.log(2.0)
                     - self._log_bessel(lam) + self._omega)
+        # The logs are taken apart: tau / 2 or chi / 2 underflows to 0 at the
+        # smallest subnormal.
         if chi == 0.0:
             # Gamma(lam, rate tau/2): density (tau/2)^lam / Gamma(lam) * w^{lam-1} e^{-tau w / 2}
-            return lam * math.log(tau / 2.0) - math.lgamma(lam)
+            return lam * (math.log(tau) - math.log(2.0)) - math.lgamma(lam)
         # tau == 0: inverse gamma with shape -lam, scale chi/2.
-        return (-lam) * math.log(chi / 2.0) - math.lgamma(-lam)
+        return (-lam) * (math.log(chi) - math.log(2.0)) - math.lgamma(-lam)
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -351,16 +353,19 @@ class GeneralizedInverseGaussian(MixingDistribution):
         if chi > 0.0 and tau > 0.0:
             log_moment = (0.5 * p * (math.log(chi) - math.log(tau))
                           + self._log_bessel(lam + p) - self._log_bessel(lam))
-            if not log_moment < _LOG_DOUBLE_MAX:
-                raise ParameterError(f"{self.describe()}: E(Z^{p}) is not a double")
-            return math.exp(log_moment)
-        if chi == 0.0:
+        elif chi == 0.0:
             if lam + p <= 0.0:
                 return math.inf
-            return (2.0 / tau) ** p * math.exp(math.lgamma(lam + p) - math.lgamma(lam))
-        if -lam - p <= 0.0:
-            return math.inf
-        return (chi / 2.0) ** p * math.exp(math.lgamma(-lam - p) - math.lgamma(-lam))
+            log_moment = (p * (math.log(2.0) - math.log(tau))
+                          + math.lgamma(lam + p) - math.lgamma(lam))
+        else:
+            if -lam - p <= 0.0:
+                return math.inf
+            log_moment = (p * (math.log(chi) - math.log(2.0))
+                          + math.lgamma(-lam - p) - math.lgamma(-lam))
+        if not log_moment < _LOG_DOUBLE_MAX:
+            raise ParameterError(f"{self.describe()}: E(Z^{p}) is not a double")
+        return math.exp(log_moment)
 
     @cached_property
     def _inverse_cdf(self):

@@ -340,20 +340,71 @@ def test_cp_diagonally_dominant_factor_reconstructs():
     np.testing.assert_allclose(b.T @ b, a, atol=1e-12)
 
 
-def test_cp_factorization_search_five_dimensional():
-    rng = np.random.default_rng(41)
-    b = rng.random((8, 5)) + 0.1
-    a = b.T @ b
+def dense_gram(rng, n):
+    """B'B for a dense positive B: completely positive, yet no rule of the
+    ladder certifies it."""
+    b = rng.random((n + 3, n)) + 0.1
+    return b.T @ b
+
+
+def test_cp_dense_gram_without_exact_rule_is_unknown():
+    # completely positive by construction, but neither rank one nor
+    # dominant under any positive diagonal scaling: no rule applies
+    a = dense_gram(np.random.default_rng(41), 5)
     verdict = is_completely_positive(a)
+    assert verdict.status is ConeStatus.UNKNOWN
+    assert verdict.certificate_kind is None and verdict.witness is None
+
+
+@pytest.mark.parametrize("d", [[30.0, 1.0, 1.0, 1.0, 1.0], [0.5, 2.0, 1.5, 1.0, 0.7],
+                               [1e3, 1.0, 1e-3, 1.0, 1.0]])
+def test_cp_rescaled_dominant_matrix_inside_with_factor(d):
+    # A = 2 I + 0.1 (J - I) is diagonally dominant; D A D is not, but it is
+    # dominant again after the scaling x = (2 diag - D A D)^{-1} 1
+    n = 5
+    a = 2.0 * np.eye(n) + 0.1 * (np.ones((n, n)) - np.eye(n))
+    d = np.array(d)
+    dad = d[:, None] * a * d[None, :]
+    verdict = is_completely_positive(dad)
     assert verdict.status is ConeStatus.INSIDE
-    assert verdict.certificate_kind in (
-        CertificateKind.FACTORIZATION,
-        CertificateKind.SUFFICIENT_RULE,
-    )
-    w = verdict.witness
-    assert np.all(w >= 0.0)
-    tol = 1e-8 * max(1.0, np.abs(a).max())
-    assert np.abs(w.T @ w - a).max() <= tol
+    assert verdict.certificate_kind is CertificateKind.SUFFICIENT_RULE
+    b = verdict.witness
+    assert np.all(b >= 0.0)
+    assert np.abs(b.T @ b - dad).max() <= 2.0 * np.finfo(float).eps * np.abs(dad).max()
+
+
+def pentagon(n):
+    """1.7 I + (5-cycle adjacency) in the leading block, I elsewhere:
+    doubly nonnegative, not completely positive (it pairs negatively with
+    the Horn matrix), and no rule of the ladder decides it."""
+    a = np.eye(n)
+    a[:5, :5] = 1.7 * np.eye(5)
+    for i in range(5):
+        a[i, (i + 1) % 5] = a[(i + 1) % 5, i] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_cp_invariant_under_permutation_and_rescaling(n):
+    rng = np.random.default_rng(200 + n)
+    off = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    off = np.triu(off, 1) + np.triu(off, 1).T
+    dominant = off + np.diag(off.sum(axis=1) + rng.uniform(0.1, 1.0, n))
+    g = rng.uniform(0.5, 2.0, n)
+    cases = [
+        (horn_like(rng, n), ConeStatus.OUTSIDE),
+        (np.outer(g, g), ConeStatus.INSIDE),
+        (dominant, ConeStatus.INSIDE),
+        (dense_gram(rng, n), ConeStatus.UNKNOWN),
+        (pentagon(n), ConeStatus.UNKNOWN),
+    ]
+    for a, status in cases:
+        assert is_completely_positive(a).status is status
+        for _ in range(3):
+            p = rng.permutation(n)
+            d = np.exp(rng.uniform(-3.0, 3.0, n))
+            moved = (d[:, None] * a * d[None, :])[np.ix_(p, p)]
+            assert is_completely_positive(moved).status is status
 
 
 @pytest.mark.parametrize("n", [5, 10])
@@ -372,7 +423,7 @@ def test_cp_certified_negative_case_is_not_inside():
     # 1.7 I + (5-cycle adjacency): nonnegative and PSD (eigenvalues
     # 1.7 + 2 cos(2 pi k / 5) > 0) yet it pairs to -1.5 with the Horn
     # matrix, which is copositive -- so by duality it cannot be completely
-    # positive.  The honest outcome for the search ladder is Unknown.
+    # positive.  No rule of the ladder decides it: the honest outcome is Unknown.
     cycle = np.zeros((5, 5))
     for i in range(5):
         cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1.0

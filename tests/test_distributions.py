@@ -338,6 +338,24 @@ class TestPdf:
         with pytest.raises(DomainError):
             getattr(d2, method)(np.array([[0.0, 0.0], [1.0, math.nan]]))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("skew", [0.0, 0.4])
+    def test_infinite_coordinate_has_zero_density(self, n, skew):
+        sigma = np.eye(n) + 0.3 * np.ones((n, n))
+        d = LseDistribution(np.full(n, 0.5), sigma, np.linspace(skew, skew / 2, n),
+                            NORMAL, AlphaBetaMap.skew_slash(), BetaLambdaOne(2.0))
+        points = np.zeros((4, n))
+        points[0, 0], points[1, -1], points[2] = np.inf, -np.inf, np.inf
+        pdf, log_pdf = d.pdf(points), d.log_pdf(points)
+        assert pdf[:3].tolist() == [0.0] * 3 and log_pdf[:3].tolist() == [-np.inf] * 3
+        assert pdf[3] > 0.0 and np.isfinite(log_pdf[3])
+        assert d.pdf(points[0]) == 0.0 and d.log_pdf(points[0]) == -np.inf
+        # NaN is still rejected, also beside an infinite coordinate
+        points[2, 0] = np.nan
+        for method in (d.pdf, d.log_pdf):
+            with pytest.raises(DomainError):
+                method(points[2])
+
     def test_log_pdf_consistency(self):
         d = ghss(3.0, 0.0, 1.0, 0.5)
         pts = np.array([-1.0, 0.0, 2.0])

@@ -207,6 +207,22 @@ class TestLogScaleBessel:
         with pytest.raises(ParameterError, match="not a double"):
             GeneralizedInverseGaussian(1.0, 1e300, 1e-300).power_moment(2.0)
 
+    @pytest.mark.parametrize("lam,chi,tau", [(2.0, 0.0, 5e-324), (-2.0, 5e-324, 0.0)])
+    def test_boundary_laws_at_the_smallest_subnormal(self, lam, chi, tau):
+        # tau / 2 (chi / 2) underflows to 0 there.  Both normalizers are
+        # |lam| log(scale / 2) - log Gamma(|lam|), scale = tau or chi.
+        with mpmath.workdps(30):
+            exact = abs(lam) * mpmath.log(mpmath.mpf(tau or chi) / 2) - mpmath.loggamma(abs(lam))
+        assert gig_log_normalizer(lam, chi, tau) == pytest.approx(float(exact), rel=1e-15)
+        mix = GeneralizedInverseGaussian(lam, chi, tau)
+        # E(Z) = 4 / tau for the gamma law and E(1/Z) = 4 / chi for the
+        # inverse gamma: finite, but not doubles.  The opposite moment is
+        # tau / 2 (chi / 2), half the smallest subnormal.
+        p = 1.0 if chi == 0.0 else -1.0
+        with pytest.raises(ParameterError, match="not a double"):
+            mix.power_moment(p)
+        assert 0.0 <= mix.power_moment(-p) <= 5e-324
+
     def test_order_past_the_supported_range_raises(self):
         with pytest.raises(ParameterError, match="Bessel order"):
             gig_log_normalizer(1e13, 1.0, 1.0)

@@ -431,8 +431,8 @@ def test_cp_cop_unequal_means_not_ordered():
 
 def test_cop_undecided_membership_inconclusive():
     # nonnegative PSD difference that certifiably is not completely positive
-    # (pentagon-cycle construction): the membership search reports Unknown,
-    # so the verdict honestly stays inconclusive
+    # (pentagon-cycle construction): no rule of the membership ladder
+    # decides it, so the verdict honestly stays inconclusive
     cycle = np.zeros((5, 5))
     for i in range(5):
         cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1.0
@@ -823,10 +823,10 @@ def test_halton_points_match_scipy():
 
 
 def test_lsemix_loads_no_scipy(tmp_path):
-    # scipy's only runtime user is the complete-positivity factorization
-    # search, which none of these steps reaches: the import, a GIG x
-    # logistic pair's compare() and pdf, and a check of a GIG x logistic
-    # scenario at 2 * 10^4 samples.
+    # lsemix needs numpy alone: the import, a GIG x logistic pair's
+    # compare() and pdf, a complete-positivity test that runs every rule of
+    # the ladder (a dense n = 5 B'B, which ends Unknown), and a check of a
+    # GIG x logistic scenario at 2 * 10^4 samples load no scipy module.
     scenario = os.path.join(os.path.dirname(__file__), "golden_mc", "scenarios", "logistic_gig_2d.json")
     code = (
         "import sys, numpy as np, lsemix\n"
@@ -838,6 +838,8 @@ def test_lsemix_loads_no_scipy(tmp_path):
         "          GeneralizedInverseGaussian(1.0, 0.5, 2.0)) for mu, scale in ((0.0, 1.0), (0.2, 1.5)))\n"
         "lsemix.compare(d1, d2)\n"
         "d1.pdf(np.zeros(2))\n"
+        "b = np.random.default_rng(41).random((8, 5)) + 0.1\n"
+        "lsemix.is_completely_positive(b.T @ b)\n"
         f"main(['check', '--spec', {scenario!r}, '--out', {str(tmp_path)!r},\n"
         "      '--samples', '20000', '--quiet'])\n"
         "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
