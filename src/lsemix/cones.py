@@ -5,9 +5,12 @@ entrywise nonnegative ("doubly nonnegative"), and every PSD or entrywise
 nonnegative matrix is copositive.  The completely positive cone is the dual
 of the copositive cone under the trace inner product <A, B> = tr(A'B).
 
-Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general; for
-n <= 10 ``is_copositive`` decides it exactly by solving the KKT systems of
-all 2^n - 1 supports (quadratic programming over the simplex, Bomze 1998).
+Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general.
+``is_copositive`` answers nonnegative and PSD matrices by those rules and
+otherwise decides it exactly for n <= 10 by solving the KKT systems of the
+supports of the simplex (quadratic programming over the simplex, Bomze
+1998), skipping every support that contains a face on which the restricted
+Hessian is indefinite, read from the inertia of its bordered matrix.
 Complete positivity is decided by a ladder of exact rules; when none of
 them applies the honest answer is Unknown rather than a guess (membership
 is NP-hard in general).
@@ -19,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,28 +127,66 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
 # Copositivity ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _faces(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per support size k = 1..n: the supports of that size, one per row in
+    ``itertools.combinations`` order, and each support's k facets as rows of
+    indices into the supports of size k - 1 (at k = 1, the empty support)."""
+    levels, index = [], {(): 0}
+    for k in range(1, n + 1):
+        supports = list(itertools.combinations(range(n), k))
+        facets = [[index[s[:j] + s[j + 1:]] for j in range(k)] for s in supports]
+        index = {s: i for i, s in enumerate(supports)}
+        level = (np.array(supports), np.array(facets))
+        for table in level:
+            table.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
+
+
 def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Test x'Ax >= 0 for all x >= 0, exactly for n <= 10.
 
-    Entrywise nonnegative matrices are Inside at once.  Otherwise the test
-    finds the minimum m of x'Ax over the simplex and answers Outside iff
-    m < -tol_abs = -tol * max(1, max|a_ij|); either way the witness is the
-    minimising simplex point, and m is x'Ax evaluated there.
+    Entrywise nonnegative matrices are Inside at once, and so are positive
+    semidefinite ones (is_psd's test, lambda_min >= -tol_abs), since
+    x'Ax >= lambda_min ||x||^2 >= -tol_abs on the simplex; neither rule
+    gives a witness.  Otherwise the test finds the minimum m of x'Ax over
+    the simplex and answers Outside iff m < -tol_abs = -tol * max(1, max|a_ij|);
+    either way the witness is the minimising simplex point, and m is x'Ax
+    evaluated there.
 
     A minimiser x of minimal support S solves the bordered KKT system
     [[A_S, -1], [1', 0]] (x_S; m) = (0; 1), and that system is nonsingular:
     a null vector (v, mu) has 1'v = 0 and A_S v = mu 1, so x'Ax changes by
     2 t mu along x + t v; both signs of t are feasible, so mu = 0, and moving
     until a coordinate of x + t v reaches zero gives a minimiser of smaller
-    support.  Solving the nonsingular systems of all 2^n - 1 supports
-    (batched by size, each at most (n+1) x (n+1)), keeping the solutions
-    with x_S >= 0 and evaluating x'Ax at each therefore finds the exact
-    minimum; singular faces, such as those on which the Horn matrix attains
-    its zero minimum, are skipped.  The symmetric system
-    [[A_S, 1], [1', 0]] (x_S; -m) = (0; 1) is the same one times the
-    orthogonal diag(I, -1), so its eigenvalues have the singular values of
-    the first as their magnitudes, and one batched eigendecomposition both
-    flags the singular systems and solves the rest.
+    support.  Solving the nonsingular systems of the supports (batched by
+    size, each at most (n+1) x (n+1)), keeping the solutions with x_S >= 0
+    and evaluating x'Ax at each therefore finds the exact minimum; singular
+    faces, such as those on which the Horn matrix attains its zero minimum,
+    are skipped.  The symmetric system [[A_S, 1], [1', 0]] (x_S; -m) = (0; 1)
+    is the same one times the orthogonal diag(I, -1), so its eigenvalues
+    have the singular values of the first as their magnitudes, and one
+    batched eigendecomposition both flags the singular systems and solves
+    the rest.
+
+    The same eigenvalues prune the enumeration.  By the inertia theorem for
+    KKT matrices (Gould 1985) the bordered matrix has the inertia of
+    Z'A_S Z, the Hessian restricted to the face's tangent space 1'v = 0,
+    plus one positive and one negative eigenvalue.  A second negative
+    eigenvalue therefore makes that Hessian indefinite, and then neither
+    the face nor any face containing it (whose tangent space contains this
+    one) holds a local minimum; the faces of a minimal-support minimiser,
+    on which the Hessian is positive definite, all pass.  A face fails when
+    its second eigenvalue is below minus numpy's matrix_rank band,
+    (k+1) eps max|eigenvalue|, the band that flags the singular systems, so
+    singular faces pass; size k+1 solves only the supports whose k facets
+    all passed.  Supports keep ``itertools.combinations`` order and a later
+    size replaces the best point only when strictly lower, so the witness
+    is the one the enumeration of every support picks, but for ties: where
+    several points attain the minimum, that enumeration could also take one
+    recomputed a rounding lower from a pruned face, of which it is a
+    boundary point.
     """
     a, tol_abs = _prepare(a, tol)
     n = a.shape[0]
@@ -152,28 +194,36 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         raise SizeLimitError(
             f"copositivity of a {n}x{n} matrix exceeds the n <= 10 solver cap"
         )
-    # Entrywise nonnegative matrices are copositive outright.
-    if np.all(a >= -tol_abs):
+    # Entrywise nonnegative and PSD matrices are copositive outright.
+    if np.all(a >= -tol_abs) or np.linalg.eigvalsh(a)[0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
     unit = a / float(np.abs(a).max())  # on the scale of the border; same minimisers
     best_value, best_point = math.inf, None
-    for k in range(1, n + 1):
-        supports = np.array(list(itertools.combinations(range(n), k)))
+    passed = np.ones(1, dtype=bool)  # the empty support, the facet of every vertex
+    for k, (supports, facets) in enumerate(_faces(n), start=1):
+        live = passed[facets].all(axis=1)
+        if not live.any():
+            break
+        supports = supports[live]
         bordered = np.zeros((len(supports), k + 1, k + 1))
         bordered[:, :k, :k] = unit[supports[:, :, None], supports[:, None, :]]
         bordered[:, :k, k] = 1.0
         bordered[:, k, :k] = 1.0
-        # numpy's matrix_rank rule on the singular values |eigenvalue|.
         eigenvalues, vectors = np.linalg.eigh(bordered)
         size = np.abs(eigenvalues)
-        regular = size.min(axis=1) > size.max(axis=1) * (k + 1) * np.finfo(float).eps
-        z = np.einsum("mij,mj->mi", vectors[regular],
-                      vectors[regular, k, :] / eigenvalues[regular])
+        band = size.max(axis=1) * (k + 1) * np.finfo(float).eps
+        convex = eigenvalues[:, 1] >= -band
+        passed = np.zeros_like(live)
+        passed[live] = convex
+        # numpy's matrix_rank rule on the singular values |eigenvalue|.
+        solve = convex & (size.min(axis=1) > band)
+        z = np.einsum("mij,mj->mi", vectors[solve],
+                      vectors[solve, k, :] / eigenvalues[solve])
         keep = np.all(z[:, :k] >= 0.0, axis=1)
         if not keep.any():
             continue
         x = np.zeros((int(keep.sum()), n))
-        np.put_along_axis(x, supports[regular][keep], z[keep, :k], axis=1)
+        np.put_along_axis(x, supports[solve][keep], z[keep, :k], axis=1)
         x /= x.sum(axis=1, keepdims=True)
         values = np.einsum("mi,ij,mj->m", x, a, x)
         i = int(np.argmin(values))

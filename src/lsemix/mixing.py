@@ -297,6 +297,8 @@ class GeneralizedInverseGaussian(MixingDistribution):
             mode = (lam + math.sqrt(lam * lam + chi * tau)) / tau
         else:
             mode = chi / (2.0 * -lam)
+        if not 0.0 < mode < math.inf:
+            raise ParameterError(f"{self.describe()}: the mode {mode} is not a positive finite double")
         return expand_log_bounds(self._log_mass, math.log(mode), drop=_GIG_LOG_DROP)
 
     @cached_property

@@ -25,3 +25,14 @@ def test_every_traced_name_yields_a_patch(monkeypatch):
         for part in path:
             owner = getattr(owner, part)
         assert (id(owner), leaf) in patched, f"{module_name}.{attribute}"
+
+
+def test_copositive_span_wraps_every_module_that_calls_it(monkeypatch):
+    # cones.copositive_s reads 0 if orders reaches is_copositive under a
+    # name the tracer does not wrap.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    owners = {owner for owner, key, _, _ in spans.Tracer()._patches() if key == "is_copositive"}
+    assert sys.modules["lsemix.cones"] in owners
+    assert sys.modules["lsemix.orders"] in owners

@@ -650,6 +650,14 @@ def test_cones_subcommand_horn_matrix(tmp_path, capsys):
     assert "copositive: inside" in out
 
 
+def test_cones_subcommand_psd_matrix_needs_no_copositive_witness(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("1 -0.5\n-0.5 1\n")
+    assert main(["cones", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "copositive: inside  certificate: sufficient_rule" in lines
+
+
 @pytest.mark.parametrize("family, n, limit", [("laplace", 172, 171), ("normal", 344, 302)])
 def test_dimension_past_the_double_range_is_an_error(tmp_path, capsys, family, n, limit):
     block = normal_block([0.0] * n, np.eye(n).tolist(), generator={"family": family})

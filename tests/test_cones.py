@@ -155,6 +155,51 @@ def test_copositive_horn_matrix():
     verdict = is_copositive(HORN_MATRIX)
     assert verdict.status is ConeStatus.INSIDE
     assert is_psd(HORN_MATRIX).status is ConeStatus.OUTSIDE
+    # neither nonnegative nor PSD: the answer comes from the face enumeration
+    assert verdict.certificate_kind is CertificateKind.SIMPLEX_POINT
+    assert verdict.witness is not None
+
+
+def test_copositive_psd_rule_needs_no_witness():
+    a = np.array([[1.0, -0.5], [-0.5, 1.0]])  # PSD with a negative entry
+    verdict = is_copositive(a)
+    assert verdict.status is ConeStatus.INSIDE
+    assert verdict.certificate_kind is CertificateKind.SUFFICIENT_RULE
+    assert verdict.witness is None
+
+
+def test_copositive_prunes_faces_with_an_indefinite_hessian(monkeypatch):
+    # Enumerating every support of an n = 10 matrix decomposes 1023
+    # bordered systems; a Gaussian matrix leaves most faces indefinite.
+    a = random_symmetric(np.random.default_rng(0), 10)
+    eigh = np.linalg.eigh
+    batches = []
+
+    def counted(m):
+        batches.append(m.shape[0])
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    is_copositive(a)
+    monkeypatch.undo()
+    assert sum(batches) < 2**10 - 1
+    assert_matches_oracle(a)
+
+
+def test_copositive_all_faces_singular_keeps_the_first_vertex():
+    # -J: every bordered system of two or more coordinates is singular, the
+    # boundary of the pruning band; every vertex attains the minimum -1.
+    verdict = is_copositive(-np.ones((10, 10)))
+    assert verdict.status is ConeStatus.OUTSIDE
+    np.testing.assert_array_equal(verdict.witness, np.eye(10)[0])
+
+
+def test_copositive_keeps_a_minimiser_on_the_full_face():
+    # I - J/2 is positive definite on every face's tangent space, and
+    # x'x - 1/2 is least at the uniform point, on the face of all ten
+    verdict = is_copositive(np.eye(10) - 0.5 * np.ones((10, 10)))
+    assert verdict.status is ConeStatus.OUTSIDE
+    np.testing.assert_allclose(verdict.witness, np.full(10, 0.1), rtol=1e-12)
 
 
 def test_copositive_horn_boundary_perturbation():

@@ -9,6 +9,7 @@ the log-scale K_nu), and hand-computed beta-law moments.
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -222,6 +223,17 @@ class TestLogScaleBessel:
         with pytest.raises(ParameterError, match="not a double"):
             mix.power_moment(p)
         assert 0.0 <= mix.power_moment(-p) <= 5e-324
+
+    @pytest.mark.parametrize("lam,chi,tau", [(2.0, 0.0, 5e-324), (2.0, 1e300, 1e300),
+                                             (-2.0, 5e-324, 0.0)])
+    def test_mode_outside_the_double_range_raises(self, lam, chi, tau):
+        # The mode (lam + sqrt(lam^2 + chi tau)) / tau overflows at the first
+        # two laws and chi / (-2 lam) underflows to 0 at the third.
+        mix = GeneralizedInverseGaussian(lam, chi, tau)
+        with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the mode")):
+            mix.quadrature()
+        with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the mode")):
+            mix.sample(np.random.default_rng(0), 10)
 
     def test_order_past_the_supported_range_raises(self):
         with pytest.raises(ParameterError, match="Bessel order"):
