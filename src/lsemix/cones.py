@@ -14,12 +14,17 @@ Hessian is indefinite, read from the inertia of its bordered matrix.
 Complete positivity is decided by a ladder of exact rules; when none of
 them applies the honest answer is Unknown rather than a guess (membership
 is NP-hard in general).
+
+Every comparison reads one rounding band, ``band(n, scale)``: ULPS n eps
+times the largest operand, which bounds the rounding of n-term sums (Higham
+2002, ch. 3).  It has no floor, so no status depends on the unit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,20 +32,29 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeLimitError, UsageError
+from .numerics import nearly_symmetric
 
 __all__ = [
     "ConeStatus",
     "CertificateKind",
     "ConeVerdict",
     "HORN_MATRIX",
+    "ULPS",
+    "band",
     "is_psd",
     "is_copositive",
     "is_completely_positive",
     "dual_pairing",
 ]
 
-#: Default absolute tolerance on normalized quadratic-form values.
-DEFAULT_TOL = 1e-9
+#: Width of the rounding band, in units of n eps times the operands' scale.
+ULPS = 64
+
+
+def band(n: int, scale):
+    """ULPS * n * eps * scale: the band within which a relation among sums of
+    n terms of magnitude at most ``scale`` counts as holding."""
+    return ULPS * n * sys.float_info.epsilon * scale
 
 #: The classical 5x5 matrix that is copositive but neither positive
 #: semidefinite nor completely positive; it separates the three cones.
@@ -74,7 +88,7 @@ class ConeVerdict:
     """Membership decision with supporting evidence.
 
     For copositivity Outside the witness is a simplex point x >= 0 with
-    ||x||_1 = 1 and x'Ax < -tol.  Witnesses for rule-based verdicts are the
+    ||x||_1 = 1 and x'Ax < -band.  Witnesses for rule-based verdicts are the
     object the rule exhibits (an eigenvector, a dual certificate matrix, a
     nonnegative factor B with B'B = A) and may be None when the rule needs
     none.
@@ -91,31 +105,28 @@ class ConeVerdict:
             object.__setattr__(self, "witness", w)
 
 
-def _prepare(a, tol: float) -> tuple[np.ndarray, float]:
-    """Validate symmetry, return (symmetrized copy, absolute tolerance)."""
+def _prepare(a, scale: float) -> tuple[np.ndarray, float]:
+    """Validate; return (symmetrized copy, band(n, max(scale, max|a_ij|)))."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise UsageError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise UsageError("matrix entries must be finite")
-    tol_abs = _absolute_tolerance(a, tol)
-    if float(np.abs(a - a.T).max()) > tol_abs:
+    if not nearly_symmetric(a):
         raise UsageError("matrix must be symmetric")
-    return 0.5 * (a + a.T), tol_abs
+    a = 0.5 * (a + a.T)
+    return a, band(a.shape[0], max(scale, float(np.abs(a).max())))
 
 
-def _absolute_tolerance(a: np.ndarray, tol: float) -> float:
-    """tol scaled by the largest entry magnitude (at least 1)."""
-    return tol * max(float(np.abs(a).max()), 1.0)
-
-
-def is_psd(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
+def is_psd(a, scale: float = 0.0) -> ConeVerdict:
     """Positive semidefiniteness via eigendecomposition.
 
-    Inside iff the smallest eigenvalue is >= -tol (scaled by the largest
-    entry magnitude); Outside carries the offending eigenvector.
+    Inside iff the smallest eigenvalue is >= -band(n, max(scale, max|a_ij|)),
+    where ``scale`` is the largest magnitude among the operands A was formed
+    from, so that the band covers their rounding; Outside carries the
+    offending eigenvector.  The other two tests read the same band.
     """
-    a, tol_abs = _prepare(a, tol)
+    a, tol_abs = _prepare(a, scale)
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     if eigenvalues[0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EIGEN)
@@ -144,16 +155,16 @@ def _faces(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(levels)
 
 
-def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
+def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     """Test x'Ax >= 0 for all x >= 0, exactly for n <= 10.
 
-    Entrywise nonnegative matrices are Inside at once, and so are positive
-    semidefinite ones (is_psd's test, lambda_min >= -tol_abs), since
-    x'Ax >= lambda_min ||x||^2 >= -tol_abs on the simplex; neither rule
-    gives a witness.  Otherwise the test finds the minimum m of x'Ax over
-    the simplex and answers Outside iff m < -tol_abs = -tol * max(1, max|a_ij|);
-    either way the witness is the minimising simplex point, and m is x'Ax
-    evaluated there.
+    Write b = band(n, max(scale, max|a_ij|)), as in ``is_psd``.  Matrices
+    with every entry >= -b are Inside at once, and so are positive
+    semidefinite ones (is_psd's test, lambda_min >= -b), since
+    x'Ax >= lambda_min ||x||^2 >= -b on the simplex; neither rule gives a
+    witness.  Otherwise the test finds the minimum m of x'Ax over the
+    simplex and answers Outside iff m < -b; either way the witness is the
+    minimising simplex point, and m is x'Ax evaluated there.
 
     A minimiser x of minimal support S solves the bordered KKT system
     [[A_S, -1], [1', 0]] (x_S; m) = (0; 1), and that system is nonsingular:
@@ -188,7 +199,7 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     recomputed a rounding lower from a pruned face, of which it is a
     boundary point.
     """
-    a, tol_abs = _prepare(a, tol)
+    a, tol_abs = _prepare(a, scale)
     n = a.shape[0]
     if n > 10:
         raise SizeLimitError(
@@ -211,12 +222,12 @@ def is_copositive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         bordered[:, k, :k] = 1.0
         eigenvalues, vectors = np.linalg.eigh(bordered)
         size = np.abs(eigenvalues)
-        band = size.max(axis=1) * (k + 1) * np.finfo(float).eps
-        convex = eigenvalues[:, 1] >= -band
+        rank_band = size.max(axis=1) * (k + 1) * np.finfo(float).eps
+        convex = eigenvalues[:, 1] >= -rank_band
         passed = np.zeros_like(live)
         passed[live] = convex
         # numpy's matrix_rank rule on the singular values |eigenvalue|.
-        solve = convex & (size.min(axis=1) > band)
+        solve = convex & (size.min(axis=1) > rank_band)
         z = np.einsum("mij,mj->mi", vectors[solve],
                       vectors[solve, k, :] / eigenvalues[solve])
         keep = np.all(z[:, :k] >= 0.0, axis=1)
@@ -243,29 +254,19 @@ def _diagonally_dominant_factor(a: np.ndarray, tol_abs: float) -> np.ndarray | N
     when every diagonal surplus is nonnegative; rows of the returned B stack
     the scaled vectors, so B'B = A exactly.
     """
-    n = a.shape[0]
     off_sums = a.sum(axis=1) - np.diag(a)
     surplus = np.diag(a) - off_sums
     if np.any(surplus < -tol_abs):
         return None
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > 0.0:
-                v = np.zeros(n)
-                v[i] = v[j] = math.sqrt(a[i, j])
-                rows.append(v)
-    for i in range(n):
-        if surplus[i] > 0.0:
-            v = np.zeros(n)
-            v[i] = math.sqrt(surplus[i])
-            rows.append(v)
-    if not rows:
-        rows.append(np.zeros(n))
-    return np.array(rows)
+    i, j = np.nonzero(np.triu(a, 1) > 0.0)  # row-major: the pairs i < j in order
+    k = np.flatnonzero(surplus > 0.0)
+    rows = np.zeros((max(len(i) + len(k), 1), a.shape[0]))
+    rows[np.arange(len(i)), i] = rows[np.arange(len(i)), j] = np.sqrt(a[i, j])
+    rows[len(i) + np.arange(len(k)), k] = np.sqrt(surplus[k])
+    return rows
 
 
-def _scaled_dominant_factor(a: np.ndarray, tol: float) -> np.ndarray | None:
+def _scaled_dominant_factor(a: np.ndarray, tol_abs: float) -> np.ndarray | None:
     """The dominance rule on diag(x) A diag(x), x = (2 diag(A) - A)^{-1} 1.
 
     If x > 0, scaled row i has surplus x_i: the rule holds whenever 2 diag(A) - A
@@ -279,11 +280,11 @@ def _scaled_dominant_factor(a: np.ndarray, tol: float) -> np.ndarray | None:
         return None
     x /= x.max()  # the scaled entries stay within those of A
     scaled = x[:, None] * a * x[None, :]
-    factor = _diagonally_dominant_factor(scaled, _absolute_tolerance(scaled, tol))
+    factor = _diagonally_dominant_factor(scaled, tol_abs)
     return None if factor is None else factor / x
 
 
-def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
+def is_completely_positive(a, scale: float = 0.0) -> ConeVerdict:
     """Decide membership of the completely positive cone (A = B'B, B >= 0).
 
     Ladder: negative entry or not PSD -> Outside with a dual copositive
@@ -292,7 +293,7 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     dominant as given or after a positive diagonal scaling -> Inside with an
     explicit factor; otherwise Unknown.
     """
-    a, tol_abs = _prepare(a, tol)
+    a, tol_abs = _prepare(a, scale)
     n = a.shape[0]
     negative = np.argwhere(a < -tol_abs)
     if negative.size:
@@ -302,10 +303,9 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
         return ConeVerdict(
             ConeStatus.OUTSIDE, CertificateKind.SUFFICIENT_RULE, witness=certificate
         )
-    # One eigendecomposition serves the PSD step (is_psd's test, at the
-    # tolerance of the symmetrized matrix) and the rank-one rule.
+    # One eigendecomposition serves the PSD step (is_psd's test) and rank one.
     eigenvalues, eigenvectors = np.linalg.eigh(a)
-    if eigenvalues[0] < -_absolute_tolerance(a, tol):
+    if eigenvalues[0] < -tol_abs:
         # vv' for the negative-eigenvalue direction is a PSD (hence copositive)
         # matrix with <A, vv'> < 0: a dual separation certificate.
         v = eigenvectors[:, 0]
@@ -323,7 +323,7 @@ def is_completely_positive(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
             )
     factor = _diagonally_dominant_factor(a, tol_abs)
     if factor is None:
-        factor = _scaled_dominant_factor(a, tol)
+        factor = _scaled_dominant_factor(a, tol_abs)
     if factor is None:
         return ConeVerdict(ConeStatus.UNKNOWN)
     return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE, witness=factor)

@@ -57,7 +57,12 @@ from .mixing import (
     beta_mean,
     beta_variance,
 )
-from .numerics import blocked_matmul, build_inverse_cdf_table, expand_log_bounds
+from .numerics import (
+    blocked_matmul,
+    build_inverse_cdf_table,
+    expand_log_bounds,
+    nearly_symmetric,
+)
 
 __all__ = [
     "LseDistribution",
@@ -135,10 +140,9 @@ class LseDistribution:
             np.isfinite(delta)
         ):
             raise ParameterError("mu, sigma, delta must be finite")
-        scale = float(np.abs(sigma).max())
-        if scale <= 0.0:
+        if not sigma.any():
             raise ParameterError("sigma must be nonzero")
-        if float(np.abs(sigma - sigma.T).max()) > 1e-12 * scale:
+        if not nearly_symmetric(sigma):
             raise ParameterError("sigma must be symmetric")
         sigma = 0.5 * (sigma + sigma.T)
         eigenvalues = np.linalg.eigvalsh(sigma)

@@ -32,6 +32,7 @@ from .errors import NonIntegrableError
 __all__ = [
     "gauss_legendre",
     "blocked_matmul",
+    "nearly_symmetric",
     "build_inverse_cdf_table",
     "expand_log_bounds",
     "InverseCdfTable",
@@ -91,6 +92,14 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.matmul(a[start:stop], b, out=out[start:stop])
         start = stop
     return out
+
+
+def nearly_symmetric(a: np.ndarray) -> bool:
+    """The input rule for a symmetric matrix: max|a_ij - a_ji| <= 1e-12 max|a_ij|.
+
+    Relative to the largest entry with no floor, so a matrix and any
+    multiple of it are accepted or rejected together."""
+    return float(np.abs(a - a.T).max()) <= 1e-12 * float(np.abs(a).max())
 
 
 class _BucketIndex:

@@ -46,10 +46,11 @@ it, the projected statuses of each parent (ilcx reads lcx's).  Nothing is
 kept between calls: the pair is dropped when compare() returns.
 
 Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
-difference is mu_2 - mu_1 even when E(beta) diverges.  Equalities and
-inequalities among parameters are tolerance-based (relative 1e-9, scaled by
-the larger magnitude), because the theorems state exact identities the
-floating world cannot.
+difference is mu_2 - mu_1 even when E(beta) diverges.  The theorems state
+exact identities, so each (in)equality holds within ``cones.band`` of the
+largest operand its two sides were formed from, entry by entry (for a mean,
+the summands mu_i and E(beta) delta_i).  With no floor, and no term in the
+result, no verdict depends on the unit or the origin.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cones import (
-    DEFAULT_TOL,
     ConeStatus,
     ConeVerdict,
+    band,
     is_completely_positive,
     is_copositive,
     is_psd,
@@ -88,8 +89,6 @@ __all__ = [
     "check_order",
     "compare",
 ]
-
-RELATIVE_TOL = 1e-9
 
 #: Count of low-discrepancy directions used by the projection-based
 #: necessary tests of the derived orders.
@@ -193,27 +192,33 @@ def _verdict_of(sufficient: SufficientStatus, necessary: NecessaryStatus) -> Ver
     return Verdict.INCONCLUSIVE
 
 
-# --- tolerance-based comparators ---------------------------------------------
+# --- comparisons within the rounding band -------------------------------------
 
 
-def _tol_of(*arrays: np.ndarray) -> float:
-    scale = 1.0
-    for a in arrays:
-        if a.size:
-            scale = max(scale, float(np.abs(a).max()))
-    return RELATIVE_TOL * scale
+def _bands(operands: tuple[np.ndarray, ...]) -> np.ndarray:
+    """band(1, the largest magnitude among the operands), entry by entry."""
+    scale = np.abs(operands[0])
+    for a in operands[1:]:
+        scale = np.maximum(scale, np.abs(a))
+    return band(1, scale)
 
 
-def vec_equal(x: np.ndarray, y: np.ndarray) -> bool:
-    return float(np.abs(x - y).max(initial=0.0)) <= _tol_of(x, y)
+def entry_equal(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    """x = y entry by entry, within the band of the operands that x and y
+    were formed from (x and y themselves when none are given)."""
+    return np.abs(x - y) <= _bands(operands or (x, y))
 
 
-def vec_leq(x: np.ndarray, y: np.ndarray) -> bool:
-    return bool(np.all(x <= y + _tol_of(x, y)))
+def entry_leq(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    return x <= y + _bands(operands or (x, y))
 
 
-def vec_nonneg(x: np.ndarray) -> bool:
-    return bool(np.all(x >= -_tol_of(x)))
+def vec_equal(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> bool:
+    return bool(np.all(entry_equal(x, y, *operands)))
+
+
+def vec_leq(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> bool:
+    return bool(np.all(entry_leq(x, y, *operands)))
 
 
 # --- views: the two laws the conditions and gates read ------------------------
@@ -262,14 +267,17 @@ class _View:
 
         Where the shifts are equal the mean difference is exactly mu2 - mu1
         regardless of E(beta), so that case is decided even when E(beta)
-        diverges.  A branch that no direction needs is not computed.
+        diverges.  A branch that no direction needs is not computed.  The
+        relation's band covers the summands mu_i and E(beta) delta_i.
         """
         equal = self.delta_equal
         if np.all(equal):
             return relation(self.mu1, self.mu2)
         e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
-        shifted = (relation(self.mu1 + e_beta * self.delta1, self.mu2 + e_beta * self.delta2)
-                   if math.isfinite(e_beta) else None)
+        shifted = None
+        if math.isfinite(e_beta):
+            s1, s2 = e_beta * self.delta1, e_beta * self.delta2
+            shifted = relation(self.mu1 + s1, self.mu2 + s2, self.mu1, s1, self.mu2, s2)
         if not np.any(equal):
             return shifted
         return np.where(equal, relation(self.mu1, self.mu2),
@@ -288,6 +296,7 @@ class _Pair(_View):
         self.delta1, self.delta2 = d1.effective_delta(), d2.effective_delta()
         self.scale1, self.scale2 = d1.sigma, d2.sigma
         self.sigma_diff = self.scale2 - self.scale1
+        self.sigma_scale = float(max(np.abs(d1.sigma).max(), np.abs(d2.sigma).max()))
         # Filled on first use, so each piece of work runs once per pair.
         self.conditions: dict[str, bool | None] = {}
         self.reports: dict[OrderKind, OrderReport] = {}
@@ -309,25 +318,23 @@ class _Pair(_View):
     # condition primitives ----------------------------------------------------
 
     def location_all_z(self) -> bool:
-        """mu2 - mu1 + b (delta2 - delta1) >= 0 for every attainable b.
+        """mu1 + b delta1 <= mu2 + b delta2 for every attainable b.
 
-        The left side is affine in b, so the closure endpoints of the beta
-        range decide it; an infinite endpoint contributes the sign condition
-        on the shift difference alone.
+        Both sides are affine in b, so the closure endpoints of the beta
+        range decide it; an infinite endpoint contributes the order of the
+        shifts alone, and two infinite endpoints that of the locations too.
         """
-        a, d = self.mu2 - self.mu1, self.delta2 - self.delta1
         lo, hi = beta_range(self.d1.mixing, self.d1.ab_map)
         conditions = []
-        if math.isinf(lo):
-            conditions.append(vec_nonneg(-d))
-        else:
-            conditions.append(vec_nonneg(a + lo * d))
-        if math.isinf(hi):
-            conditions.append(vec_nonneg(d))
-        else:
-            conditions.append(vec_nonneg(a + hi * d))
+        for b, shifts in ((lo, (self.delta2, self.delta1)), (hi, (self.delta1, self.delta2))):
+            if math.isinf(b):
+                conditions.append(vec_leq(*shifts))
+            else:
+                s1, s2 = b * self.delta1, b * self.delta2
+                conditions.append(vec_leq(self.mu1 + s1, self.mu2 + s2,
+                                          self.mu1, s1, self.mu2, s2))
         if math.isinf(lo) and math.isinf(hi):
-            conditions.append(vec_nonneg(a))
+            conditions.append(vec_leq(self.mu1, self.mu2))
         return all(conditions)
 
     @cached_property
@@ -345,19 +352,19 @@ class _Pair(_View):
     # cone tests of Sigma2 - Sigma1, each read through its one condition -----
 
     def psd(self) -> bool | None:
-        return _inside(is_psd(self.sigma_diff))
+        return _inside(is_psd(self.sigma_diff, self.sigma_scale))
 
     def copositive(self) -> bool | None:
         return _inside(self.copositive_verdict)
 
     def completely_positive(self) -> bool | None:
-        return _inside(is_completely_positive(self.sigma_diff))
+        return _inside(is_completely_positive(self.sigma_diff, self.sigma_scale))
 
     @cached_property
     def copositive_verdict(self) -> ConeVerdict | None:
         """None when Sigma2 - Sigma1 exceeds the copositivity size cap."""
         try:
-            return is_copositive(self.sigma_diff)
+            return is_copositive(self.sigma_diff, self.sigma_scale)
         except SizeLimitError:
             return None
 
@@ -638,9 +645,7 @@ def _halton_directions(n: int, signed: bool) -> np.ndarray:
     points = _halton_points(n)
     if signed:
         points = 2.0 * points - 1.0
-    norms = np.linalg.norm(points, axis=1)
-    keep = norms > 1e-9
-    return points[keep] / norms[keep, None]
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
 def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
@@ -680,14 +685,9 @@ def _projection_directions(pair: _Pair, signed: bool) -> np.ndarray:
             return np.vstack([fixed, eigenvectors[:, 0]])
     else:
         witness = pair.copositive_witness()
-        if witness is not None and float(np.linalg.norm(witness)) > 1e-9:
+        if witness is not None:
             return np.vstack([fixed, witness / float(np.linalg.norm(witness))])
     return fixed
-
-
-def _tol(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The tolerance vec_equal and vec_leq apply to the 1-vectors x_k, y_k."""
-    return RELATIVE_TOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 
 class _Projections(_View):
@@ -714,23 +714,19 @@ class _Projections(_View):
         self.scale1, self.scale2 = (
             np.einsum("ij,ij->i", directions @ s, directions) for s in (pair.scale1, pair.scale2))
 
-    @staticmethod
-    def equal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.abs(x - y) <= _tol(x, y)
-
-    @staticmethod
-    def leq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x <= y + _tol(x, y)
+    # vec_equal and vec_leq on the pair of each direction's 1-vectors.
+    equal = staticmethod(entry_equal)
+    leq = staticmethod(entry_leq)
 
     @staticmethod
     def is_zero(x: np.ndarray) -> np.ndarray:
         return x == 0.0
 
     def psd(self) -> np.ndarray:
-        """The 1x1 matrix [d] is PSD, and copositive, exactly when is_psd and
-        is_copositive say so: d >= -DEFAULT_TOL * max(1, |d|)."""
-        d = self.scale2 - self.scale1
-        return d >= -DEFAULT_TOL * np.maximum(np.abs(d), 1.0)
+        """The 1x1 matrix [d], d = a'Sigma2 a - a'Sigma1 a, is PSD, and
+        copositive, exactly when is_psd and is_copositive say so on the
+        projected pair: d >= -band(1, max(a'Sigma1 a, a'Sigma2 a))."""
+        return self.scale2 - self.scale1 >= -band(1, np.maximum(self.scale1, self.scale2))
 
     copositive = psd
 

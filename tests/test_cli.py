@@ -560,6 +560,18 @@ def test_samples_flag_enables_monte_carlo(tmp_path):
     assert report["monte_carlo"]["st"]["sample_count"] == 15000
 
 
+def test_check_far_from_the_origin(tmp_path, capsys):
+    # With mu at 6e7 a band proportional to |mu| made lcx's report unsound,
+    # and check ended in a traceback.
+    sigma, ab = [[1.0, 0.3], [0.3, 2.0]], {"preset": "skew_slash"}
+    mixing = {"kind": "beta_lambda_one", "lam": 3.0}
+    block1, block2 = (normal_block(mu, sigma, [0.5, -0.2], mixing=mixing, ab=ab)
+                      for mu in ([6e7, 6e7], [6e7 + 0.05, 6e7]))
+    path = write_spec(tmp_path, scenario(block1, block2, orders=["lcx"]))
+    assert main(["check", "--spec", str(path), "--out", str(tmp_path)]) == 2
+    assert "lcx: not_ordered" in capsys.readouterr().out.splitlines()
+
+
 def test_quiet_suppresses_output(tmp_path, capsys):
     block = normal_block([0.0], [[1.0]])
     path = write_spec(tmp_path, scenario(block, block, orders=["st"]))
@@ -656,6 +668,23 @@ def test_cones_subcommand_psd_matrix_needs_no_copositive_witness(tmp_path, capsy
     assert main(["cones", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "copositive: inside  certificate: sufficient_rule" in lines
+
+
+def test_cones_subcommand_band_has_no_floor(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("1e-12 -2e-12\n-2e-12 1e-12\n")
+    assert main(["cones", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0] for line in lines[1:4]] == [
+        "psd: outside", "copositive: outside", "completely_positive: outside"]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_cones_subcommand_rejects_an_asymmetric_matrix_at_every_scale(tmp_path, capsys, c):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{c!r} {c!r}\n{3 * c!r} {c!r}\n")
+    assert main(["cones", str(path)]) == 1
+    assert capsys.readouterr().err == "error: matrix must be symmetric\n"
 
 
 @pytest.mark.parametrize("family, n, limit", [("laplace", 172, 171), ("normal", 344, 302)])

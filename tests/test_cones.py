@@ -7,6 +7,8 @@ KKT systems.  Closed-form examples (Horn matrix, 2x2 criteria, cycle
 matrices with known eigenvalues) pin the exact boundary behaviour.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from lsemix.cones import (
     HORN_MATRIX,
     CertificateKind,
     ConeStatus,
+    _diagonally_dominant_factor,
     dual_pairing,
     is_completely_positive,
     is_copositive,
@@ -385,6 +388,43 @@ def test_cp_diagonally_dominant_factor_reconstructs():
     np.testing.assert_allclose(b.T @ b, a, atol=1e-12)
 
 
+def loop_dominant_factor(a, tol_abs):
+    """Reference: the dominance factor built one row at a time."""
+    n = a.shape[0]
+    surplus = np.diag(a) - (a.sum(axis=1) - np.diag(a))
+    if np.any(surplus < -tol_abs):
+        return None
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i, j] > 0.0:
+                v = np.zeros(n)
+                v[i] = v[j] = math.sqrt(a[i, j])
+                rows.append(v)
+    for i in range(n):
+        if surplus[i] > 0.0:
+            v = np.zeros(n)
+            v[i] = math.sqrt(surplus[i])
+            rows.append(v)
+    return np.array(rows or [np.zeros(n)])
+
+
+def test_dominant_factor_matches_the_loop():
+    rng = np.random.default_rng(5)
+    built = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 11))
+        a = np.abs(rng.normal(size=(n, n))) * (rng.random((n, n)) < rng.random())
+        a = 0.5 * (a + a.T)
+        a[np.diag_indices(n)] = a.sum(axis=1) * rng.uniform(0.8, 1.5) if rng.random() < 0.8 else 0.0
+        got, reference = _diagonally_dominant_factor(a, 1e-12), loop_dominant_factor(a, 1e-12)
+        assert (got is None) is (reference is None)
+        if reference is not None:
+            built += 1
+            assert got.shape == reference.shape and np.array_equal(got, reference)
+    assert built > 100
+
+
 def dense_gram(rng, n):
     """B'B for a dense positive B: completely positive, yet no rule of the
     ladder certifies it."""
@@ -537,3 +577,45 @@ def test_property_outside_witness_valid(n, seed):
         x = verdict.witness
         assert x @ a @ x < 0.0
         assert np.all(x >= -1e-12)
+
+
+# --- the rounding band ------------------------------------------------------------
+
+
+CONE_TESTS = (is_psd, is_copositive, is_completely_positive)
+
+
+@pytest.mark.parametrize("c", [10.0 ** k for k in range(-12, 13, 2)])
+def test_statuses_do_not_depend_on_the_unit(c):
+    for a in (HORN_MATRIX, *cp_trap_matrices()):
+        for test in CONE_TESTS:
+            assert test(c * a).status is test(a).status, (test.__name__, a.shape)
+
+
+def test_band_has_no_floor():
+    # Below a floor of 1 an absolute 1e-9 band read this matrix as inside
+    # all three cones; its eigenvalue -1e-12 and entry -2e-12 lie far
+    # outside the band of its own entries.
+    a = 1e-12 * np.array([[1.0, -2.0], [-2.0, 1.0]])
+    assert [test(a).status for test in CONE_TESTS] == [ConeStatus.OUTSIDE] * 3
+
+
+def test_scale_widens_the_band_to_the_operands():
+    # The difference of two matrices of magnitude 1 carries their rounding:
+    # -1e-17 is inside the band of the operands but not of the difference.
+    a = np.array([[1e-16, 0.0], [0.0, -1e-17]])
+    assert is_psd(a).status is ConeStatus.OUTSIDE
+    assert is_psd(a, scale=1.0).status is ConeStatus.INSIDE
+    assert is_copositive(a, scale=1.0).status is ConeStatus.INSIDE
+    assert is_completely_positive(a, scale=1.0).status is ConeStatus.INSIDE
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_one_symmetry_rule_at_every_scale(c):
+    symmetric = c * np.array([[2.0, 1.0], [1.0, 2.0]])
+    for test in CONE_TESTS:
+        with pytest.raises(UsageError, match="symmetric"):
+            test(c * np.array([[1.0, 1.0], [3.0, 1.0]]))
+        with pytest.raises(UsageError, match="symmetric"):
+            test(symmetric + c * np.array([[0.0, 1e-11], [0.0, 0.0]]))
+        assert test(symmetric + c * np.array([[0.0, 1e-13], [0.0, 0.0]])).status is ConeStatus.INSIDE

@@ -92,6 +92,18 @@ class TestConstruction:
                 mixing=Degenerate(1.0),
             )
 
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_symmetry_rule_at_every_scale(self, c):
+        def law(sigma):
+            return LseDistribution(np.zeros(2), c * np.array(sigma), np.zeros(2), NORMAL,
+                                   AlphaBetaMap.plain(), Degenerate(1.0))
+
+        for sigma in ([[1.0, 1.0], [3.0, 1.0]], [[2.0, 1.0 + 1e-11], [1.0, 2.0]]):
+            with pytest.raises(ParameterError, match="symmetric"):
+                law(sigma)
+        sigma = law([[2.0, 1.0 + 1e-13], [1.0, 2.0]]).sigma  # accepted and symmetrized
+        assert sigma[0, 1] == sigma[1, 0]
+
     def test_rejects_indefinite_sigma(self):
         with pytest.raises(ParameterError, match="positive definite"):
             LseDistribution(

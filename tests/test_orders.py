@@ -36,6 +36,7 @@ from lsemix.mixing import (
     Degenerate,
     DiscreteWeighted,
     GeneralizedInverseGaussian,
+    beta_mean,
 )
 from lsemix.orders import (
     Clause,
@@ -1023,3 +1024,60 @@ def test_property_soundness_random_pairs(seed):
         assert isinstance(report, OrderReport)
         if report.sufficient is SufficientStatus.HOLDS:
             assert report.verdict is Verdict.ORDERED
+
+
+# --- the rounding band ------------------------------------------------------------
+
+
+def band_law(mu, sigma=((1.0, 0.3), (0.3, 2.0))):
+    return mk(mu, sigma, [0.5, -0.2], ab=SKEW, mix=BetaLambdaOne(3.0))
+
+
+def verdicts_of(d1, d2):
+    return {order: report.verdict for order, report in compare(d1, d2).items()}
+
+
+@pytest.mark.parametrize("c", [1e6, 6e7, 1e8])
+def test_verdicts_do_not_depend_on_the_origin(c):
+    # A band proportional to |mu| outgrew the projected differences from
+    # c = 6e7 on: cx, dcx, ccx, sm, cp and cop read ordered both ways, and
+    # lcx's report was unsound (sufficient held, a direction was violated).
+    at_zero = band_law([0.0, 0.0]), band_law([0.05, 0.0])
+    shifted = band_law([c, c]), band_law([c + 0.05, c])
+    assert verdicts_of(*shifted) == verdicts_of(*at_zero)
+    assert verdicts_of(*shifted[::-1]) == verdicts_of(*at_zero[::-1])
+
+
+def test_a_location_move_of_1e_10_is_no_equality_in_law():
+    d1, d2 = band_law([0.0, 0.0]), band_law([1e-10, 0.0])
+    forward, reverse = verdicts_of(d1, d2), verdicts_of(d2, d1)
+    assert forward[OrderKind.ST] is Verdict.ORDERED
+    assert reverse[OrderKind.ST] is not Verdict.ORDERED
+    for order in (OrderKind.CX, OrderKind.DCX, OrderKind.SM):
+        assert forward[order] is reverse[order] is Verdict.NOT_ORDERED, order
+
+
+def test_a_scale_move_of_1e_10_is_no_equality_in_law():
+    sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+    d1 = band_law([0.0, 0.0], sigma)
+    d2 = band_law([0.0, 0.0], sigma - 1e-10 * np.outer([0.0, 1.0], [0.0, 1.0]))
+    assert verdicts_of(d1, d2)[OrderKind.CX] is Verdict.NOT_ORDERED
+    assert verdicts_of(d2, d1)[OrderKind.CX] is Verdict.ORDERED
+
+
+def test_mean_band_covers_the_summands():
+    # mu_i = -E(beta) delta_i: both means are 0, computed as rounding
+    # residues of mu_i + E(beta) delta_i.  A band relative to those residues
+    # reads the mean ordering as violated along the projections.
+    mix, ab = GeneralizedInverseGaussian(1.0, 1.0, 2.0), MEANVAR
+    e_beta = beta_mean(mix, ab)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        d1, d2 = (mk(-e_beta * delta, np.eye(3), delta, ab=ab, mix=mix)
+                  for delta in rng.normal(size=(2, 3)))
+        for a, b in ((d1, d2), (d2, d1)):
+            reports = compare(a, b)
+            assert [c.passed for c in reports[OrderKind.ST].clauses
+                    if c.tag == "necessary/mean-ordering"] == [True]
+            for order in (OrderKind.PLST, OrderKind.IPLCX):
+                assert reports[order].verdict is Verdict.INCONCLUSIVE, order
