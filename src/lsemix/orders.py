@@ -214,11 +214,11 @@ def entry_leq(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> np.ndarray
 
 
 def vec_equal(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> bool:
-    return bool(np.all(entry_equal(x, y, *operands)))
+    return bool(entry_equal(x, y, *operands).all())
 
 
 def vec_leq(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> bool:
-    return bool(np.all(entry_leq(x, y, *operands)))
+    return bool(entry_leq(x, y, *operands).all())
 
 
 # --- views: the two laws the conditions and gates read ------------------------
