@@ -47,10 +47,9 @@ RELATIONS = {
 }
 
 #: Order -> orders it implies.
-IMPLIES: dict[str, set[str]] = {}
-for _parent, _implied in (*_bench_lattice().items(),
-                          ("cx", ("icx",)), ("st", ("uo",)), ("sm", ("dcx",))):
-    IMPLIES.setdefault(_parent, set()).update(_implied)
+IMPLIES = {parent: set(implied) for parent, implied in _bench_lattice().items()}
+for _parent, _implied in (("cx", "icx"), ("st", "uo"), ("sm", "dcx")):
+    IMPLIES.setdefault(_parent, set()).add(_implied)
 
 
 def image(d: LseDistribution, perm, scale, shift) -> LseDistribution:
