@@ -65,8 +65,8 @@ import numpy as np
 from .cones import dual_pairing, is_completely_positive, is_copositive, is_psd
 from .distributions import LseDistribution
 from .empirical import (
-    DominanceResult, McConfig, SurvivalCurve, stoploss_dominance, verify_cx, verify_orthant,
-    verify_st,
+    DominanceResult, McConfig, SurvivalCurve, axis_pair_directions, stoploss_dominance,
+    verify_cx, verify_orthant, verify_st,
 )
 from .errors import LsemixError, ScenarioError
 from .generators import DensityGenerator, GeneratorFamily, limit_ratio
@@ -80,7 +80,7 @@ from .mixing import (
     GeneralizedInverseGaussian,
     MixingDistribution,
 )
-from .orders import OrderKind, OrderReport, Verdict, axis_pair_directions, compare
+from .orders import OrderKind, OrderReport, Verdict, compare
 
 __all__ = [
     "ScenarioSpec",

@@ -6,11 +6,13 @@ nonnegative matrix is copositive.  The completely positive cone is the dual
 of the copositive cone under the trace inner product <A, B> = tr(A'B).
 
 Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general.
-``is_copositive`` answers nonnegative and PSD matrices by those rules and
-otherwise decides it exactly for n <= 10 by solving the KKT systems of the
-supports of the simplex (quadratic programming over the simplex, Bomze
+``is_copositive`` answers nonnegative and PSD matrices by those rules at any
+n.  Otherwise it decides exactly for n <= 10 by solving the KKT systems of
+the supports of the simplex (quadratic programming over the simplex, Bomze
 1998), skipping every support that contains a face on which the restricted
-Hessian is indefinite, read from the inertia of its bordered matrix.
+Hessian is indefinite, read from the inertia of its bordered matrix; above
+that cap it looks only for a witness on a 1x1 or 2x2 principal submatrix
+and is otherwise Unknown.
 Complete positivity is decided by a ladder of exact rules; when none of
 them applies the honest answer is Unknown rather than a guess (membership
 is NP-hard in general).
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeLimitError, UsageError
+from .errors import UsageError
 from .numerics import nearly_symmetric
 
 __all__ = [
@@ -156,15 +158,22 @@ def _faces(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
-    """Test x'Ax >= 0 for all x >= 0, exactly for n <= 10.
+    """Test x'Ax >= 0 for all x >= 0: exactly for n <= 10, by two rules and
+    small witnesses at any n.
 
     Write b = band(n, max(scale, max|a_ij|)), as in ``is_psd``.  Matrices
     with every entry >= -b are Inside at once, and so are positive
     semidefinite ones (is_psd's test, lambda_min >= -b), since
     x'Ax >= lambda_min ||x||^2 >= -b on the simplex; neither rule gives a
-    witness.  Otherwise the test finds the minimum m of x'Ax over the
-    simplex and answers Outside iff m < -b; either way the witness is the
-    minimising simplex point, and m is x'Ax evaluated there.
+    witness.  Both rules hold at any n.
+
+    Above n = 10 nothing else certifies Inside; see ``_small_witness`` for
+    the Outside witnesses of the 1x1 and 2x2 principal submatrices, and
+    without one the answer is Unknown.  A search never answers Inside.
+
+    At n <= 10 the test finds the minimum m of x'Ax over the simplex and
+    answers Outside iff m < -b; either way the witness is the minimising
+    simplex point, and m is x'Ax evaluated there.
 
     A minimiser x of minimal support S solves the bordered KKT system
     [[A_S, -1], [1', 0]] (x_S; m) = (0; 1), and that system is nonsingular:
@@ -201,13 +210,11 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     """
     a, tol_abs = _prepare(a, scale)
     n = a.shape[0]
-    if n > 10:
-        raise SizeLimitError(
-            f"copositivity of a {n}x{n} matrix exceeds the n <= 10 solver cap"
-        )
     # Entrywise nonnegative and PSD matrices are copositive outright.
     if np.all(a >= -tol_abs) or np.linalg.eigvalsh(a)[0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
+    if n > 10:
+        return _small_witness(a, tol_abs)
     unit = a / float(np.abs(a).max())  # on the scale of the border; same minimisers
     best_value, best_point = math.inf, None
     passed = np.ones(1, dtype=bool)  # the empty support, the facet of every vertex
@@ -242,6 +249,37 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
             best_value, best_point = float(values[i]), x[i]
     status = ConeStatus.OUTSIDE if best_value < -tol_abs else ConeStatus.INSIDE
     return ConeVerdict(status, CertificateKind.SIMPLEX_POINT, witness=best_point)
+
+
+def _small_witness(a: np.ndarray, tol_abs: float) -> ConeVerdict:
+    """Outside, with the lowest witness of a 1x1 or 2x2 principal submatrix
+    at which x'Ax < -tol_abs; Unknown when there is none.
+
+    Every principal submatrix of a copositive matrix is copositive, so a
+    simplex point of one, padded with zeros, at which x'Ax (evaluated on A
+    itself) is below the band is a witness for A.  The candidates are the
+    vertices e_i, which are witnesses when a_ii < 0, and on each edge (i, j)
+    with a_ij < 0 the minimiser t e_i + (1 - t) e_j of the edge's convex
+    quadratic, t = (a_jj - a_ij) / (a_ii + a_jj - 2 a_ij) clipped to [0, 1].
+    With a_ii, a_jj >= 0 its value is
+    (a_ii a_jj - a_ij^2) / (a_ii + a_jj - 2 a_ij), negative exactly when
+    a_ij < -sqrt(a_ii a_jj).
+    """
+    n = a.shape[0]
+    diag = np.diag(a)
+    i, j = np.nonzero(np.triu(a, 1) < 0.0)
+    curvature = diag[i] + diag[j] - 2.0 * a[i, j]
+    i, j, curvature = i[curvature > 0.0], j[curvature > 0.0], curvature[curvature > 0.0]
+    t = np.clip((diag[j] - a[i, j]) / curvature, 0.0, 1.0)
+    points = np.vstack([np.eye(n), np.zeros((len(i), n))])
+    edges = n + np.arange(len(i))
+    points[edges, i] = t
+    points[edges, j] = 1.0 - t
+    values = np.einsum("mi,ij,mj->m", points, a, points)
+    k = int(np.argmin(values))
+    if values[k] < -tol_abs:
+        return ConeVerdict(ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=points[k])
+    return ConeVerdict(ConeStatus.UNKNOWN)
 
 
 # Complete positivity ---------------------------------------------------------

@@ -80,6 +80,7 @@ __all__ = [
     "verify_st",
     "verify_icx",
     "stoploss_dominance",
+    "axis_pair_directions",
     "verify_cx",
     "verify_orthant",
 ]
@@ -479,6 +480,19 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     for j in range(1, x.shape[1]):
         np.maximum(top, x[:, j], out=top)
     return top
+
+
+def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
+    """Axis vectors and the normalized pair sums (and, signed, differences)
+    e_i +- e_j, i < j, one per row: n^2 rows signed, n(n+1)/2 unsigned."""
+    eye = np.eye(n)
+    directions = list(eye)
+    for i in range(n):
+        for j in range(i + 1, n):
+            directions.append((eye[i] + eye[j]) / math.sqrt(2.0))
+            if signed:
+                directions.append((eye[i] - eye[j]) / math.sqrt(2.0))
+    return np.array(directions)
 
 
 def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, directions) -> DominanceResult:

@@ -6,46 +6,39 @@ share (generator, map, mixing):
 * ``_CONDITIONS`` maps each clause tag to its text, its predicate on the
   pair, and the ``SkipReason`` to report when the predicate cannot decide
   (returns None): MOMENTS for the mean conditions when E(beta) diverges,
-  CONE for an undecided or size-capped copositive or completely positive
-  test.
+  CONE for an undecided copositive or completely positive test.
 * ``_ORDERS`` gives each direct order its *sufficient* tags, which imply
   the order outright, and its *necessary* entries, which must hold whenever
   the order holds (a failed one certifies Not Ordered).  Each necessary
-  entry is a tag behind gates.
+  entry is a tag behind gates, and may name the entry to evaluate in its
+  place where a gate fails.
 * A gate is a predicate on the pair with the ``SkipReason`` it reports:
   the two tail-ratio gates (conditions A and B of the tail classification,
   on which the necessity arguments for st/icx/uo rest), the equality premise
-  of the equal-mean orders, finite covariances, and uo's same marginals.
-  The first gate that fails skips the clause; a skipped clause has
-  ``passed`` None, names the reason in ``Clause.skip`` and ends its text
-  with the reason's value.
+  of the equal-mean orders' scale conditions, finite covariances, and uo's
+  same marginals.  The first gate that fails skips the clause; a skipped
+  clause has ``passed`` None, names the reason in ``Clause.skip`` and ends
+  its text with the reason's value.
 
 Sufficient Holds => Ordered; necessary Violated => NotOrdered; anything else
 is Inconclusive (the Monte Carlo module can probe the gap).  A necessary
 group with a tail-assumption skip reads AssumptionUnmet.  An order reports
 its tail-ratio probes exactly when one of its gates is a tail gate.
 
-The projection orders (plst, lcx, ilcx, iplcx) evaluate their parent on the
-same pair and add the parent's univariate test along fixed directions.  The
-family is closed under affine maps, so a'Y_i is the univariate mixture with
-a'mu_i, a'Sigma_i a and a'delta_i.  ``_Projections`` holds these for every
-direction as arrays.  It and ``_Pair`` are the two kinds of ``_View``, and
-the parent's gates and ``_CONDITIONS`` entries read the projections as they
-read a pair: the view supplies the comparisons (of vectors on a pair, column
-by column on projections) and the cone rule (the 1x1 rule on projections).
-No distribution is built per direction.
+The projection orders (plst, lcx, ilcx, iplcx) are decided from the pair
+alone: their sufficient clause is the parent's (st, cx, icx) sufficient
+side, and their necessary clauses are the parent's, which already imply
+the parent's univariate test along every direction (see ``_derived``).
 
 Each compare() builds one ``_Pair`` and asks it for each order's report;
 check_order is a one-order compare().  Everything the orders have in common
 is computed once per pair and kept on it: each cone test of Sigma2 - Sigma1,
-each condition of ``_CONDITIONS`` (read by every clause that names its tag),
-each order's report (a projection order reads its parent's, so the parent's
-necessary clauses are the very same objects), one ``_Projections`` per
-direction set (signed for lcx and ilcx, unsigned for plst and iplcx) and, on
-it, the projected statuses of each parent (ilcx reads lcx's).  Nothing is
-kept between calls: the pair is dropped when compare() returns.
+each condition of ``_CONDITIONS`` (read by every clause that names its tag)
+and each order's report (a projection order reads its parent's, so the
+parent's necessary clauses are the very same objects).  Nothing is kept
+between calls: the pair is dropped when compare() returns.
 
-Means use E(Y) = mu + E(beta) * delta; with equal shift vectors the mean
+Means use E(Y) = mu + E(beta) * delta; where two shifts are equal the mean
 difference is mu_2 - mu_1 even when E(beta) diverges.  The theorems state
 exact identities, so each (in)equality holds within ``cones.band`` of the
 largest operand its two sides were formed from, entry by entry (for a mean,
@@ -58,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,7 +65,7 @@ from .cones import (
     is_psd,
 )
 from .distributions import LseDistribution
-from .errors import IncomparableFamiliesError, SizeLimitError, UsageError
+from .errors import IncomparableFamiliesError, UsageError
 from .generators import LimitRatioResult, assumption_profile, radial_second_moment
 from .mixing import alpha_square_mean, beta_mean, beta_range, beta_variance
 
@@ -84,16 +77,10 @@ __all__ = [
     "SkipReason",
     "Clause",
     "OrderReport",
-    "axis_pair_directions",
     "check_collective_risk",
     "check_order",
     "compare",
 ]
-
-#: Count of low-discrepancy directions used by the projection-based
-#: necessary tests of the derived orders.
-_HALTON_DIRECTIONS = 32
-
 
 class OrderKind(str, Enum):
     ST = "st"
@@ -221,90 +208,22 @@ def vec_leq(x: np.ndarray, y: np.ndarray, *operands: np.ndarray) -> bool:
     return bool(entry_leq(x, y, *operands).all())
 
 
-# --- views: the two laws the conditions and gates read ------------------------
+# --- the pair: the two laws the conditions and gates read --------------------
 
 
-class _View:
-    """The two laws that the conditions and gates compare.
-
-    A view has ``d1``, which carries the generator, map and mixing law both
-    laws share, their dimension ``dim``, the locations ``mu1``, ``mu2``, the
-    effective shifts ``delta1``, ``delta2`` and the scales ``scale1``,
-    ``scale2``.  Each kind of view supplies the comparisons ``equal``, ``leq``
-    and ``is_zero`` and the cone rules ``psd`` and ``copositive`` of
-    scale2 - scale1.  On a ``_Pair`` they give a bool (None when a condition
-    cannot be decided); on ``_Projections`` an array with one value per
-    direction (NaN when undecided), as the pair of that direction's projected
-    distributions would.
-    """
-
-    def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
-        return assumption_profile(self.d1.generator)
-
-    # Each of these is read by several clauses and gates.
-
-    @cached_property
-    def mu_equal(self):
-        return self.equal(self.mu1, self.mu2)
-
-    @cached_property
-    def delta_equal(self):
-        return self.equal(self.delta1, self.delta2)
-
-    @cached_property
-    def covariances_defined(self):
-        """Both covariances exist, by the rule of LseDistribution.moments:
-        the radial second moment and E(alpha^2) are finite, and so is
-        Var(beta) unless both shifts are exactly zero."""
-        d = self.d1
-        finite = (math.isfinite(radial_second_moment(d.generator, self.dim))
-                  and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
-        unskewed = self.is_zero(self.delta1) & self.is_zero(self.delta2)
-        return finite & (math.isfinite(beta_variance(d.mixing, d.ab_map)) | unskewed)
-
-    def mean_test(self, relation: Callable):
-        """relation(E(Y1), E(Y2)), undecided where E(beta) diverges.
-
-        Where the shifts are equal the mean difference is exactly mu2 - mu1
-        regardless of E(beta), so that case is decided even when E(beta)
-        diverges.  A branch that no direction needs is not computed.  The
-        relation's band covers the summands mu_i and E(beta) delta_i.
-        """
-        equal = self.delta_equal
-        if np.all(equal):
-            return relation(self.mu1, self.mu2)
-        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
-        shifted = None
-        if math.isfinite(e_beta):
-            s1, s2 = e_beta * self.delta1, e_beta * self.delta2
-            shifted = relation(self.mu1 + s1, self.mu2 + s2, self.mu1, s1, self.mu2, s2)
-        if not np.any(equal):
-            return shifted
-        return np.where(equal, relation(self.mu1, self.mu2),
-                        np.nan if shifted is None else shifted)
-
-
-class _Pair(_View):
+class _Pair:
     """One ordered pair of distributions, and the work the orders share on it."""
-
-    equal = staticmethod(vec_equal)
-    leq = staticmethod(vec_leq)
 
     def __init__(self, d1: LseDistribution, d2: LseDistribution) -> None:
         self.d1, self.d2, self.dim = d1, d2, d1.dim
         self.mu1, self.mu2 = d1.mu, d2.mu
         self.delta1, self.delta2 = d1.effective_delta(), d2.effective_delta()
-        self.scale1, self.scale2 = d1.sigma, d2.sigma
-        self.sigma_diff = self.scale2 - self.scale1
+        self.sigma1, self.sigma2 = d1.sigma, d2.sigma
+        self.sigma_diff = self.sigma2 - self.sigma1
         self.sigma_scale = float(max(np.abs(d1.sigma).max(), np.abs(d2.sigma).max()))
         # Filled on first use, so each piece of work runs once per pair.
         self.conditions: dict[str, bool | None] = {}
         self.reports: dict[OrderKind, OrderReport] = {}
-        self.projections: dict[bool, _Projections] = {}
-
-    @staticmethod
-    def is_zero(x: np.ndarray) -> bool:
-        return not x.any()
 
     def condition(self, tag: str) -> bool | None:
         """The ``_CONDITIONS`` predicate of ``tag`` on this pair, evaluated once."""
@@ -315,7 +234,60 @@ class _Pair(_View):
         return _once(self.reports, order, _derived if order in _PARENT_OF else _direct,
                      order, self)
 
+    def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
+        return assumption_profile(self.d1.generator)
+
+    # Each of these is read by several clauses and gates.
+
+    @cached_property
+    def mu_equal(self) -> bool:
+        return vec_equal(self.mu1, self.mu2)
+
+    @cached_property
+    def shifts_equal(self) -> np.ndarray:
+        """delta1_i = delta2_i, entry by entry."""
+        return entry_equal(self.delta1, self.delta2)
+
+    @cached_property
+    def delta_equal(self) -> bool:
+        return bool(self.shifts_equal.all())
+
+    @cached_property
+    def unskewed_variances(self) -> bool:
+        """c = E(R^2)/n E(alpha^2) is finite: an unskewed law of the family,
+        such as a'Y_i where a'delta_i = 0, has a covariance."""
+        d = self.d1
+        return (math.isfinite(radial_second_moment(d.generator, self.dim))
+                and math.isfinite(alpha_square_mean(d.mixing, d.ab_map)))
+
+    @cached_property
+    def covariances_defined(self) -> bool:
+        """Both covariances exist, by the rule of LseDistribution.moments:
+        c is finite, and so is Var(beta) unless both shifts are exactly zero."""
+        unskewed = not self.delta1.any() and not self.delta2.any()
+        return self.unskewed_variances and (
+            unskewed or math.isfinite(beta_variance(self.d1.mixing, self.d1.ab_map)))
+
     # condition primitives ----------------------------------------------------
+
+    def mean_test(self, relation: Callable) -> bool | None:
+        """relation(E(Y1), E(Y2)); where E(beta) diverges, False if a
+        coordinate with equal shifts fails it and None otherwise.
+
+        Where delta1_i = delta2_i the mean difference of coordinate i is
+        exactly mu2_i - mu1_i regardless of E(beta), so with equal shifts
+        the relation is decided even when E(beta) diverges, and with some
+        equal shifts a failure on those coordinates is.  The relation's
+        band covers the summands mu_i and E(beta) delta_i.
+        """
+        if self.delta_equal:
+            return relation(self.mu1, self.mu2)
+        e_beta = beta_mean(self.d1.mixing, self.d1.ab_map)
+        if math.isfinite(e_beta):
+            s1, s2 = e_beta * self.delta1, e_beta * self.delta2
+            return relation(self.mu1 + s1, self.mu2 + s2, self.mu1, s1, self.mu2, s2)
+        equal = self.shifts_equal
+        return None if relation(self.mu1[equal], self.mu2[equal]) else False
 
     def location_all_z(self) -> bool:
         """mu1 + b delta1 <= mu2 + b delta2 for every attainable b.
@@ -339,40 +311,35 @@ class _Pair(_View):
 
     @cached_property
     def diag(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.diag(self.scale1), np.diag(self.scale2)
+        return np.diag(self.sigma1), np.diag(self.sigma2)
 
     @cached_property
     def offdiag(self) -> tuple[np.ndarray, np.ndarray]:
         off = ~np.eye(self.dim, dtype=bool)
-        return self.scale1[off], self.scale2[off]
+        return self.sigma1[off], self.sigma2[off]
 
     def same_marginals(self) -> bool:
         return self.mu_equal and self.delta_equal and vec_equal(*self.diag)
 
     # cone tests of Sigma2 - Sigma1, each read through its one condition -----
 
-    def psd(self) -> bool | None:
+    def psd(self) -> bool:
         return _inside(is_psd(self.sigma_diff, self.sigma_scale))
 
+    def unskewed_psd(self) -> bool:
+        """a'(Sigma2 - Sigma1) a >= 0 wherever a'delta1 = 0: Sigma2 - Sigma1
+        compressed to the complement of delta1 is PSD.  Read only with equal
+        nonzero shifts, at n >= 2; implied by ``psd``, which it reads first."""
+        if self.condition("psd-difference"):
+            return True
+        complement = np.linalg.svd(self.delta1[None, :])[2][1:]
+        return _inside(is_psd(complement @ self.sigma_diff @ complement.T, self.sigma_scale))
+
     def copositive(self) -> bool | None:
-        return _inside(self.copositive_verdict)
+        return _inside(is_copositive(self.sigma_diff, self.sigma_scale))
 
     def completely_positive(self) -> bool | None:
         return _inside(is_completely_positive(self.sigma_diff, self.sigma_scale))
-
-    @cached_property
-    def copositive_verdict(self) -> ConeVerdict | None:
-        """None when Sigma2 - Sigma1 exceeds the copositivity size cap."""
-        try:
-            return is_copositive(self.sigma_diff, self.sigma_scale)
-        except SizeLimitError:
-            return None
-
-    def copositive_witness(self) -> np.ndarray | None:
-        verdict = self.copositive_verdict
-        if verdict is not None and verdict.status is ConeStatus.OUTSIDE:
-            return np.asarray(verdict.witness)
-        return None
 
 
 def _once(memo: dict, key, compute: Callable, *args):
@@ -382,9 +349,9 @@ def _once(memo: dict, key, compute: Callable, *args):
     return memo[key]
 
 
-def _inside(verdict: ConeVerdict | None) -> bool | None:
-    """Cone membership; None when the test is undecided or size-capped."""
-    if verdict is None or verdict.status is ConeStatus.UNKNOWN:
+def _inside(verdict: ConeVerdict) -> bool | None:
+    """Cone membership; None when the test is undecided."""
+    if verdict.status is ConeStatus.UNKNOWN:
         return None
     return verdict.status is ConeStatus.INSIDE
 
@@ -406,9 +373,7 @@ def _validate_pair(d1: LseDistribution, d2: LseDistribution) -> _Pair:
 
 class _Condition(NamedTuple):
     text: str
-    #: Read on a _Pair.  The necessary entries of a projection order's parent
-    #: are read on _Projections too, so they use only what every view has.
-    test: Callable[[_View], bool | None]
+    test: Callable[[_Pair], bool | None]
     #: Why the clause is skipped when ``test`` cannot decide (returns None).
     undecided: SkipReason | None = None
 
@@ -417,22 +382,23 @@ _CONDITIONS: dict[str, _Condition] = {
     "location-all-z": _Condition(
         "mu2 - mu1 + b (delta2 - delta1) >= 0 over the full beta range",
         _Pair.location_all_z),
-    "location-equal": _Condition("mu1 = mu2", lambda v: v.mu_equal),
-    "shift-equal": _Condition("delta1 = delta2", lambda v: v.delta_equal),
+    "location-equal": _Condition("mu1 = mu2", lambda p: p.mu_equal),
+    "shift-equal": _Condition("delta1 = delta2", lambda p: p.delta_equal),
     "mean-ordering": _Condition(
-        "E(Y1) <= E(Y2) componentwise", lambda v: v.mean_test(v.leq), SkipReason.MOMENTS),
+        "E(Y1) <= E(Y2) componentwise", lambda p: p.mean_test(vec_leq), SkipReason.MOMENTS),
     "mean-equal": _Condition(
-        "E(Y1) = E(Y2)", lambda v: v.mean_test(v.equal), SkipReason.MOMENTS),
-    "scale-equal": _Condition("Sigma1 = Sigma2", lambda v: v.equal(v.scale1, v.scale2)),
-    "psd-difference": _Condition(
-        "Sigma2 - Sigma1 is positive semi-definite", lambda v: v.psd()),
+        "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal), SkipReason.MOMENTS),
+    "scale-equal": _Condition("Sigma1 = Sigma2", lambda p: vec_equal(p.sigma1, p.sigma2)),
+    "psd-difference": _Condition("Sigma2 - Sigma1 is positive semi-definite", _Pair.psd),
+    "unskewed-psd-difference": _Condition(
+        "a'(Sigma2 - Sigma1) a >= 0 for every a with a'delta = 0", _Pair.unskewed_psd),
     "copositive-difference": _Condition(
-        "Sigma2 - Sigma1 is copositive", lambda v: v.copositive(), SkipReason.CONE),
+        "Sigma2 - Sigma1 is copositive", _Pair.copositive, SkipReason.CONE),
     "completely-positive-difference": _Condition(
         "Sigma2 - Sigma1 is completely positive", _Pair.completely_positive,
         SkipReason.CONE),
     "entrywise-difference": _Condition(
-        "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.scale1, p.scale2)),
+        "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.sigma1, p.sigma2)),
     "diag-equal": _Condition(
         "sigma1_ii = sigma2_ii for every i", lambda p: vec_equal(*p.diag)),
     "diag-ordering": _Condition(
@@ -448,18 +414,22 @@ _CONDITIONS: dict[str, _Condition] = {
 
 
 class _Gate(NamedTuple):
-    #: Read on a _Pair (a bool) and on _Projections (a bool per direction),
-    #: so it may use only what every view has, and ``|``, ``&`` for or, and.
-    holds: Callable[[_View], bool]
+    holds: Callable[[_Pair], bool]
     #: Why the clause is skipped where the gate does not hold.
     reason: SkipReason
 
 
-_tail_one = _Gate(lambda v: v.profile()[0], SkipReason.ASSUMPTION)
-_tail_two = _Gate(lambda v: v.profile()[1], SkipReason.ASSUMPTION)
-_premise = _Gate(lambda v: v.mu_equal | v.delta_equal, SkipReason.PREMISE)
-_covariances = _Gate(lambda v: v.covariances_defined, SkipReason.MOMENTS)
+_tail_one = _Gate(lambda p: p.profile()[0], SkipReason.ASSUMPTION)
+_tail_two = _Gate(lambda p: p.profile()[1], SkipReason.ASSUMPTION)
+_premise = _Gate(lambda p: p.mu_equal or p.delta_equal, SkipReason.PREMISE)
+_covariances = _Gate(lambda p: p.covariances_defined, SkipReason.MOMENTS)
 _marginals = _Gate(_Pair.same_marginals, SkipReason.MARGINALS)
+#: Equal shifts with a finite c: the projections a'Y_i with a'delta = 0 are
+#: unskewed and have variances c a'Sigma_i a even where Var(beta), and so the
+#: covariances, diverge (read where the covariance gate fails, so the shifts
+#: are nonzero there).
+_unskewed = _Gate(lambda p: p.dim > 1 and p.delta_equal and p.unskewed_variances,
+                  SkipReason.MOMENTS)
 
 
 # --- the order table ---------------------------------------------------------
@@ -470,6 +440,9 @@ class _Necessary(NamedTuple):
     gates: tuple[_Gate, ...] = ()
     #: Replaces the table text of ``tag`` for this entry only.
     text: str | None = None
+    #: Evaluated in place of this entry where one of its gates fails and
+    #: every gate of ``otherwise`` holds.
+    otherwise: _Necessary | None = None
 
 
 class _Spec(NamedTuple):
@@ -477,18 +450,19 @@ class _Spec(NamedTuple):
     necessary: tuple[_Necessary, ...]
 
 
-def _equal_mean(*cone_tags: str) -> _Spec:
+def _equal_mean(*scale: _Necessary) -> _Spec:
     """The equal-mean orders (cx, dcx, ccx, cp, cop).
 
     Sufficient: equal locations, equal shifts and the scale conditions.
-    Necessary only under one of the theorem premises (locations equal or
-    shifts equal): the mean equality E(Y1) = E(Y2) and the scale conditions,
-    whose derivation needs finite covariances.
+    Necessary: the mean equality E(Y1) = E(Y2) wherever the means are
+    finite, since +-x_i lie in every generating class, and the scale
+    conditions, whose derivation needs one of the theorem premises
+    (locations equal or shifts equal) and finite covariances.
     """
     return _Spec(
-        ("location-equal", "shift-equal") + cone_tags,
-        (_Necessary("mean-equal", (_premise,)),)
-        + tuple(_Necessary(tag, (_premise, _covariances)) for tag in cone_tags))
+        ("location-equal", "shift-equal") + tuple(entry.tag for entry in scale),
+        (_Necessary("mean-equal"),)
+        + tuple(entry._replace(gates=(_premise, _covariances)) for entry in scale))
 
 
 _ORDERS: dict[OrderKind, _Spec] = {
@@ -498,8 +472,12 @@ _ORDERS: dict[OrderKind, _Spec] = {
         ("location-all-z", "scale-equal"),
         (_Necessary("mean-ordering", (_tail_one,)),
          _Necessary("scale-equal", (_tail_one,)))),
-    # Convex order: an if-and-only-if once one of the equality premises holds.
-    OrderKind.CX: _equal_mean("psd-difference"),
+    # Convex order: an if-and-only-if once one of the equality premises
+    # holds.  Where only Var(beta) diverges and the shifts are equal, the
+    # variance ordering of the unskewed projections a'Y, a'delta = 0, still
+    # holds and tests the scale difference on those directions.
+    OrderKind.CX: _equal_mean(_Necessary(
+        "psd-difference", otherwise=_Necessary("unskewed-psd-difference", (_unskewed,)))),
     # Increasing convex order: necessary (behind the one-sided tail-ratio
     # condition on nonnegative projections) is only the weaker copositive
     # cone, so a copositive-but-not-PSD difference stays Inconclusive.
@@ -508,16 +486,22 @@ _ORDERS: dict[OrderKind, _Spec] = {
         (_Necessary("mean-ordering", (_tail_two,)),
          _Necessary("copositive-difference", (_tail_two,)))),
     # Directionally convex order: entrywise scale dominance at equal means.
-    OrderKind.DCX: _equal_mean("entrywise-difference"),
+    OrderKind.DCX: _equal_mean(_Necessary("entrywise-difference")),
     # Componentwise convex order: variances may grow, covariances must not move.
-    OrderKind.CCX: _equal_mean("diag-ordering", "offdiag-equal"),
-    # Supermodular order, an unconditional if-and-only-if: marginal equality
-    # pins down (mu, delta, diagonal) by identifiability, and the off-diagonal
-    # ordering is necessary whenever second moments exist.
+    OrderKind.CCX: _equal_mean(_Necessary("diag-ordering"), _Necessary("offdiag-equal")),
+    # Supermodular order.  It forces equal marginals, hence equal means.  The
+    # law does not pin down (mu, delta), so location-equal and shift-equal
+    # are sufficient only: degenerate mixing at z0 makes (mu, delta) and
+    # (mu + beta(z0) t, delta - t) one law, and a constant alpha with beta(Z)
+    # symmetric about c makes (mu, delta) and (mu + 2c delta, -delta) one
+    # law.  diag-equal and offdiag-ordering (the covariance ordering of
+    # x_i x_j, behind finite second moments) stay necessary: both classes
+    # leave Sigma, and Var(beta) delta delta', unchanged.  For the same
+    # reason st's scale-equal and uo's diag-equal hold on both classes.
     OrderKind.SM: _Spec(
         ("location-equal", "shift-equal", "diag-equal", "offdiag-ordering"),
-        (_Necessary("location-equal"), _Necessary("shift-equal"),
-         _Necessary("diag-equal"), _Necessary("offdiag-ordering", (_covariances,)))),
+        (_Necessary("mean-equal"), _Necessary("diag-equal"),
+         _Necessary("offdiag-ordering", (_covariances,)))),
     # Upper orthant order: mean ordering and equal diag are necessary
     # through the component marginals (two-sided tail-ratio condition); for
     # same-marginal pairs so is the off-diagonal ordering, through the
@@ -531,10 +515,10 @@ _ORDERS: dict[OrderKind, _Spec] = {
     # Order generated by functions with completely positive Hessians: the
     # matrix condition lives in the dual cone, so the scale difference must
     # be copositive.  Weaker than cx.
-    OrderKind.CP: _equal_mean("copositive-difference"),
+    OrderKind.CP: _equal_mean(_Necessary("copositive-difference")),
     # Order generated by functions with copositive Hessians, dual to cp: the
     # scale difference must be completely positive.
-    OrderKind.COP: _equal_mean("completely-positive-difference"),
+    OrderKind.COP: _equal_mean(_Necessary("completely-positive-difference")),
 }
 
 #: Projection orders and the direct order each is derived from.
@@ -549,23 +533,14 @@ _PARENT_OF = {
 # --- the interpreter ---------------------------------------------------------
 
 
-#: A group of necessary conditions reads the first of these whose flag is
-#: set: one of them is violated, one is skipped for the tail assumption, one
-#: is undecided, or (always set) none of these.
-_PRECEDENCE = (NecessaryStatus.VIOLATED, NecessaryStatus.ASSUMPTION_UNMET,
-               NecessaryStatus.NOT_APPLICABLE, NecessaryStatus.HOLDS)
-
-
-def _necessary_status(violated: bool, assumption: bool, undecided: bool) -> NecessaryStatus:
-    return _PRECEDENCE[[violated, assumption, undecided, True].index(True)]
-
-
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
     condition = _CONDITIONS[entry.tag]
     tag = "necessary/" + entry.tag
     text = condition.text if entry.text is None else entry.text
     for gate in entry.gates:
         if not gate.holds(pair):
+            if entry.otherwise and all(g.holds(pair) for g in entry.otherwise.gates):
+                return _necessary_clause(pair, entry.otherwise)
             return Clause(tag, text + gate.reason.value, None, gate.reason)
     passed = pair.condition(entry.tag)
     if passed is None:
@@ -585,9 +560,17 @@ def _report(
         suff_status = SufficientStatus.FAILS
     else:
         suff_status = SufficientStatus.NOT_APPLICABLE
-    nec_status = _necessary_status(any(c.passed is False for c in necessary),
-                                   any(c.skip is SkipReason.ASSUMPTION for c in necessary),
-                                   any(c.passed is None for c in necessary))
+    # A group of necessary conditions reads: violated if one is, else
+    # assumption_unmet if one is skipped for the tail assumption, else
+    # not_applicable if one is undecided, else holds.
+    if any(c.passed is False for c in necessary):
+        nec_status = NecessaryStatus.VIOLATED
+    elif any(c.skip is SkipReason.ASSUMPTION for c in necessary):
+        nec_status = NecessaryStatus.ASSUMPTION_UNMET
+    elif any(c.passed is None for c in necessary):
+        nec_status = NecessaryStatus.NOT_APPLICABLE
+    else:
+        nec_status = NecessaryStatus.HOLDS
     verdict = _verdict_of(suff_status, nec_status)
     return OrderReport(order, suff_status, nec_status, verdict,
                        tuple(sufficient + necessary), assumption_checks)
@@ -606,162 +589,19 @@ def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     return _report(order, sufficient, necessary, probes)
 
 
-# --- derived orders over projections -----------------------------------------
-
-
-def _primes(count: int) -> list[int]:
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    return primes
-
-
-def _radical_inverse(index: int, base: int) -> float:
-    """The digits of ``index`` in ``base`` mirrored about the radix point."""
-    value, weight = 0.0, 1.0 / base
-    while index:
-        index, digit = divmod(index, base)
-        value += digit * weight
-        weight /= base
-    return value
-
-
-def _halton_points(n: int) -> np.ndarray:
-    """The unscrambled Halton points 1..32 in the first n prime bases
-    (point 0 is the origin)."""
-    bases = _primes(n)
-    return np.array([
-        [_radical_inverse(i, b) for b in bases]
-        for i in range(1, _HALTON_DIRECTIONS + 1)
-    ])
-
-
-def _halton_directions(n: int, signed: bool) -> np.ndarray:
-    if n == 1:
-        return np.empty((0, 1))
-    points = _halton_points(n)
-    if signed:
-        points = 2.0 * points - 1.0
-    return points / np.linalg.norm(points, axis=1, keepdims=True)
-
-
-def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
-    """Axis vectors and the normalized pair sums (and, signed, differences)
-    e_i +- e_j, i < j, one per row: n^2 rows signed, n(n+1)/2 unsigned."""
-    eye = np.eye(n)
-    directions = list(eye)
-    for i in range(n):
-        for j in range(i + 1, n):
-            directions.append((eye[i] + eye[j]) / math.sqrt(2.0))
-            if signed:
-                directions.append((eye[i] - eye[j]) / math.sqrt(2.0))
-    return np.array(directions)
-
-
-@lru_cache(maxsize=None)
-def _fixed_directions(n: int, signed: bool) -> np.ndarray:
-    """The axis-and-pair directions and the Halton bundle, one per row;
-    read-only, since it is cached."""
-    fixed = np.vstack([axis_pair_directions(n, signed), _halton_directions(n, signed)])
-    fixed.setflags(write=False)
-    return fixed
-
-
-def _projection_directions(pair: _Pair, signed: bool) -> np.ndarray:
-    """Deterministic directions for the univariate necessary tests, one per row.
-
-    Axis vectors and pair sums identify the mean vector and the full scale
-    matrix by polarization; the low-discrepancy bundle and the adversarial
-    directions (most-negative eigenvector, copositivity violation point)
-    probe the cones away from the axes.
-    """
-    fixed = _fixed_directions(pair.d1.dim, signed)
-    if signed:
-        eigenvalues, eigenvectors = np.linalg.eigh(pair.sigma_diff)
-        if eigenvalues[0] < 0.0:
-            return np.vstack([fixed, eigenvectors[:, 0]])
-    else:
-        witness = pair.copositive_witness()
-        if witness is not None:
-            return np.vstack([fixed, witness / float(np.linalg.norm(witness))])
-    return fixed
-
-
-class _Projections(_View):
-    """The univariate pairs (a'Y1, a'Y2) for the rows a of a direction matrix.
-
-    The family is closed under affine maps, so a'Y_i has location a'mu_i,
-    scale a'Sigma_i a and shift a'delta_i, with the pair's generator, map and
-    mixing law: three numbers per direction and distribution, held here as
-    arrays and compared column by column.
-    """
-
-    dim = 1
-
-    def __init__(self, pair: _Pair, directions: np.ndarray) -> None:
-        # d1 carries the family both share; no reference back to the pair,
-        # whose memo holds this object, so that a pair is freed without a
-        # cycle collection.
-        self.d1 = pair.d1
-        self.directions = directions
-        #: The parent necessary statuses along each direction, by parent.
-        self.statuses: dict[OrderKind, list[NecessaryStatus]] = {}
-        self.mu1, self.mu2 = directions @ pair.mu1, directions @ pair.mu2
-        self.delta1, self.delta2 = directions @ pair.delta1, directions @ pair.delta2
-        self.scale1, self.scale2 = (
-            np.einsum("ij,ij->i", directions @ s, directions) for s in (pair.scale1, pair.scale2))
-
-    # vec_equal and vec_leq on the pair of each direction's 1-vectors.
-    equal = staticmethod(entry_equal)
-    leq = staticmethod(entry_leq)
-
-    @staticmethod
-    def is_zero(x: np.ndarray) -> np.ndarray:
-        return x == 0.0
-
-    def psd(self) -> np.ndarray:
-        """The 1x1 matrix [d], d = a'Sigma2 a - a'Sigma1 a, is PSD, and
-        copositive, exactly when is_psd and is_copositive say so on the
-        projected pair: d >= -band(1, max(a'Sigma1 a, a'Sigma2 a))."""
-        return self.scale2 - self.scale1 >= -band(1, np.maximum(self.scale1, self.scale2))
-
-    copositive = psd
-
-
-def _projected_statuses(parent: OrderKind, projections: _Projections) -> list[NecessaryStatus]:
-    """The necessary status of ``parent`` along each direction: what
-    ``_direct`` reports on the pair of that direction's projected
-    distributions, read off the parent's entries in ``_ORDERS``."""
-    count = projections.mu1.size
-    violated = np.zeros(count, dtype=bool)
-    assumption = np.zeros(count, dtype=bool)
-    undecided = np.zeros(count, dtype=bool)
-    for entry in _ORDERS[parent].necessary:
-        evaluated = np.ones(count, dtype=bool)
-        for gate in entry.gates:
-            skipped = evaluated & np.logical_not(gate.holds(projections))
-            undecided |= skipped
-            if gate.reason is SkipReason.ASSUMPTION:
-                assumption |= skipped
-            evaluated &= ~skipped
-        passed = np.asarray(_CONDITIONS[entry.tag].test(projections), dtype=float)
-        violated |= evaluated & (passed == 0.0)
-        undecided |= evaluated & np.isnan(passed)
-    return [_necessary_status(*flags)
-            for flags in zip(violated.tolist(), assumption.tolist(), undecided.tolist())]
-
-
 def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     """Orders defined through univariate projections (plst, lcx, ilcx, iplcx).
 
-    Sufficiency is inherited from the parent order (st, cx, or icx: each
-    parent implies its projection order).  The necessary side combines the
-    parent theorem's conditions — which remain necessary for the projection
-    variants — with direct univariate checks of every projection in a
-    deterministic direction set.
+    Each parent (st, cx, icx) implies its projection order, so sufficiency
+    is inherited.  The parent's necessary clauses are necessary for the
+    projection order too, and they already hold every univariate test of
+    a projection a'Y: the family is closed under affine maps, so a'Y_i has
+    location a'mu_i, scale a'Sigma_i a and shift a'delta_i.  The means follow
+    from the axes.  For lcx and ilcx, a'(Sigma2 - Sigma1) a >= 0 for every a
+    (with a'delta1 = a'delta2 where Var(beta) diverges) is cx's PSD clause.
+    For plst, a'Sigma1 a = a'Sigma2 a for every a >= 0 gives Sigma1 = Sigma2
+    by polarization over e_i and e_i + e_j.  For iplcx,
+    a'(Sigma2 - Sigma1) a >= 0 for every a >= 0 is copositivity.
     """
     parent_kind = _PARENT_OF[order]
     parent = pair.report(parent_kind)
@@ -771,28 +611,7 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
         parent.sufficient is SufficientStatus.HOLDS,
     )]
     necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
-
-    signed = order in (OrderKind.LCX, OrderKind.ILCX)
-    projections = _once(pair.projections, signed, lambda: _Projections(
-        pair, _projection_directions(pair, signed)))
-    statuses = _once(projections.statuses, parent_kind,
-                     _projected_statuses, parent_kind, projections)
-    tag = "necessary/projection-directions"
-    text = (
-        f"univariate {parent_kind.value} necessary conditions along "
-        f"{len(projections.directions)} fixed directions"
-    )
-    status = _necessary_status(NecessaryStatus.VIOLATED in statuses,
-                               NecessaryStatus.ASSUMPTION_UNMET in statuses,
-                               NecessaryStatus.NOT_APPLICABLE in statuses)
-    if status is NecessaryStatus.VIOLATED:
-        clause = Clause(tag, f"{text} (violated at direction {statuses.index(status)})", False)
-    elif status is NecessaryStatus.HOLDS:
-        clause = Clause(tag, text, True)
-    else:
-        skip = SkipReason.ASSUMPTION if status is NecessaryStatus.ASSUMPTION_UNMET else SkipReason.MOMENTS
-        clause = Clause(tag, text + skip.value, None, skip)
-    return _report(order, sufficient, necessary + [clause], parent.assumption_checks)
+    return _report(order, sufficient, necessary, parent.assumption_checks)
 
 
 def check_collective_risk(

@@ -13,7 +13,6 @@ summary.  The general engine must agree with it on every scale-mixture pair
 import numpy as np
 
 from lsemix.cones import ConeStatus, is_completely_positive, is_copositive, is_psd
-from lsemix.errors import SizeLimitError
 from lsemix.generators import assumption_profile
 from lsemix.orders import NecessaryStatus, OrderKind, SufficientStatus, Verdict
 
@@ -43,13 +42,6 @@ def _inside(verdict) -> bool | None:
     return verdict.status is ConeStatus.INSIDE
 
 
-def _copositive(a) -> bool | None:
-    try:
-        return _inside(is_copositive(a))
-    except SizeLimitError:
-        return None
-
-
 def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict]:
     """(sufficient, necessary, verdict) of one order for a scale-mixture pair."""
     if not (d1.is_sme and d2.is_sme):
@@ -74,7 +66,7 @@ def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict
         necessary = [gated(tail_one, mu_leq), gated(tail_one, scale_eq)]
     elif order in (OrderKind.ICX, OrderKind.IPLCX):
         sufficient = [mu_leq, _inside(is_psd(s2 - s1))]
-        necessary = [gated(tail_two, mu_leq), gated(tail_two, _copositive(s2 - s1))]
+        necessary = [gated(tail_two, mu_leq), gated(tail_two, _inside(is_copositive(s2 - s1)))]
     elif order is OrderKind.UO:
         off_leq = _leq(s1[off], s2[off])
         sufficient = [mu_leq, diag_eq, off_leq]
@@ -93,7 +85,7 @@ def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict
         elif order is OrderKind.CCX:
             scale = [_leq(np.diag(s1), np.diag(s2)), _equal(s1[off], s2[off])]
         elif order is OrderKind.CP:
-            scale = [_copositive(s2 - s1)]
+            scale = [_inside(is_copositive(s2 - s1))]
         else:
             scale = [_inside(is_completely_positive(s2 - s1))]
         sufficient = [mu_eq] + scale

@@ -8,6 +8,7 @@ matrices with known eigenvalues) pin the exact boundary behaviour.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lsemix.cones import (
     is_copositive,
     is_psd,
 )
-from lsemix.errors import SizeLimitError, UsageError
+from lsemix.errors import UsageError
 
 
 def band(a):
@@ -298,14 +299,46 @@ def test_copositive_psd_implies_copositive():
         assert is_copositive(a).status is ConeStatus.INSIDE
 
 
-def test_copositive_size_cap():
-    with pytest.raises(SizeLimitError):
-        is_copositive(np.eye(11))
+def test_copositive_rules_hold_past_the_exact_cap():
+    # The nonnegative and PSD rules are exact at any n.
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=(15, 15))
+    for a in (np.eye(11), b @ b.T, np.abs(b + b.T)):
+        verdict = is_copositive(a)
+        assert verdict.status is ConeStatus.INSIDE
+        assert verdict.certificate_kind is CertificateKind.SUFFICIENT_RULE
+        assert verdict.witness is None
 
 
-def test_copositive_dimension_eleven_message_names_cap():
-    with pytest.raises(SizeLimitError, match="10"):
-        is_copositive(np.eye(12))
+def test_copositive_small_witness_past_the_exact_cap():
+    # n = 12: a_33 < 0 is a 1x1 witness; a 2x2 submatrix with
+    # a_ij < -sqrt(a_ii a_jj) gives an edge point.  Each is a simplex point
+    # of A itself, zero-padded, and x'Ax < 0 holds in exact arithmetic.
+    vertex = np.eye(12)
+    vertex[3, 3] = -1.0
+    edge = np.eye(12) + 0.1 * np.ones((12, 12))
+    edge[2, 7] = edge[7, 2] = -2.0
+    for a, support in ((vertex, [3]), (edge, [2, 7])):
+        verdict = is_copositive(a)
+        assert verdict.status is ConeStatus.OUTSIDE
+        assert verdict.certificate_kind is CertificateKind.SIMPLEX_POINT
+        x = verdict.witness
+        assert np.flatnonzero(x).tolist() == support
+        assert np.all(x >= 0.0) and math.isclose(x.sum(), 1.0)
+        exact = [Fraction(float(v)) for v in x]
+        value = sum(exact[i] * Fraction(float(a[i, j])) * exact[j]
+                    for i in range(12) for j in range(12))
+        assert value < 0
+    # Horn's matrix padded with I is copositive but neither PSD nor
+    # nonnegative, and no 1x1 or 2x2 submatrix is outside: Unknown, never
+    # Inside from a search.
+    padded = np.eye(11)
+    padded[:5, :5] = HORN_MATRIX
+    verdict = is_copositive(padded)
+    assert verdict.status is ConeStatus.UNKNOWN
+    assert verdict.witness is None
+    # At n <= 10 the exact test still answers Inside.
+    assert is_copositive(padded[:10, :10]).status is ConeStatus.INSIDE
 
 
 def test_copositive_large_dimension_inside():

@@ -28,6 +28,7 @@ from lsemix.empirical import (
     _pilot,
     _require_univariate,
     _stream,
+    axis_pair_directions,
     empirical_survival,
     stop_loss,
     stoploss_dominance,
@@ -39,7 +40,7 @@ from lsemix.empirical import (
 from lsemix.errors import UsageError
 from lsemix.generators import DensityGenerator, GeneratorFamily
 from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate, DiscreteWeighted
-from lsemix.orders import OrderKind, Verdict, axis_pair_directions, check_order
+from lsemix.orders import OrderKind, Verdict, check_order
 
 NORMAL = DensityGenerator(GeneratorFamily.NORMAL)
 CAUCHY = DensityGenerator(GeneratorFamily.CAUCHY)

@@ -9,6 +9,13 @@ change of units, order of coordinates and origin (Shaked & Shanthikumar
 2007, ch. 3, 6 and 7).  Reflexivity and the implications between orders
 (``IMPLIES``: the benchmark's ``LATTICE`` plus cx => icx, st => uo and
 sm => dcx) are checked on the same pairs, in both orientations.
+
+Two relations take the sound form of a symmetry that no verdict may break.
+Reparametrization: a law against itself under another (mu, delta) is no
+refutation, for the two classes of such pairs in the family (degenerate
+mixing, and a constant alpha with beta(Z) symmetric).  Antisymmetry: st and
+cx are partial orders, so a pair that one of them reads ordered both ways
+is one law, and no order may read it not_ordered either way.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import pytest
 from test_acceptance import random_battery_pair
 
 from lsemix.distributions import LseDistribution
+from lsemix.mixing import AlphaBetaMap, BetaLambdaOne, Degenerate, DiscreteWeighted
 from lsemix.orders import OrderKind, Verdict, compare
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -50,6 +58,28 @@ RELATIONS = {
 IMPLIES = {parent: set(implied) for parent, implied in _bench_lattice().items()}
 for _parent, _implied in (("cx", "icx"), ("st", "uo"), ("sm", "dcx")):
     IMPLIES.setdefault(_parent, set()).add(_implied)
+
+
+#: Mixing laws under which beta(Z) = Z is symmetric about c, with c.
+SYMMETRIC = ((BetaLambdaOne(1.0), 0.5), (DiscreteWeighted(((1.0, 0.5), (3.0, 0.5))), 2.0))
+
+
+def reparametrized(d: LseDistribution, t: np.ndarray, i: int):
+    """Per class, one law built from d's parameters and the same law under
+    another (mu, delta).  Degenerate mixing at z0 = 1 with d's map:
+    (mu, delta) and (mu + beta(z0) t, delta - t).  The location-mixture map
+    (alpha = 1, beta = z) with a symmetric law, alternating with i:
+    (mu, delta) and (mu + 2c delta, -delta)."""
+    def law(mu, delta, ab, mixing):
+        return LseDistribution(mu, d.sigma, delta, d.generator, ab, mixing)
+
+    b = float(d.ab_map.beta(1.0))
+    yield "degenerate", (law(d.mu, d.delta, d.ab_map, Degenerate(1.0)),
+                         law(d.mu + b * t, d.delta - t, d.ab_map, Degenerate(1.0)))
+    mixing, c = SYMMETRIC[i % 2]
+    ab = AlphaBetaMap.location_mixture()
+    yield "reflection", (law(d.mu, d.delta, ab, mixing),
+                         law(d.mu + 2.0 * c * d.delta, -d.delta, ab, mixing))
 
 
 def image(d: LseDistribution, perm, scale, shift) -> LseDistribution:
@@ -101,3 +131,24 @@ def test_implications_in_both_orientations(battery):
                        if found[parent] is Verdict.ORDERED
                        for order in sorted(implied) if found[order] is not Verdict.ORDERED]
     assert not broken, broken
+
+
+def test_no_order_refutes_a_reparametrized_law(battery):
+    refuted = []
+    for i, (d1, *_) in enumerate(battery):
+        t = np.random.default_rng([26, i]).normal(size=d1.dim)
+        for name, pair in reparametrized(d1, t, i):
+            for orientation, (a, b) in (("forward", pair), ("reverse", pair[::-1])):
+                refuted += [(i, name, orientation, order)
+                            for order, verdict in verdicts(a, b).items()
+                            if verdict is Verdict.NOT_ORDERED]
+    assert not refuted, refuted
+
+
+def test_antisymmetry(battery):
+    equal = [i for i, (_, _, forward, reverse) in enumerate(battery)
+             if any(forward[o] is reverse[o] is Verdict.ORDERED for o in ("st", "cx"))]
+    assert equal
+    refuted = [(i, order) for i in equal for order, verdict in battery[i][2].items()
+               if Verdict.NOT_ORDERED in (verdict, battery[i][3][order])]
+    assert not refuted, refuted

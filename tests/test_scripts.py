@@ -32,3 +32,12 @@ def test_make_curves(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) > 1
     assert f"curves written to {out}" in capsys.readouterr().out
+
+
+def test_verdict_moves_on_one_tree_moves_nothing(capsys):
+    moves = load_script("verdict_moves")
+    tree = str(SCRIPTS.parent)
+    assert moves.main([tree, tree, "--seeds", "11", "--pairs", "10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(" reports, 0 moved") and not out[0].startswith("0 ")
+    assert len(out) == 1
