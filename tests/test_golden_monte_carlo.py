@@ -21,7 +21,13 @@ the tables were still read through ``np.interp`` and the scan's bins through
 
 The files are never regenerated: a difference means a scan no longer adds
 its chunks in chunk order, a table lookup or a bin moved, or a verdict
-moved.
+moved.  The order reports in them were edited once, when the projection
+orders came to be decided from the pair alone: ``ghss_location_shift.json``
+lost the ``necessary/projection-directions`` clause of plst and iplcx, and
+the sm reports of ``bivariate_dependence.json``, ``laplace_gig_2d.json`` and
+``logistic_gig_2d.json`` read ``necessary/mean-equal`` (True) in place of
+``necessary/location-equal`` and ``necessary/shift-equal`` (True).  No
+verdict, exit status, Monte Carlo block or curve file moved.
 """
 
 import json
