@@ -391,7 +391,8 @@ def equal_in_law_pairs():
     yield (mk(mu, sigma, delta, ab=ab, mix=Degenerate(1.0)),
            mk(mu + t, sigma, delta - t, ab=ab, mix=Degenerate(1.0)))
     for mix, c in ((BetaLambdaOne(1.0), 0.5), (DiscreteWeighted(((1.0, 0.5), (3.0, 0.5))), 2.0)):
-        yield mk(mu, sigma, delta, ab=ab, mix=mix), mk(mu + 2.0 * c * delta, sigma, -delta, ab=ab, mix=mix)
+        yield (mk(mu, sigma, delta, ab=ab, mix=mix),
+               mk(mu + 2.0 * c * delta, sigma, -delta, ab=ab, mix=mix))
 
 
 @pytest.mark.parametrize("pair", list(equal_in_law_pairs()), ids=["degenerate", "beta", "discrete"])
@@ -633,9 +634,11 @@ def test_unskewed_directions_test_the_scale_where_var_beta_diverges():
     assert [c.passed for c in reverse.clauses if c.tag.startswith("necessary/")] == [True, True]
     assert reverse.verdict is Verdict.INCONCLUSIVE
     # Unequal shifts or n = 1: the clause is skipped, as before.
-    mix = BetaLambdaOne(1.5)
-    for a, b in ((d1, mk([0.0, 0.0], np.eye(2), [0.5, 0.7], ab=SKEW, mix=mix)),
-                 (mk(0.0, [[1.0]], [0.5], ab=SKEW, mix=mix), mk(0.0, [[0.5]], [0.5], ab=SKEW, mix=mix))):
+    def law(mu, sigma, delta):
+        return mk(mu, sigma, delta, ab=SKEW, mix=BetaLambdaOne(1.5))
+
+    for a, b in ((d1, law([0.0, 0.0], np.eye(2), [0.5, 0.7])),
+                 (law(0.0, [[1.0]], [0.5]), law(0.0, [[0.5]], [0.5]))):
         clause = check_order(a, b, OrderKind.CX).clauses[-1]
         assert clause.tag == "necessary/psd-difference" and clause.skip is not None
 
