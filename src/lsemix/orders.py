@@ -560,9 +560,6 @@ def _report(
         suff_status = SufficientStatus.FAILS
     else:
         suff_status = SufficientStatus.NOT_APPLICABLE
-    # A group of necessary conditions reads: violated if one is, else
-    # assumption_unmet if one is skipped for the tail assumption, else
-    # not_applicable if one is undecided, else holds.
     if any(c.passed is False for c in necessary):
         nec_status = NecessaryStatus.VIOLATED
     elif any(c.skip is SkipReason.ASSUMPTION for c in necessary):
