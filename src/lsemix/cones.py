@@ -269,7 +269,8 @@ def _small_witness(a: np.ndarray, tol_abs: float) -> ConeVerdict:
     diag = np.diag(a)
     i, j = np.nonzero(np.triu(a, 1) < 0.0)
     curvature = diag[i] + diag[j] - 2.0 * a[i, j]
-    i, j, curvature = i[curvature > 0.0], j[curvature > 0.0], curvature[curvature > 0.0]
+    convex = curvature > 0.0
+    i, j, curvature = i[convex], j[convex], curvature[convex]
     t = np.clip((diag[j] - a[i, j]) / curvature, 0.0, 1.0)
     points = np.vstack([np.eye(n), np.zeros((len(i), n))])
     edges = n + np.arange(len(i))
