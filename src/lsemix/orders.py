@@ -28,7 +28,8 @@ its tail-ratio probes exactly when one of its gates is a tail gate.
 The projection orders (plst, lcx, ilcx, iplcx) are decided from the pair
 alone: their sufficient clause is the parent's (st, cx, icx) sufficient
 side, and their necessary clauses are the parent's, which already imply
-the parent's univariate test along every direction (see ``_derived``).
+the parent's univariate test along every direction (see ``_derived``),
+except some mean tests where E(beta) diverges.
 
 Each compare() builds one ``_Pair`` and asks it for each order's report;
 check_order is a one-order compare().  Everything the orders have in common
@@ -39,7 +40,8 @@ parent's necessary clauses are the very same objects).  Nothing is kept
 between calls: the pair is dropped when compare() returns.
 
 Means use E(Y) = mu + E(beta) * delta; where two shifts are equal the mean
-difference is mu_2 - mu_1 even when E(beta) diverges.  The theorems state
+difference is mu_2 - mu_1 even when E(beta) diverges, and along a direction
+a with a'delta_1 = a'delta_2 it is a'(mu_2 - mu_1).  The theorems state
 exact identities, so each (in)equality holds within ``cones.band`` of the
 largest operand its two sides were formed from, entry by entry (for a mean,
 the summands mu_i and E(beta) delta_i).  With no floor, and no term in the
@@ -270,15 +272,19 @@ class _Pair:
 
     # condition primitives ----------------------------------------------------
 
-    def mean_test(self, relation: Callable) -> bool | None:
-        """relation(E(Y1), E(Y2)); where E(beta) diverges, False if a
-        coordinate with equal shifts fails it and None otherwise.
+    def mean_test(self, relation: Callable, across: bool = False) -> bool | None:
+        """relation(E(Y1), E(Y2)); where E(beta) diverges, False if it fails
+        along one of the directions a >= 0 with a'delta1 = a'delta2 named
+        below and None otherwise.
 
-        Where delta1_i = delta2_i the mean difference of coordinate i is
-        exactly mu2_i - mu1_i regardless of E(beta), so with equal shifts
-        the relation is decided even when E(beta) diverges, and with some
-        equal shifts a failure on those coordinates is.  The relation's
-        band covers the summands mu_i and E(beta) delta_i.
+        Along such a direction the mean difference is exactly a'(mu2 - mu1)
+        regardless of E(beta), so with equal shifts the relation is decided
+        even when E(beta) diverges.  Otherwise it is tested on the
+        coordinates with equal shifts and, with ``across``, also on the
+        other extreme rays of the cone {a >= 0 : a'd = 0}, d = delta2 -
+        delta1: |d_j| e_i + d_i e_j for d_i > 0 > d_j.  The rays span the
+        cone, so the test along them is exact on it.  The relation's band
+        covers the summands: mu_i and E(beta) delta_i, or a_i mu_i.
         """
         if self.delta_equal:
             return relation(self.mu1, self.mu2)
@@ -287,7 +293,17 @@ class _Pair:
             s1, s2 = e_beta * self.delta1, e_beta * self.delta2
             return relation(self.mu1 + s1, self.mu2 + s2, self.mu1, s1, self.mu2, s2)
         equal = self.shifts_equal
-        return None if relation(self.mu1[equal], self.mu2[equal]) else False
+        if not across:
+            return None if relation(self.mu1[equal], self.mu2[equal]) else False
+        d = self.delta2 - self.delta1
+        i, j = np.flatnonzero(~equal & (d > 0.0)), np.flatnonzero(~equal & (d < 0.0))
+        terms = []
+        for mu in (self.mu1, self.mu2):
+            along_i = np.outer(mu[i], -d[j]).ravel()
+            along_j = np.outer(d[i], mu[j]).ravel()
+            terms += [np.concatenate([mu[equal], along_i]),
+                      np.concatenate([np.zeros(int(equal.sum())), along_j])]
+        return None if relation(terms[0] + terms[1], terms[2] + terms[3], *terms) else False
 
     def location_all_z(self) -> bool:
         """mu1 + b delta1 <= mu2 + b delta2 for every attainable b.
@@ -386,8 +402,14 @@ _CONDITIONS: dict[str, _Condition] = {
     "shift-equal": _Condition("delta1 = delta2", lambda p: p.delta_equal),
     "mean-ordering": _Condition(
         "E(Y1) <= E(Y2) componentwise", lambda p: p.mean_test(vec_leq), SkipReason.MOMENTS),
+    # Every order that reads mean-equal (cx, dcx, ccx, sm, cp, cop) implies
+    # a'Y1 <=cx a'Y2 for every a >= 0, since g(a'x) with g convex has the
+    # Hessian g'' aa', in each of their cones; so the means agree along
+    # every such a with a'delta1 = a'delta2.  uo's marginal argument for
+    # mean-ordering gives no such projection, so that test stays on the
+    # coordinates.
     "mean-equal": _Condition(
-        "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal), SkipReason.MOMENTS),
+        "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal, across=True), SkipReason.MOMENTS),
     "scale-equal": _Condition("Sigma1 = Sigma2", lambda p: vec_equal(p.sigma1, p.sigma2)),
     "psd-difference": _Condition("Sigma2 - Sigma1 is positive semi-definite", _Pair.psd),
     "unskewed-psd-difference": _Condition(
@@ -594,7 +616,10 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     projection order too, and they already hold every univariate test of
     a projection a'Y: the family is closed under affine maps, so a'Y_i has
     location a'mu_i, scale a'Sigma_i a and shift a'delta_i.  The means follow
-    from the axes.  For lcx and ilcx, a'(Sigma2 - Sigma1) a >= 0 for every a
+    from the axes where E(beta) is finite.  Where it diverges, the mean
+    clauses test some of the directions with a'delta1 = a'delta2: cx's
+    every a >= 0, st's and icx's (which uo shares) the axes with equal
+    shifts.  For lcx and ilcx, a'(Sigma2 - Sigma1) a >= 0 for every a
     (with a'delta1 = a'delta2 where Var(beta) diverges) is cx's PSD clause.
     For plst, a'Sigma1 a = a'Sigma2 a for every a >= 0 gives Sigma1 = Sigma2
     by polarization over e_i and e_i + e_j.  For iplcx,

@@ -310,7 +310,7 @@ def test_copositive_rules_hold_past_the_exact_cap():
         assert verdict.witness is None
 
 
-def test_copositive_small_witness_past_the_exact_cap():
+def test_copositive_size_cap():
     # n = 12: a_33 < 0 is a 1x1 witness; a 2x2 submatrix with
     # a_ij < -sqrt(a_ii a_jj) gives an edge point.  Each is a simplex point
     # of A itself, zero-padded, and x'Ax < 0 holds in exact arithmetic.

@@ -26,8 +26,9 @@ from sme_oracle import sme_table
 
 import lsemix.orders as orders_module
 from lsemix.cli import parse_scenario
-from lsemix.cones import HORN_MATRIX
+from lsemix.cones import HORN_MATRIX, ConeStatus, is_copositive
 from lsemix.distributions import LseDistribution
+from lsemix.empirical import axis_pair_directions
 from lsemix.errors import IncomparableFamiliesError, UsageError
 from lsemix.generators import DensityGenerator, GeneratorFamily
 from lsemix.mixing import (
@@ -556,6 +557,125 @@ def test_derived_reports_are_deterministic():
     assert first == second
 
 
+PROJECTION_ORDERS = (OrderKind.PLST, OrderKind.LCX, OrderKind.ILCX, OrderKind.IPLCX)
+
+
+def reference_directions(d1, d2, signed):
+    """The axes and normalized pair sums (signed: and differences), then
+    the most negative eigenvector of Sigma2 - Sigma1 (signed) or its
+    copositivity witness (unsigned) where there is one, one per row."""
+    directions = [axis_pair_directions(d1.dim, signed)]
+    diff = d2.sigma - d1.sigma
+    if signed:
+        eigenvalues, eigenvectors = np.linalg.eigh(diff)
+        if eigenvalues[0] < 0.0:
+            directions.append(eigenvectors[:, :1].T)
+    else:
+        verdict = is_copositive(diff)
+        if verdict.status is ConeStatus.OUTSIDE:
+            directions.append(verdict.witness[None, :] / np.linalg.norm(verdict.witness))
+    return np.vstack(directions)
+
+
+def projection_statuses(d1, d2):
+    """Reference, per projection order: the parent's necessary status on
+    the univariate pair (a'Y1, a'Y2) along each reference direction a, each
+    pair run through the interpreter on its own; and the directions."""
+    out = {}
+    for order in PROJECTION_ORDERS:
+        parent = orders_module._PARENT_OF[order]
+        directions = reference_directions(d1, d2, order in (OrderKind.LCX, OrderKind.ILCX))
+        statuses = [orders_module._direct(parent, orders_module._Pair(
+            d1.linear_functional(a), d2.linear_functional(a))).necessary for a in directions]
+        out[order] = statuses, directions
+    return out
+
+
+def assert_projections_match(d1, d2):
+    """The pair's clauses decide every projection the reference decides:
+    an order whose parent is violated along some direction reads
+    not_ordered.  Returns the reference statuses by order."""
+    results = projection_statuses(d1, d2)
+    for order, (statuses, _) in results.items():
+        if NecessaryStatus.VIOLATED in statuses:
+            assert check_order(d1, d2, order).verdict is Verdict.NOT_ORDERED, order
+    return {order: statuses for order, (statuses, _) in results.items()}
+
+
+def test_projections_match_reference_in_one_dimension():
+    # In one dimension every direction is +-1, so the projection is the
+    # pair itself, and the statuses agree exactly.
+    for d1, d2 in ((ghss(0.0, [[1.0]], [0.2]), ghss(0.3, [[1.5]], [0.5])),
+                   (mk(0.0, [[2.0]]), mk(-0.1, [[1.0]]))):
+        statuses = assert_projections_match(d1, d2)
+        for order, got in statuses.items():
+            assert set(got) == {check_order(d1, d2, order).necessary}, order
+    assert statuses[OrderKind.IPLCX] == [NecessaryStatus.VIOLATED] * 2
+
+
+def test_projections_match_reference_on_zero_projected_shift():
+    # Var(1/Z) diverges under Beta(1.5, 1), so a projected covariance exists
+    # only where a'delta = 0 exactly: along (e1 - e2)/sqrt 2, where the scale
+    # difference is negative.  (Shifts of 0.5 keep every product exact, so
+    # the zero does not hang on how the dot product rounds.)
+    d1, d2 = zero_projected_shift_pair()
+    statuses, directions = projection_statuses(d1, d2)[OrderKind.LCX]
+    assert_projections_match(d1, d2)
+    # (e1 - e2)/sqrt 2 comes fourth; the appended eigenvector spans it too.
+    zero_shift = [i for i, a in enumerate(directions) if a @ d1.delta == 0.0]
+    assert zero_shift == [3, len(directions) - 1]
+    assert {statuses[i] for i in zero_shift} == {NecessaryStatus.VIOLATED}
+    assert {s for i, s in enumerate(statuses) if i not in zero_shift} == {
+        NecessaryStatus.NOT_APPLICABLE}
+    assert violated(check_order(d1, d2, OrderKind.LCX)) == ["necessary/unskewed-psd-difference"]
+
+
+def test_projections_match_reference_under_divergent_mean():
+    # E(1/Z) diverges under Beta(0.5, 1): the projected means are decided
+    # only where the projected shifts agree, along (e1 + e2)/sqrt 2.  There
+    # the locations differ, which cx's mean clause reads on the pair.
+    mix = BetaLambdaOne(0.5)
+    d1 = mk([0.0, 0.0], np.eye(2), [0.2, 0.5], ab=SKEW, mix=mix)
+    d2 = mk([0.1, 0.1], np.eye(2), [0.5, 0.2], ab=SKEW, mix=mix)
+    statuses = assert_projections_match(d1, d2)
+    plst = statuses[OrderKind.PLST]
+    assert plst[2] is NecessaryStatus.HOLDS
+    assert NecessaryStatus.NOT_APPLICABLE in plst
+    clause = check_order(d1, d2, OrderKind.PLST).clauses[1]
+    assert clause.tag == "necessary/mean-ordering" and clause.skip is SkipReason.MOMENTS
+    assert statuses[OrderKind.LCX][2] is NecessaryStatus.VIOLATED
+    reports = compare(d1, d2)
+    for order in (OrderKind.CX, OrderKind.LCX, OrderKind.ILCX):
+        assert violated(reports[order]) == ["necessary/mean-equal"], order
+
+
+def test_projections_match_reference_with_tail_assumption_unmet(monkeypatch):
+    monkeypatch.setattr(orders_module, "assumption_profile",
+                        lambda gen: (False, False, ()))
+    d1, d2 = mk([0.0, 0.0], np.eye(2)), mk([0.1, -0.2], np.diag([2.0, 0.5]))
+    statuses = assert_projections_match(d1, d2)
+    for order in (OrderKind.PLST, OrderKind.IPLCX):
+        assert set(statuses[order]) == {NecessaryStatus.ASSUMPTION_UNMET}
+        assert check_order(d1, d2, order).necessary is NecessaryStatus.ASSUMPTION_UNMET
+    assert NecessaryStatus.VIOLATED in statuses[OrderKind.LCX]
+
+
+def test_projections_match_reference_along_adversarial_directions():
+    # An indefinite, non-copositive scale difference: the signed orders add
+    # the most-negative eigenvector, the others the copositivity witness.
+    d1 = mk([0.0, 0.0, 0.0], 2.0 * np.eye(3))
+    d2 = mk([0.0, 0.0, 0.0], [[2.5, -0.9, 0.0], [-0.9, 2.5, 0.0], [0.0, 0.0, 2.2]])
+    results = projection_statuses(d1, d2)
+    diff = d2.sigma - d1.sigma
+    eigenvector = np.linalg.eigh(diff)[1][:, 0]
+    witness = is_copositive(diff).witness
+    assert np.array_equal(results[OrderKind.LCX][1][-1], eigenvector)
+    assert np.array_equal(results[OrderKind.IPLCX][1][-1], witness / np.linalg.norm(witness))
+    assert_projections_match(d1, d2)
+    for order, (statuses, _) in results.items():
+        assert statuses[-1] is NecessaryStatus.VIOLATED, order
+
+
 # Four pairs on which only the parent's univariate test along fixed
 # directions, since deleted, read not_ordered; a clause on the pair decides
 # each of them, for the parent too.
@@ -784,7 +904,7 @@ def count_builds(monkeypatch):
     return counts, evaluated
 
 
-def test_each_report_and_condition_built_once_per_pair(monkeypatch):
+def test_each_report_projection_and_condition_built_once_per_pair(monkeypatch):
     counts, evaluated = count_builds(monkeypatch)
     # Equal locations and a normal profile: every gate holds, so every
     # condition but cx's fallback is asked for, most of them by several
@@ -888,6 +1008,12 @@ def test_memos_never_outlive_their_pair_on_the_decide_battery(case):
     spec = parse_scenario(json.dumps(case["scenario"]))
     d1, d2 = spec.distribution_1, spec.distribution_2
     assert [compare(d1, d2), compare(d2, d1)] == [fresh(d1, d2), fresh(d2, d1)]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["label"] for case in GOLDEN])
+def test_projections_match_reference_on_the_decide_battery(case):
+    spec = parse_scenario(json.dumps(case["scenario"]))
+    assert_projections_match(spec.distribution_1, spec.distribution_2)
 
 
 def test_lsemix_loads_no_scipy(tmp_path):
