@@ -17,7 +17,10 @@ with the laplace, logistic and exponential-power radials at n = 1 (st, icx
 and cx scans; one on an explicit non-uniform grid with repeated points) and
 n = 2 (cx and orthant scans).  Their files were written the same way, while
 the tables were still read through ``np.interp`` and the scan's bins through
-``np.searchsorted``.
+``np.searchsorted``.  A seventh, ``laplace_beta_8d``, samples a skewed laplace
+law with beta mixing at n = 8 (cx and orthant scans), where numpy sums rows
+of eight or more pairwise; it was written the same way before the cx
+functionals were summed in slabs.
 
 The files are never regenerated: a difference means a scan no longer adds
 its chunks in chunk order, a table lookup or a bin moved, or a verdict
@@ -52,6 +55,7 @@ EXIT_STATUS = {
 TABLE_EXIT_STATUS = {
     "exponential_power_gig_1d": 0,
     "exponential_power_gig_2d": 2,
+    "laplace_beta_8d": 2,
     "laplace_gig_1d": 2,
     "laplace_gig_2d": 2,
     "logistic_gig_1d": 0,
