@@ -26,6 +26,7 @@ from .empirical import (
     DominanceResult,
     McConfig,
     SurvivalCurve,
+    coupled_pass,
     empirical_survival,
     stop_loss,
     stoploss_dominance,
@@ -42,7 +43,6 @@ from .errors import (
     ParameterError,
     ScenarioError,
     SingularTransformError,
-    SizeLimitError,
     UnsupportedGeneratorError,
     UsageError,
 )

@@ -65,8 +65,7 @@ import numpy as np
 from .cones import dual_pairing, is_completely_positive, is_copositive, is_psd
 from .distributions import LseDistribution
 from .empirical import (
-    DominanceResult, McConfig, SurvivalCurve, axis_pair_directions, stoploss_dominance,
-    verify_cx, verify_orthant, verify_st,
+    DominanceResult, McConfig, SurvivalCurve, axis_pair_directions, coupled_pass,
 )
 from .errors import LsemixError, ScenarioError
 from .generators import DensityGenerator, GeneratorFamily, limit_ratio
@@ -443,31 +442,30 @@ def _corner_points(d1: LseDistribution, d2: LseDistribution, seed: int) -> np.nd
     return np.asarray(corners)
 
 
+#: The result of ``coupled_pass`` that each order's Monte Carlo block reads.
+_MC_SCANS = {
+    OrderKind.ST: "st", OrderKind.ICX: "icx", OrderKind.CX: "cx",
+    OrderKind.UO: "orthant", OrderKind.SM: "orthant",
+}
+
+
 def _monte_carlo_blocks(
     spec: ScenarioSpec, d1: LseDistribution, d2: LseDistribution
 ) -> tuple[dict, SurvivalCurve | None]:
-    """Run the applicable verifiers for the requested orders."""
+    """Run the applicable scans for the requested orders, all in one coupled
+    pass: every chunk of draws is sampled once for all of them."""
     cfg = spec.mc
-    blocks: dict[str, dict] = {}
-    curve: SurvivalCurve | None = None
     requested = set(spec.orders)
-    if d1.dim == 1 and requested & {OrderKind.ST, OrderKind.ICX}:
-        # one scan answers both: icx is read off the st scan's curve
-        result = verify_st(d1, d2, cfg)
-        curve = result.curve
-        if OrderKind.ST in requested:
-            blocks["st"] = _dominance_node(result, cfg)
-        if OrderKind.ICX in requested:
-            blocks["icx"] = _dominance_node(stoploss_dominance(curve, cfg.confidence_multiplier), cfg)
-    if OrderKind.CX in requested:
-        result = verify_cx(d1, d2, cfg, axis_pair_directions(d1.dim, signed=True))
-        blocks["cx"] = _dominance_node(result, cfg)
-    orthant_orders = requested & {OrderKind.UO, OrderKind.SM}
-    if orthant_orders:
-        corners = _corner_points(d1, d2, spec.seed)
-        result = verify_orthant(d1, d2, cfg, corners)
-        for order in sorted(orthant_orders, key=lambda o: o.value):
-            blocks[order.value] = _dominance_node(result, cfg)
+    results = coupled_pass(
+        d1, d2, cfg,
+        # one scan answers both st and icx: icx is read off the st curve
+        survival=d1.dim == 1 and bool(requested & {OrderKind.ST, OrderKind.ICX}),
+        directions=axis_pair_directions(d1.dim, signed=True) if OrderKind.CX in requested else None,
+        corners=_corner_points(d1, d2, spec.seed) if requested & {OrderKind.UO, OrderKind.SM} else None,
+    )
+    blocks = {order.value: _dominance_node(results[scan], cfg)
+              for order, scan in _MC_SCANS.items() if order in requested and scan in results}
+    curve = results["st"].curve if "st" in results else None
     return blocks, curve
 
 

@@ -391,14 +391,17 @@ class LseDistribution:
         z = self.mixing.sample(rng, count)
         r = _draw_radial(self.generator, self.dim, rng, count)
         u = _sphere_draws(rng, count, self.dim)
-        return self._assemble(z, r, u)
+        return self._assemble(self.ab_map.alpha(z) * r, self.ab_map.beta(z), u)
 
-    def _assemble(self, z: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        alphas = self.ab_map.alpha(z)
-        betas = self.ab_map.beta(z)
-        core = blocked_matmul(u, self._chol_lower.T)
-        core *= (alphas * r)[:, None]
-        return self.mu + core + betas[:, None] * self.delta
+    def _assemble(self, scales: np.ndarray, betas: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """mu + scale L u + beta delta per draw, from the scales alpha(Z) R,
+        the betas beta(Z) and the sphere points u; (mu + core) + beta delta,
+        formed in place."""
+        y = blocked_matmul(u, self._chol_lower.T)
+        y *= scales[:, None]
+        y += self.mu
+        y += betas[:, None] * self.delta
+        return y
 
     # Closure operations ------------------------------------------------------
 
@@ -459,10 +462,19 @@ class LseDistribution:
 
 def _sphere_draws(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     v = rng.standard_normal((count, n))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    if n < 8:
+        # numpy sums a row shorter than 8 in order, so adding the squared
+        # columns one by one gives np.linalg.norm's bytes.
+        norms = np.square(v[:, 0])
+        for j in range(1, n):
+            norms += np.square(v[:, j])
+        norms = np.sqrt(norms, out=norms)[:, None]
+    else:
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
     # A zero vector has probability zero; guard for numeric robustness.
     norms[norms == 0.0] = 1.0
-    return v / norms
+    v /= norms
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -518,4 +530,6 @@ def sample_coupled(
     z = d1.mixing.sample(rng, count)
     r = _draw_radial(d1.generator, d1.dim, rng, count)
     u = _sphere_draws(rng, count, d1.dim)
-    return d1._assemble(z, r, u), d2._assemble(z, r, u)
+    # The shared map gives both laws the same alpha(Z) R and beta(Z).
+    scales, betas = d1.ab_map.alpha(z) * r, d1.ab_map.beta(z)
+    return d1._assemble(scales, betas, u), d2._assemble(scales, betas, u)

@@ -17,19 +17,31 @@ Design notes
 * Seed streams go by index: stream ``i`` is the ``i``-th child of
   ``SeedSequence(seed)`` (``_stream``); stream 0 is the pilot's, which sets
   automatic grids and payoff thresholds, and stream j + 1 chunk j's.
-* One engine, ``_coupled_totals``, samples and sums the chunks of every scan
-  (st, icx, cx and orthant): each chunk is drawn from its stream and reduced
-  to the scan's partial sums on one of a pool of worker threads, one per
-  usable CPU, and the partial sums are added in chunk order whichever worker
-  ran it, so identical configs give bit-identical estimates on any number of
-  CPUs.  A scan is then three steps: validate its input, reduce a chunk,
-  finish the totals into estimates.  Peak memory is about the number of
-  workers times one chunk's working set.  The matrix products inside a chunk
-  (the projections of ``verify_cx`` and the Cholesky factor applied in
-  sampling) go through ``numerics.blocked_matmul``, in row blocks that
-  OpenBLAS computes on the worker's own thread: a whole-chunk product would
-  start OpenBLAS's threads, which then compete with the workers for the same
-  CPUs.
+* One engine, ``_coupled_totals``, samples the chunks once for every scan
+  (st, icx, cx and orthant): each chunk is drawn from its stream and handed
+  to the reduce step of every scan of the pass on one of a pool of worker
+  threads, one per usable CPU, and each scan's partial sums are added in
+  chunk order whichever worker ran it, so identical configs give
+  bit-identical estimates on any number of CPUs.  A scan is three steps:
+  validate its input, reduce a chunk, finish the totals into a result.
+  ``coupled_pass`` validates every requested scan, draws one shared pilot
+  when a grid or the payoff thresholds need it, and runs the reduce steps
+  of all of them in one pass; each ``verify_*`` function is that pass with
+  a single scan, and ``lsemix check`` makes one pass for all its Monte Carlo
+  blocks.  A chunk feeds every scan from the same stream, so the bytes do
+  not depend on which scans share the pass.  Another battery costs one more
+  reduce step, not another pass of sampling.  Peak memory is about the
+  number of workers times one chunk's working set.  The matrix products
+  inside a chunk (the projections of ``verify_cx`` and the Cholesky factor
+  applied in sampling) go through ``numerics.blocked_matmul``, in row blocks
+  that OpenBLAS computes on the worker's own thread: a whole-chunk product
+  would start OpenBLAS's threads, which then compete with the workers for
+  the same CPUs.
+* numpy holds the interpreter lock between calls, so the workers overlap
+  only while the calls are few and large.  The cx battery therefore forms
+  its row max and payoff sums for the whole chunk and sums its functionals
+  in wide slabs that carry the running sums in their first row
+  (``_cx_scan``), not in many narrow blocks.
 * The st and icx scans make one binned pass over the draws.  Each draw x
   falls in bin k, the number of grid points strictly below it (what
   ``np.searchsorted(grid, x)`` returns), so x > t_j exactly when j < k; no
@@ -81,6 +93,7 @@ __all__ = [
     "verify_icx",
     "stoploss_dominance",
     "axis_pair_directions",
+    "coupled_pass",
     "verify_cx",
     "verify_orthant",
 ]
@@ -90,10 +103,9 @@ MIN_SAMPLE_COUNT = 10_000
 _QUANTILE_RANGE = (0.001, 0.999)
 _PILOT_CAP = 50_000
 _PAYOFF_QUANTILES = (0.25, 0.5, 0.75)
-#: verify_cx evaluates its directional functionals in (chunk, 2, group)
-#: blocks of at most about this many doubles: at most 8 directions per group
-#: at the default chunk.
-_CX_BLOCK_DOUBLES = 2 ** 20
+#: verify_cx sums its one-sided functionals in slabs of at most about this
+#: many doubles (2 MiB), whatever the number of directions (``_cx_scan``).
+_CX_SLAB_DOUBLES = 2 ** 18
 
 
 def _integral(value, name: str) -> int:
@@ -117,11 +129,14 @@ class McConfig:
     be nonempty and ascending.
 
     ``chunk_size`` is the number of coupled draws sampled and reduced at a
-    time.  The chunks are the unit of work of the worker threads in every
-    scan, ``verify_cx`` included, and each in flight holds its draws and
-    their temporaries, so peak memory grows with ``chunk_size`` times the
-    number of usable CPUs.  The estimates depend on ``chunk_size`` (chunk i
-    draws from its own stream), never on the number of workers.
+    time.  The chunks are the unit of work of the worker threads: each is
+    drawn once and reduced by every scan of the pass (``coupled_pass``).  A
+    chunk in flight holds its draws and one scan's temporaries at a time,
+    a few chunk-length rows per scan plus the cx battery's slab of at most
+    ``_CX_SLAB_DOUBLES`` doubles, so peak memory grows with ``chunk_size``
+    times the number of usable CPUs, not with the number of scans or cx
+    directions.  The estimates depend on ``chunk_size`` (chunk i draws from
+    its own stream), never on the number of workers.
     """
 
     sample_count: int
@@ -265,24 +280,26 @@ def _pilot(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> np.ndarra
     return np.concatenate([y1.ravel(), y2.ravel()])
 
 
-def _coupled_totals(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, reduce) -> list[np.ndarray]:
-    """Totals over the sample budget of the arrays ``reduce(x1, x2)`` returns
-    for each chunk of coupled draws.
+def _coupled_totals(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, *reducers) -> list[list[np.ndarray]]:
+    """Totals over the sample budget of the arrays each of ``reducers``
+    returns for each chunk of coupled draws: one list of totals per reducer.
 
     Chunk j holds ``cfg.chunk_size`` draws (the last one the rest) from
-    stream j + 1; it is sampled and reduced on one of a pool of worker
-    threads, one per usable CPU.  The pool lives for one call, so a forked
-    child inherits no pool.  numpy's samplers, ufuncs, casts, integer-array
-    gathers and ``searchsorted`` release the interpreter lock, so the chunks
-    do run side by side.  An exception in one chunk cancels the chunks not
-    yet started and propagates unchanged.  Each chunk's arrays are added to
-    zeros in chunk order, so every float sum is the one a serial loop forms.
+    stream j + 1; it is sampled once and handed to every reducer on one of a
+    pool of worker threads, one per usable CPU.  The pool lives for one call,
+    so a forked child inherits no pool.  numpy's samplers, ufuncs, casts,
+    integer-array gathers and ``searchsorted`` release the interpreter lock,
+    so the chunks do run side by side.  An exception in one chunk cancels
+    the chunks not yet started and propagates unchanged.  Each chunk's
+    arrays are added to zeros in chunk order, so every float sum is the one
+    a serial loop forms.
     """
     sizes = [min(cfg.chunk_size, cfg.sample_count - start)
              for start in range(0, cfg.sample_count, cfg.chunk_size)]
 
     def chunk(j):
-        return reduce(*sample_coupled(d1, d2, _stream(cfg, j + 1), sizes[j]))
+        x1, x2 = sample_coupled(d1, d2, _stream(cfg, j + 1), sizes[j])
+        return [reduce(x1, x2) for reduce in reducers]
 
     workers = min(_worker_count(), len(sizes))
     if workers <= 1:
@@ -290,10 +307,11 @@ def _coupled_totals(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, red
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(chunk, range(len(sizes))))
-    totals = [np.zeros_like(value) for value in partials[0]]
+    totals = [[np.zeros_like(value) for value in part] for part in partials[0]]
     for partial in partials:
-        for total, value in zip(totals, partial):
-            total += value
+        for scan_totals, part in zip(totals, partial):
+            for total, value in zip(scan_totals, part):
+                total += value
     return totals
 
 
@@ -352,7 +370,9 @@ def _summarize(
 
 
 # --------------------------------------------------------------------------
-# Gridded dominance scans (st, icx)
+# The scans.  Each is built from its checked input as a pair (reduce, finish):
+# ``reduce(x1, x2)`` turns one chunk of coupled draws into the scan's partial
+# sums, and ``finish`` turns their totals into the scan's result.
 
 
 def _require_univariate(d1: LseDistribution, d2: LseDistribution) -> None:
@@ -362,15 +382,11 @@ def _require_univariate(d1: LseDistribution, d2: LseDistribution) -> None:
         )
 
 
-def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> SurvivalCurve:
-    """One coupled pass over the sample budget, binning every draw against a
-    shared grid; the bins hold everything the survival and stop-loss
-    dominance checks need (see the design notes above)."""
-    _require_univariate(d1, d2)
-    if cfg.grid is not None:
-        grid = np.asarray(cfg.grid, dtype=float)
-    else:
-        grid = _auto_grid(_pilot(d1, d2, cfg))
+def _survival_scan(grid: np.ndarray, cfg: McConfig):
+    """The st scan on ``grid``: one binned pass over the draws whose bins
+    hold everything the survival and stop-loss dominance checks need (see
+    the design notes above).  ``finish`` gives the st result, which carries
+    the curve."""
     bins = grid.size + 1
     # floor[k] = t_{k-1}, the grid point below bin k; bin 0 is never read.
     floor = np.concatenate([grid[:1], grid])
@@ -398,51 +414,42 @@ def _dominance_scan(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> 
             np.bincount(cell, np.square(top), bins * bins),
         )
 
-    counts, sums, joint, both_sq, split_counts, split_sums, split_squares = _coupled_totals(
-        d1, d2, cfg, reduce)
+    def finish(counts, sums, joint, both_sq, split_counts, split_sums, split_squares):
+        # Expand to the grid.  Bin i + 1 lies above t_j exactly when i >= j,
+        # and its draws exceed t_j by their offset plus gap[j, i] = t_i - t_j.
+        above = np.triu(np.ones((grid.size, grid.size), dtype=bool))
+        gap = np.where(above, grid[None, :] - grid[:, None], 0.0)
+        exceed = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        joint = np.cumsum(joint[::-1])[::-1][1:]
+        sl_sums = np.where(above, sums[:, None, 1:] + gap * counts[:, None, 1:], 0.0).sum(axis=-1)
+        # Paired d = (x1 - t)+ - (x2 - t)+.  Where min(x1, x2) > t_j, d^2 is
+        # (x1 - x2)^2; where only the max exceeds t_j (bin of the min <= j <
+        # bin of the max), d^2 = (top + gap)^2, gathered over the min's bins
+        # <= j.
+        c, s, q = (np.cumsum(a.reshape(bins, bins), axis=0)[:-1, 1:]
+                   for a in (split_counts, split_sums, split_squares))
+        sld_sq = np.where(above, both_sq[1:] + q + gap * (2.0 * s + gap * c), 0.0).sum(axis=-1)
 
-    # Expand to the grid.  Bin i + 1 lies above t_j exactly when i >= j, and
-    # its draws exceed t_j by their offset plus gap[j, i] = t_i - t_j >= 0.
-    above = np.triu(np.ones((grid.size, grid.size), dtype=bool))
-    gap = np.where(above, grid[None, :] - grid[:, None], 0.0)
-    exceed = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    joint = np.cumsum(joint[::-1])[::-1][1:]
-    sl_sums = np.where(above, sums[:, None, 1:] + gap * counts[:, None, 1:], 0.0).sum(axis=-1)
-    # Paired d = (x1 - t)+ - (x2 - t)+.  Where min(x1, x2) > t_j, d^2 is
-    # (x1 - x2)^2; where only the max exceeds t_j (bin of the min <= j < bin
-    # of the max), d^2 = (top + gap)^2, gathered over the min's bins <= j.
-    c, s, q = (np.cumsum(a.reshape(bins, bins), axis=0)[:-1, 1:]
-               for a in (split_counts, split_sums, split_squares))
-    sld_sq = np.where(above, both_sq[1:] + q + gap * (2.0 * s + gap * c), 0.0).sum(axis=-1)
+        n = float(cfg.sample_count)
+        p1, p2, p12 = exceed[0] / n, exceed[1] / n, joint / n
+        sl_mean = sl_sums / n
+        curve = SurvivalCurve(
+            t=grid,
+            survival_1=p1,
+            survival_2=p2,
+            se_1=np.sqrt(p1 * (1.0 - p1) / n),
+            se_2=np.sqrt(p2 * (1.0 - p2) / n),
+            stoploss_1=sl_mean[0],
+            stoploss_2=sl_mean[1],
+            survival_diff_se=_indicator_se(p1, p2, p12, n),
+            stoploss_diff_se=_se(sl_mean[0] - sl_mean[1], sld_sq, n),
+        )
+        return _summarize(
+            curve.t, curve.survival_1 - curve.survival_2, curve.survival_diff_se,
+            cfg.confidence_multiplier, adjacency=True, curve=curve,
+        )
 
-    n = float(cfg.sample_count)
-    p1, p2, p12 = exceed[0] / n, exceed[1] / n, joint / n
-    sl_mean = sl_sums / n
-    return SurvivalCurve(
-        t=grid,
-        survival_1=p1,
-        survival_2=p2,
-        se_1=np.sqrt(p1 * (1.0 - p1) / n),
-        se_2=np.sqrt(p2 * (1.0 - p2) / n),
-        stoploss_1=sl_mean[0],
-        stoploss_2=sl_mean[1],
-        survival_diff_se=_indicator_se(p1, p2, p12, n),
-        stoploss_diff_se=_se(sl_mean[0] - sl_mean[1], sld_sq, n),
-    )
-
-
-def verify_st(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
-    """Check survival dominance F_bar_1(t) <= F_bar_2(t) across the grid."""
-    curve = _dominance_scan(d1, d2, cfg)
-    return _summarize(
-        curve.t, curve.survival_1 - curve.survival_2, curve.survival_diff_se,
-        cfg.confidence_multiplier, adjacency=True, curve=curve,
-    )
-
-
-def verify_icx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
-    """Check stop-loss dominance E(Y1 - t)_+ <= E(Y2 - t)_+ across the grid."""
-    return stoploss_dominance(_dominance_scan(d1, d2, cfg), cfg.confidence_multiplier)
+    return reduce, finish
 
 
 def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResult:
@@ -455,31 +462,27 @@ def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResu
     )
 
 
-# --------------------------------------------------------------------------
-# Convex test functionals (cx)
-
-
-def _accumulate(block: np.ndarray, sums: np.ndarray, sqs: np.ndarray) -> None:
-    """Add the column sums and square sums of ``block`` to ``sums`` and
-    ``sqs``, squaring ``block`` in place.
-
-    numpy sums each column of a block at least two columns wide row by row,
-    in the same order whatever the width, but a lone column pairwise.  The
-    functional blocks of ``verify_cx`` have two or more columns; its mean
-    block has one per coordinate, so at n = 1 it is summed pairwise, as
-    ``(x1 - x2).sum(axis=0)`` always was.  A contiguous (rows, 2, g) block
-    sums like its (rows, 2g) reshape.
-    """
-    sums += block.sum(axis=0)
-    sqs += np.square(block, out=block).sum(axis=0)
-
-
 def _row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=1)``, taken column by column (exact in any order)."""
     top = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         np.maximum(top, x[:, j], out=top)
     return top
+
+
+def _payoff_sums(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``np.maximum(x - c, 0.0).sum(axis=1)`` for each threshold c, one row
+    each, bit for bit.  numpy sums a row shorter than 8 in order, so there
+    the columns of x are added one by one; longer rows it sums pairwise, so
+    those keep ``.sum(axis=1)``."""
+    if x.shape[1] >= 8:
+        return np.stack([np.maximum(x - c, 0.0).sum(axis=1) for c in thresholds])
+    total = np.subtract(x[:, 0], thresholds[:, None])
+    np.maximum(total, 0.0, out=total)
+    part = np.empty_like(total)
+    for i in range(1, x.shape[1]):
+        total += np.maximum(np.subtract(x[:, i], thresholds[:, None], out=part), 0.0, out=part)
+    return total
 
 
 def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
@@ -493,6 +496,162 @@ def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
             if signed:
                 directions.append((eye[i] - eye[j]) / math.sqrt(2.0))
     return np.array(directions)
+
+
+def _cx_scan(dirs: np.ndarray, thresholds: np.ndarray, cfg: McConfig):
+    """The cx battery of ``verify_cx`` along the rows of ``dirs``.
+
+    A chunk's m = 2k + 1 + len(thresholds) one-sided functionals, (a_j'x)^2
+    and |a_j'x| per direction, the row max and one payoff sum per threshold,
+    are summed a slab of rows at a time: side by side, each beside its
+    square, in a slab of at most about ``_CX_SLAB_DOUBLES`` doubles.  Row 0
+    of the slab holds the running column sums.  numpy sums a block at least
+    two columns wide row by row, so the slab's axis-0 sum carries the
+    chunk's sums on in draw order: the bytes of one (chunk, 2m) block.
+
+    The row max and the payoff sums are formed for the whole chunk at once,
+    a column of x at a time, and copied into each slab: numpy holds the
+    interpreter lock between calls, so two workers run side by side only
+    while the calls are few and large.  The projections are formed per slab,
+    by gemm, whose elements do not depend on where the rows are split; a
+    slab of one row would go to gemv, so a lone last row joins the slab
+    before it.  A lone direction, which numpy always projects by gemv, whose
+    rounding does depend on the split, is projected once per chunk.  The
+    mean block stays a (chunk, n) block of its own: at n = 1 it is a lone
+    column, which numpy sums pairwise.
+    """
+    k = dirs.shape[0]
+    m = 2 * k + 1 + thresholds.size
+
+    def reduce(x1, x2):
+        size = x1.shape[0]
+        rows = max(2, _CX_SLAB_DOUBLES // (2 * m) - 1)
+        stops = list(range(rows, size, rows))
+        if stops and size - stops[-1] == 1:
+            stops.pop()
+        # The row max and the payoff sums of the whole chunk, one row each.
+        tail = np.empty((1 + thresholds.size, size))
+        np.subtract(_row_max(x1), _row_max(x2), out=tail[0])
+        np.subtract(_payoff_sums(x1, thresholds), _payoff_sums(x2, thresholds), out=tail[1:])
+        if k == 1:
+            whole = np.stack([np.matmul(x1, dirs.T), np.matmul(x2, dirs.T)])
+        # Buffers for this call alone (two workers reduce chunks at once),
+        # reused by every slab: the slab, with one spare row for a joined
+        # lone row, and the projections and their squares or magnitudes.
+        height = min(rows + 1, size)
+        slab = np.zeros((height + 1, 2 * m))
+        proj = np.empty((2, height, k))
+        spare = np.empty((2, height, k))
+        start = 0
+        for stop in stops + [size]:
+            r = stop - start
+            body = slab[1:r + 1]
+            value = body[:, :m]
+            if k == 1:
+                both = whole[:, start:stop]
+            else:
+                both = proj[:, :r]
+                blocked_matmul(x1[start:stop], dirs.T, out=both[0])
+                blocked_matmul(x2[start:stop], dirs.T, out=both[1])
+            part = np.square(both, out=spare[:, :r])
+            np.subtract(part[0], part[1], out=value[:, :k])
+            np.abs(both, out=part)
+            np.subtract(part[0], part[1], out=value[:, k:2 * k])
+            np.copyto(value[:, 2 * k:].T, tail[:, start:stop])
+            np.square(value, out=body[:, m:])
+            slab[0] = slab[:r + 1].sum(axis=0)
+            start = stop
+        carried = slab[0].copy()
+        gaps = x1 - x2
+        return carried[:m], carried[m:], gaps.sum(axis=0), np.square(gaps, out=gaps).sum(axis=0)
+
+    def finish(sums, squares, mean_sums, mean_squares):
+        n = float(cfg.sample_count)
+        diff = np.concatenate([sums, mean_sums]) / n
+        se = _se(diff, np.concatenate([squares, mean_squares]), n)
+        np.abs(diff[m:], out=diff[m:])  # the mean checks are two-sided
+        return _summarize(np.zeros(diff.size), diff, se, cfg.confidence_multiplier, adjacency=False)
+
+    return reduce, finish
+
+
+def _orthant_scan(pts: np.ndarray, cfg: McConfig):
+    """The orthant scan of ``verify_orthant`` at the corners ``pts``."""
+
+    def reduce(x1, x2):
+        # One (draws, corners) comparison per coordinate: no 3-D temporary.
+        e1 = x1[:, :1] > pts[:, 0]
+        e2 = x2[:, :1] > pts[:, 0]
+        for i in range(1, pts.shape[1]):
+            e1 &= x1[:, i:i + 1] > pts[:, i]
+            e2 &= x2[:, i:i + 1] > pts[:, i]
+        return e1.sum(axis=0), e2.sum(axis=0), (e1 & e2).sum(axis=0)
+
+    def finish(exceed1, exceed2, joint):
+        n = float(cfg.sample_count)
+        p1, p2 = exceed1 / n, exceed2 / n
+        se = _indicator_se(p1, p2, joint / n, n)
+        points = [tuple(float(v) for v in row) for row in pts]
+        return _summarize(points, p1 - p2, se, cfg.confidence_multiplier, adjacency=False)
+
+    return reduce, finish
+
+
+# --------------------------------------------------------------------------
+# One coupled pass for every scan
+
+
+def coupled_pass(
+    d1: LseDistribution, d2: LseDistribution, cfg: McConfig, *,
+    survival: bool = False, directions=None, corners=None,
+) -> dict[str, DominanceResult]:
+    """Run every requested scan in one coupled pass over the sample budget.
+
+    ``survival`` asks for the st and icx scans of a univariate pair (results
+    ``"st"`` and ``"icx"``, both carrying the curve), ``directions`` for the
+    cx battery (``"cx"``) and ``corners`` for the orthant scan
+    (``"orthant"``).  Every input is checked before anything is drawn; one
+    pilot is drawn when the automatic grid or the cx thresholds need it, and
+    each chunk is then drawn once and handed to every scan.  Each result is
+    the one the scan's own ``verify_*`` call gives, bit for bit.
+    """
+    if survival:
+        _require_univariate(d1, d2)
+    if directions is not None:
+        dirs = _points(d1, d2, directions, "directions")
+        if np.any(np.linalg.norm(dirs, axis=1) <= 0):
+            raise UsageError("directions must be nonzero")
+    if corners is not None:
+        pts = _points(d1, d2, corners, "corners")
+    pooled = None
+    if directions is not None or (survival and cfg.grid is None):
+        pooled = _pilot(d1, d2, cfg)
+    scans = {}
+    if survival:
+        grid = _auto_grid(pooled) if cfg.grid is None else np.asarray(cfg.grid, dtype=float)
+        scans["st"] = _survival_scan(grid, cfg)
+    if directions is not None:
+        scans["cx"] = _cx_scan(dirs, np.quantile(pooled, _PAYOFF_QUANTILES), cfg)
+    if corners is not None:
+        scans["orthant"] = _orthant_scan(pts, cfg)
+    if not scans:
+        return {}
+    totals = _coupled_totals(d1, d2, cfg, *(reduce for reduce, _ in scans.values()))
+    results = {name: finish(*scan_totals)
+               for (name, (_, finish)), scan_totals in zip(scans.items(), totals)}
+    if survival:
+        results["icx"] = stoploss_dominance(results["st"].curve, cfg.confidence_multiplier)
+    return results
+
+
+def verify_st(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
+    """Check survival dominance F_bar_1(t) <= F_bar_2(t) across the grid."""
+    return coupled_pass(d1, d2, cfg, survival=True)["st"]
+
+
+def verify_icx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig) -> DominanceResult:
+    """Check stop-loss dominance E(Y1 - t)_+ <= E(Y2 - t)_+ across the grid."""
+    return coupled_pass(d1, d2, cfg, survival=True)["icx"]
 
 
 def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, directions) -> DominanceResult:
@@ -509,62 +668,16 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
     functionals and the n two-sided mean checks, with each z taken as
     normal.  That is 8.6 % for k = 25 signed axis-pair directions at n = 5
     and c = 3.
+
+    Memory, per worker: besides the chunk's draws and their (chunk, n)
+    differences, about a dozen chunk-length rows for the row max and the
+    payoff sums, one slab of at most about ``_CX_SLAB_DOUBLES`` doubles
+    (2 MiB) and the projections of one slab, whatever the number of
+    directions; a lone direction is projected for the whole chunk at once.
+    At the default chunk, 25 directions at n = 5 take a tracemalloc peak of
+    about 29 MiB on two workers, the pilot included.
     """
-    dirs = _points(d1, d2, directions, "directions")
-    if np.any(np.linalg.norm(dirs, axis=1) <= 0):
-        raise UsageError("directions must be nonzero")
-    thresholds = np.quantile(_pilot(d1, d2, cfg), _PAYOFF_QUANTILES)
-
-    k = dirs.shape[0]
-    n_one_sided = 2 * k + 1 + thresholds.size
-
-    def reduce(x1, x2):
-        size = x1.shape[0]
-        # The one-sided functionals, then the mean block: one column per
-        # coordinate.
-        sums = np.zeros(n_one_sided + d1.dim)
-        sqs = np.zeros(n_one_sided + d1.dim)
-        # Views of sums[:2k] and sqs[:2k]: [0, j] holds (a_j'x)^2, [1, j] |a_j'x|.
-        directional_sums = sums[:2 * k].reshape(2, k)
-        directional_sqs = sqs[:2 * k].reshape(2, k)
-        # One group of functionals at a time: the directional ones, then max
-        # and the payoffs.  The directions go in near-equal groups of at most
-        # about ``width``, never one alone unless k = 1: numpy projects a lone
-        # direction by a matrix-vector product, whose sums may round
-        # differently from the matrix product's.
-        width = max(2, _CX_BLOCK_DOUBLES // (2 * size))
-        groups = max(1, min(-(-k // width), k // 2))
-        edges = [k * i // groups for i in range(groups + 1)]
-        for lo, hi in zip(edges, edges[1:]):
-            proj1 = blocked_matmul(x1, dirs[lo:hi].T)
-            proj2 = blocked_matmul(x2, dirs[lo:hi].T)
-            block = np.empty((size, 2, hi - lo))
-            np.square(proj1, out=block[:, 0])
-            np.abs(proj1, out=block[:, 1])
-            block[:, 0] -= np.square(proj2, out=proj1)  # proj1 is spent: reuse it
-            block[:, 1] -= np.abs(proj2, out=proj2)
-            del proj1, proj2
-            _accumulate(block, directional_sums[:, lo:hi], directional_sqs[:, lo:hi])
-            del block
-        tail = np.empty((size, 1 + thresholds.size))
-        tail[:, 0] = _row_max(x1)
-        tail[:, 0] -= _row_max(x2)
-        for j, c in enumerate(thresholds, start=1):
-            tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
-        _accumulate(tail, sums[2 * k:n_one_sided], sqs[2 * k:n_one_sided])
-        _accumulate(x1 - x2, sums[n_one_sided:], sqs[n_one_sided:])
-        return sums, sqs
-
-    sums, sqs = _coupled_totals(d1, d2, cfg, reduce)
-    n = float(cfg.sample_count)
-    diff = sums / n
-    se = _se(diff, sqs, n)
-    np.abs(diff[n_one_sided:], out=diff[n_one_sided:])  # the mean checks are two-sided
-    return _summarize(np.zeros(diff.size), diff, se, cfg.confidence_multiplier, adjacency=False)
-
-
-# --------------------------------------------------------------------------
-# Orthant probabilities (uo / sm)
+    return coupled_pass(d1, d2, cfg, directions=directions)["cx"]
 
 
 def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corners) -> DominanceResult:
@@ -577,20 +690,4 @@ def verify_orthant(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, corn
     m (1 - Phi(c)): the union bound over the corners, with each z taken as
     normal.
     """
-    pts = _points(d1, d2, corners, "corners")
-
-    def reduce(x1, x2):
-        # One (draws, corners) comparison per coordinate: no 3-D temporary.
-        e1 = x1[:, :1] > pts[:, 0]
-        e2 = x2[:, :1] > pts[:, 0]
-        for i in range(1, pts.shape[1]):
-            e1 &= x1[:, i:i + 1] > pts[:, i]
-            e2 &= x2[:, i:i + 1] > pts[:, i]
-        return e1.sum(axis=0), e2.sum(axis=0), (e1 & e2).sum(axis=0)
-
-    exceed1, exceed2, joint = _coupled_totals(d1, d2, cfg, reduce)
-    n = float(cfg.sample_count)
-    p1, p2 = exceed1 / n, exceed2 / n
-    se = _indicator_se(p1, p2, joint / n, n)
-    points = [tuple(float(v) for v in row) for row in pts]
-    return _summarize(points, p1 - p2, se, cfg.confidence_multiplier, adjacency=False)
+    return coupled_pass(d1, d2, cfg, corners=corners)["orthant"]

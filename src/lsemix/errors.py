@@ -15,7 +15,6 @@ __all__ = [
     "UnsupportedGeneratorError",
     "SingularTransformError",
     "IncomparableFamiliesError",
-    "SizeLimitError",
     "UsageError",
     "ScenarioError",
 ]
@@ -48,11 +47,6 @@ class SingularTransformError(LsemixError, ValueError):
 class IncomparableFamiliesError(LsemixError, ValueError):
     """Order comparison requested between distributions with different
     generator, alpha/beta map, or mixing law."""
-
-
-class SizeLimitError(LsemixError, ValueError):
-    """The problem size exceeds what the decision procedure can settle
-    (copositivity checking is co-NP-hard; the solver is capped at n = 10)."""
 
 
 class UsageError(LsemixError, ValueError):

@@ -66,7 +66,7 @@ def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray,
     return half * (x + 1.0) + a, half * w
 
 
-def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, bit for bit, in row blocks of at most
     ``BLAS_SERIAL_MULTIPLY_ADDS`` multiply-adds each.
 
@@ -78,12 +78,13 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rounding depends on where the rows are split.  A lone last row joins the
     block before it (blocks are one row short of the limit, so it still
     fits), and a one-column ``b``, or one too wide for blocks of two rows,
-    goes in one call.
+    goes in one call.  ``out``, when given, receives the product.
     """
     rows = BLAS_SERIAL_MULTIPLY_ADDS // max(b.size, 1) - 1
     if b.shape[1] == 1 or rows < 2:
-        return np.matmul(a, b)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     stops = list(range(rows, a.shape[0], rows))
     if stops and a.shape[0] - stops[-1] == 1:
         stops.pop()

@@ -24,11 +24,11 @@ from lsemix.empirical import (
     McConfig,
     SurvivalCurve,
     _auto_grid,
-    _dominance_scan,
     _pilot,
     _require_univariate,
     _stream,
     axis_pair_directions,
+    coupled_pass,
     empirical_survival,
     stop_loss,
     stoploss_dominance,
@@ -337,7 +337,7 @@ def scan_cases():
 @pytest.mark.parametrize("case", sorted(scan_cases()))
 def test_binned_scan_matches_broadcast_reference(case):
     d1, d2, cfg = scan_cases()[case]
-    got, ref = _dominance_scan(d1, d2, cfg), broadcast_scan(d1, d2, cfg)
+    got, ref = verify_st(d1, d2, cfg).curve, broadcast_scan(d1, d2, cfg)
     for name in ("t", "survival_1", "survival_2", "se_1", "se_2", "survival_diff_se"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     for name in ("stoploss_1", "stoploss_2", "stoploss_diff_se"):
@@ -358,9 +358,9 @@ def test_bucket_binning_matches_searchsorted(case, monkeypatch):
     # place every array of the curve must come out bit for bit the same,
     # on repeated grid points and on draws that equal a grid point too.
     d1, d2, cfg = scan_cases()[case]
-    got = _dominance_scan(d1, d2, cfg)
+    got = verify_st(d1, d2, cfg).curve
     monkeypatch.setattr(empirical, "_BucketIndex", lambda grid: lambda x: np.searchsorted(grid, x))
-    ref = _dominance_scan(d1, d2, cfg)
+    ref = verify_st(d1, d2, cfg).curve
     for name in SurvivalCurve.__dataclass_fields__:
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
@@ -668,18 +668,42 @@ def single_block_cx(d1, d2, cfg, dirs):
     return np.concatenate([diff, np.abs(mean_sum / n)]), np.concatenate([se, mean_se])
 
 
-@pytest.mark.parametrize("block_doubles", [None, 2 * 10_000 * 4], ids=["default", "groups-of-4"])
-@pytest.mark.parametrize("directions", ["axis-pairs", "gaussian-9"])
-def test_grouped_cx_matches_the_single_block_loop(monkeypatch, block_doubles, directions):
-    if block_doubles is not None:
-        monkeypatch.setattr(empirical, "_CX_BLOCK_DOUBLES", block_doubles)
-    if directions == "axis-pairs":
-        dirs = axis_pair_directions(5, signed=True)
-    else:
-        dirs = np.random.default_rng(5).normal(size=(9, 5))
-    sigma = np.eye(5) + 0.2
-    d1 = ghss(np.zeros(5), sigma, np.full(5, 0.2))
-    d2 = ghss(np.full(5, 0.05), 1.3 * sigma, np.full(5, 0.3))
+def cx_case(n, k=None):
+    """A skewed pair in dimension n and its directions: the n^2 signed axis
+    pairs, or k Gaussian ones."""
+    sigma = np.eye(n) + 0.2
+    d1 = ghss(np.zeros(n), sigma, np.full(n, 0.2))
+    d2 = ghss(np.full(n, 0.05), 1.3 * sigma, np.full(n, 0.3))
+    if k is None:
+        return d1, d2, axis_pair_directions(n, signed=True)
+    return d1, d2, np.random.default_rng(n).normal(size=(k, n))
+
+
+#: (n, k or None for the signed axis pairs, sample count) of each case; the
+#: n = 8 and n = 10 payoff rows are summed pairwise, and 20 001 draws leave a
+#: last chunk of one draw.
+CX_CASES = {
+    "n1": (1, None, 23_000),
+    "n2": (2, None, 23_000),
+    "n3-one-direction": (3, 1, 23_000),
+    "axis-pairs": (5, None, 23_000),
+    "gaussian-9": (5, 9, 23_000),
+    "n8": (8, None, 23_000),
+    "n10": (10, 12, 23_000),
+    "last-chunk-of-one-draw": (5, None, 20_001),
+}
+
+
+# Slabs of 99 draws leave one row in the last slab of a 10 000-draw chunk.
+@pytest.mark.parametrize("slab_rows", [None, 99], ids=["default", "lone-last-row"])
+@pytest.mark.parametrize("case", sorted(CX_CASES))
+def test_grouped_cx_matches_the_single_block_loop(monkeypatch, slab_rows, case):
+    n, k, sample_count = CX_CASES[case]
+    d1, d2, dirs = cx_case(n, k)
+    if slab_rows is not None:
+        one_sided = 2 * dirs.shape[0] + 4
+        monkeypatch.setattr(empirical, "_CX_SLAB_DOUBLES", 2 * one_sided * (slab_rows + 1))
+    cfg = dataclasses.replace(POOL_CFG, sample_count=sample_count)
     summarized = []
     original = empirical._summarize
 
@@ -688,11 +712,37 @@ def test_grouped_cx_matches_the_single_block_loop(monkeypatch, block_doubles, di
         return original(points, diff, se, *args, **kwargs)
 
     monkeypatch.setattr(empirical, "_summarize", capture)
-    verify_cx(d1, d2, POOL_CFG, dirs)
+    verify_cx(d1, d2, cfg, dirs)
     (diff, se), = summarized
-    want_diff, want_se = single_block_cx(d1, d2, POOL_CFG, np.asarray(dirs, dtype=float))
+    want_diff, want_se = single_block_cx(d1, d2, cfg, np.asarray(dirs, dtype=float))
     assert diff.tobytes() == want_diff.tobytes()
     assert se.tobytes() == want_se.tobytes()
+
+
+def test_one_pass_serves_every_scan(monkeypatch):
+    # A univariate pair asking for st, icx and cx: one pilot and one draw of
+    # each chunk serve all three, with the results of three separate scans.
+    d1, d2 = ghss(0.0, [[1.0]], 0.2), ghss(0.0, [[1.6]], 0.2)
+    dirs = axis_pair_directions(1, signed=True)
+    calls = []
+
+    def counted(a, b, rng, size):
+        calls.append(size)
+        return sample_coupled(a, b, rng, size)
+
+    monkeypatch.setattr(empirical, "sample_coupled", counted)
+    fused = coupled_pass(d1, d2, POOL_CFG, survival=True, directions=dirs)
+    assert calls == [23_000, 10_000, 10_000, 3_000]  # the pilot, then each chunk
+    st = verify_st(d1, d2, POOL_CFG)
+    separate = {
+        "st": st,
+        "icx": stoploss_dominance(st.curve, POOL_CFG.confidence_multiplier),
+        "cx": verify_cx(d1, d2, POOL_CFG, dirs),
+    }
+    assert sorted(fused) == sorted(separate)
+    for name, result in separate.items():
+        assert result_fields(fused[name]) == result_fields(result), name
+    assert result_fields(fused["icx"]) == result_fields(verify_icx(d1, d2, POOL_CFG))
 
 
 def st_scan(cfg):
