@@ -635,9 +635,28 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def one_block_partial(x1, x2, dirs, thresholds):
+    """verify_cx's partial sums of one chunk as they were formed before the
+    directions were grouped: one (chunk, 2k) block, the (chunk, 4) block of
+    the max and the payoffs, and the mean block.  Returns the one-sided sums
+    and squares, then the mean block's."""
+    size, k = x1.shape[0], dirs.shape[0]
+    proj1, proj2 = x1 @ dirs.T, x2 @ dirs.T
+    directional = np.empty((size, 2 * k))
+    directional[:, :k] = np.square(proj1) - np.square(proj2)
+    directional[:, k:] = np.abs(proj1) - np.abs(proj2)
+    tail = np.empty((size, 1 + thresholds.size))
+    tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
+    for j, c in enumerate(thresholds, start=1):
+        tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
+    dm = x1 - x2
+    return (np.concatenate([directional.sum(axis=0), tail.sum(axis=0)]),
+            np.concatenate([np.square(directional).sum(axis=0), np.square(tail).sum(axis=0)]),
+            dm.sum(axis=0), np.square(dm).sum(axis=0))
+
+
 def single_block_cx(d1, d2, cfg, dirs):
-    """verify_cx's one-sided sums as they were formed before the directions
-    were grouped: one (chunk, 2k) block per chunk."""
+    """verify_cx's estimates from ``one_block_partial`` of every chunk."""
     thresholds = np.quantile(_pilot(d1, d2, cfg), (0.25, 0.5, 0.75))
     k = dirs.shape[0]
     sums = np.zeros(2 * k + 1 + thresholds.size)
@@ -646,21 +665,8 @@ def single_block_cx(d1, d2, cfg, dirs):
     mean_sq = np.zeros(d1.dim)
     for rng, size in chunk_streams(cfg):
         x1, x2 = sample_coupled(d1, d2, rng, size)
-        proj1, proj2 = x1 @ dirs.T, x2 @ dirs.T
-        directional = np.empty((size, 2 * k))
-        directional[:, :k] = np.square(proj1) - np.square(proj2)
-        directional[:, k:] = np.abs(proj1) - np.abs(proj2)
-        sums[:2 * k] += directional.sum(axis=0)
-        sqs[:2 * k] += np.square(directional).sum(axis=0)
-        tail = np.empty((size, 1 + thresholds.size))
-        tail[:, 0] = x1.max(axis=1) - x2.max(axis=1)
-        for j, c in enumerate(thresholds, start=1):
-            tail[:, j] = np.maximum(x1 - c, 0.0).sum(axis=1) - np.maximum(x2 - c, 0.0).sum(axis=1)
-        sums[2 * k:] += tail.sum(axis=0)
-        sqs[2 * k:] += np.square(tail).sum(axis=0)
-        dm = x1 - x2
-        mean_sum += dm.sum(axis=0)
-        mean_sq += np.square(dm).sum(axis=0)
+        for total, part in zip((sums, sqs, mean_sum, mean_sq), one_block_partial(x1, x2, dirs, thresholds)):
+            total += part
     n = float(cfg.sample_count)
     diff = sums / n
     se = np.sqrt(np.clip(sqs / n - np.square(diff), 0.0, None) / n)
@@ -717,6 +723,24 @@ def test_grouped_cx_matches_the_single_block_loop(monkeypatch, slab_rows, case):
     want_diff, want_se = single_block_cx(d1, d2, cfg, np.asarray(dirs, dtype=float))
     assert diff.tobytes() == want_diff.tobytes()
     assert se.tobytes() == want_se.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64, 1001])
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (10, 1), (5, 25), (8, 64)])
+def test_cx_slabs_of_two_rows_match_one_block(monkeypatch, n, k, size):
+    # Slabs of two rows, so that an odd chunk ends in a lone row, which must
+    # join the slab before it; a lone direction must be projected for the
+    # whole chunk (at n >= 8 gemv rounds differently on 2-row blocks).  With
+    # few rows a last-bit change in one row shows in the sums.
+    d1, d2, dirs = cx_case(n, k)
+    x1, x2 = sample_coupled(d1, d2, np.random.default_rng(size), size)
+    thresholds = np.array([-0.5, 0.0, 0.5])
+    monkeypatch.setattr(empirical, "_CX_SLAB_DOUBLES", 3 * 2 * (2 * k + 4))
+    reduce, _ = empirical._cx_scan(dirs, thresholds, POOL_CFG)
+    got = reduce(x1, x2)
+    want = one_block_partial(x1, x2, dirs, thresholds)
+    for a, b in zip(got, want):  # + 0.0: a sum of zeros may be -0.0 on one side
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
 def test_one_pass_serves_every_scan(monkeypatch):
