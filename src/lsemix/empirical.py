@@ -17,31 +17,26 @@ Design notes
 * Seed streams go by index: stream ``i`` is the ``i``-th child of
   ``SeedSequence(seed)`` (``_stream``); stream 0 is the pilot's, which sets
   automatic grids and payoff thresholds, and stream j + 1 chunk j's.
-* One engine, ``_coupled_totals``, samples the chunks once for every scan
-  (st, icx, cx and orthant): each chunk is drawn from its stream and handed
-  to the reduce step of every scan of the pass on one of a pool of worker
-  threads, one per usable CPU, and each scan's partial sums are added in
-  chunk order whichever worker ran it, so identical configs give
-  bit-identical estimates on any number of CPUs.  A scan is three steps:
-  validate its input, reduce a chunk, finish the totals into a result.
-  ``coupled_pass`` validates every requested scan, draws one shared pilot
-  when a grid or the payoff thresholds need it, and runs the reduce steps
-  of all of them in one pass; each ``verify_*`` function is that pass with
-  a single scan, and ``lsemix check`` makes one pass for all its Monte Carlo
-  blocks.  A chunk feeds every scan from the same stream, so the bytes do
-  not depend on which scans share the pass.  Another battery costs one more
-  reduce step, not another pass of sampling.  Peak memory is about the
-  number of workers times one chunk's working set.  The matrix products
+* One engine, ``_coupled_totals``, samples each chunk once from its stream
+  and hands it to the reduce step of every scan of the pass (st, icx, cx
+  and orthant) on one of a pool of worker threads, one per usable CPU; each
+  scan's partial sums are added in chunk order whichever worker ran it, so
+  identical configs give bit-identical estimates on any number of CPUs.  A
+  scan is three steps: validate its input, reduce a chunk, finish the
+  totals into a result.  ``coupled_pass`` validates every requested scan,
+  draws one shared pilot when a grid or the payoff thresholds need it, and
+  runs them all in one pass; each ``verify_*`` function is that pass with a
+  single scan, and ``lsemix check`` makes one pass for all its Monte Carlo
+  blocks, so another battery costs a reduce step, not a second sampling.
+  The bytes do not depend on which scans share a pass.  Peak memory is
+  about the number of workers times one chunk's working set.  numpy holds
+  the interpreter lock between calls, so the workers overlap only while a
+  reduce makes few and large calls (see ``_cx_scan``).  The matrix products
   inside a chunk (the projections of ``verify_cx`` and the Cholesky factor
   applied in sampling) go through ``numerics.blocked_matmul``, in row blocks
   that OpenBLAS computes on the worker's own thread: a whole-chunk product
   would start OpenBLAS's threads, which then compete with the workers for
   the same CPUs.
-* numpy holds the interpreter lock between calls, so the workers overlap
-  only while the calls are few and large.  The cx battery therefore forms
-  its row max and payoff sums for the whole chunk and sums its functionals
-  in wide slabs that carry the running sums in their first row
-  (``_cx_scan``), not in many narrow blocks.
 * The st and icx scans make one binned pass over the draws.  Each draw x
   falls in bin k, the number of grid points strictly below it (what
   ``np.searchsorted(grid, x)`` returns), so x > t_j exactly when j < k; no

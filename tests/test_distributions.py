@@ -771,6 +771,34 @@ class TestSampling:
         same1, same2 = sample_coupled(d, d, np.random.default_rng(9), 1000)
         np.testing.assert_array_equal(same1, same2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 10])
+    def test_coupled_draws_match_the_reference_assembly(self, n):
+        # The draws as mu + (u L') alpha(Z) R + beta(Z) delta, with u from
+        # np.linalg.norm, formed afresh for each law: sample_coupled shares
+        # alpha(Z) R and beta(Z), adds in place and, below n = 8, forms the
+        # norms by column adds, all bit for bit.
+        laws = [LseDistribution(
+            mu=np.linspace(-1.0, 1.0, n) * scale, sigma=(np.eye(n) + 0.3) * scale,
+            delta=np.full(n, 0.4 * scale), generator=NORMAL,
+            ab_map=AlphaBetaMap.skew_slash(), mixing=BetaLambdaOne(2.0),
+        ) for scale in (1.0, 1.7)]
+        rng = np.random.default_rng(n)
+        z = laws[0].mixing.sample(rng, 1001)
+        r = np.sqrt(rng.chisquare(n, size=1001))
+        v = rng.standard_normal((1001, n))
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        u = v / norms
+        want = []
+        for law in laws:
+            core = u @ np.linalg.cholesky(law.sigma).T
+            core *= (law.ab_map.alpha(z) * r)[:, None]
+            want.append(law.mu + core + law.ab_map.beta(z)[:, None] * law.delta)
+        got = sample_coupled(*laws, np.random.default_rng(n), 1001)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert laws[1].sample(np.random.default_rng(n), 1001).tobytes() == want[1].tobytes()
+
     def test_coupled_requires_shared_family(self):
         d1 = ghss(3.0, 0.0, 1.0, 0.5)
         d2 = LseDistribution(
