@@ -99,8 +99,11 @@ _QUANTILE_RANGE = (0.001, 0.999)
 _PILOT_CAP = 50_000
 _PAYOFF_QUANTILES = (0.25, 0.5, 0.75)
 #: verify_cx sums its one-sided functionals in slabs of at most about this
-#: many doubles (2 MiB), whatever the number of directions (``_cx_scan``).
-_CX_SLAB_DOUBLES = 2 ** 18
+#: many doubles (1 MiB), whatever the number of directions (``_cx_scan``).
+_CX_SLAB_DOUBLES = 2 ** 17
+#: verify_cx forms the row max and payoff sums in blocks of this many draws,
+#: whose arrays stay in a core's cache.
+_CX_TAIL_ROWS = 8192
 
 
 def _integral(value, name: str) -> int:
@@ -457,27 +460,29 @@ def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResu
     )
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1)``, taken column by column (exact in any order)."""
-    top = x[:, 0].copy()
+def _row_max(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` into ``out``, taken column by column (exact in any
+    order)."""
+    np.copyto(out, x[:, 0])
     for j in range(1, x.shape[1]):
-        np.maximum(top, x[:, j], out=top)
-    return top
+        np.maximum(out, x[:, j], out=out)
+    return out
 
 
-def _payoff_sums(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``np.maximum(x - c, 0.0).sum(axis=1)`` for each threshold c, one row
-    each, bit for bit.  numpy sums a row shorter than 8 in order, so there
-    the columns of x are added one by one; longer rows it sums pairwise, so
-    those keep ``.sum(axis=1)``."""
+def _payoff_sums(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """``np.maximum(x - c, 0.0).sum(axis=1)`` for each threshold c, bit for
+    bit, into the rows of ``out``; ``part`` is scratch of the same shape.
+    numpy sums a row shorter than 8 in order, so there the columns of x are
+    added one by one; longer rows it sums pairwise, so those keep
+    ``.sum(axis=1)``."""
     if x.shape[1] >= 8:
-        return np.stack([np.maximum(x - c, 0.0).sum(axis=1) for c in thresholds])
-    total = np.subtract(x[:, 0], thresholds[:, None])
-    np.maximum(total, 0.0, out=total)
-    part = np.empty_like(total)
+        for row, c in zip(out, thresholds):
+            np.maximum(x - c, 0.0).sum(axis=1, out=row)
+        return out
+    np.maximum(np.subtract(x[:, 0], thresholds[:, None], out=out), 0.0, out=out)
     for i in range(1, x.shape[1]):
-        total += np.maximum(np.subtract(x[:, i], thresholds[:, None], out=part), 0.0, out=part)
-    return total
+        out += np.maximum(np.subtract(x[:, i], thresholds[:, None], out=part), 0.0, out=part)
+    return out
 
 
 def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
@@ -498,19 +503,22 @@ def _cx_scan(dirs: np.ndarray, thresholds: np.ndarray, cfg: McConfig):
 
     A chunk's m = 2k + 1 + len(thresholds) one-sided functionals, (a_j'x)^2
     and |a_j'x| per direction, the row max and one payoff sum per threshold,
-    are summed a slab of rows at a time: side by side, each beside its
-    square, in a slab of at most about ``_CX_SLAB_DOUBLES`` doubles.  Row 0
-    of the slab holds the running column sums.  numpy sums a block at least
-    two columns wide row by row, so the slab's axis-0 sum carries the
-    chunk's sums on in draw order: the bytes of one (chunk, 2m) block.
+    are summed a slab of rows at a time.  The slab, of at most about
+    ``_CX_SLAB_DOUBLES`` doubles, has two planes of m columns, the
+    functionals and their squares, and row 0 of each plane holds its
+    running column sums.  numpy sums the rows of a block at least two
+    columns wide in order, so the slab's sum over its rows carries each
+    column's sum on in draw order: the bytes of one (chunk, m) block.  Each
+    plane's columns are contiguous, so the squares are formed in one pass.
 
-    The row max and the payoff sums are formed for the whole chunk at once,
-    a column of x at a time, and copied into each slab: numpy holds the
-    interpreter lock between calls, so two workers run side by side only
-    while the calls are few and large.  The projections are formed per slab,
-    by gemm, whose elements do not depend on where the rows are split; a
-    slab of one row would go to gemv, so a lone last row joins the slab
-    before it.  A lone direction, which numpy always projects by gemv, whose
+    The row max and the payoff sums are formed in blocks of
+    ``_CX_TAIL_ROWS`` draws, a column of x at a time, and copied into each
+    slab.  numpy holds the interpreter lock between calls, so two workers
+    run side by side only while the calls are few and large: the
+    per-slab work is ten calls.  The projections are formed per slab, by
+    gemm, whose elements do not depend on where the rows are split; a slab
+    of one row would go to gemv, so a lone last row joins the slab before
+    it.  A lone direction, which numpy always projects by gemv, whose
     rounding does depend on the split, is projected once per chunk.  The
     mean block stays a (chunk, n) block of its own: at n = 1 it is a lone
     column, which numpy sums pairwise.
@@ -524,24 +532,33 @@ def _cx_scan(dirs: np.ndarray, thresholds: np.ndarray, cfg: McConfig):
         stops = list(range(rows, size, rows))
         if stops and size - stops[-1] == 1:
             stops.pop()
-        # The row max and the payoff sums of the whole chunk, one row each.
+        # The row max and the payoff sums, one row each, formed a block of
+        # draws at a time.
         tail = np.empty((1 + thresholds.size, size))
-        np.subtract(_row_max(x1), _row_max(x2), out=tail[0])
-        np.subtract(_payoff_sums(x1, thresholds), _payoff_sums(x2, thresholds), out=tail[1:])
+        block = min(size, _CX_TAIL_ROWS)
+        other = np.empty((1 + thresholds.size, block))
+        scratch = np.empty((thresholds.size, block))
+        for lo in range(0, size, block):
+            hi = min(lo + block, size)
+            mine, theirs, part = tail[:, lo:hi], other[:, :hi - lo], scratch[:, :hi - lo]
+            _row_max(x1[lo:hi], mine[0])
+            _payoff_sums(x1[lo:hi], thresholds, mine[1:], part)
+            _row_max(x2[lo:hi], theirs[0])
+            _payoff_sums(x2[lo:hi], thresholds, theirs[1:], part)
+            mine -= theirs
         if k == 1:
             whole = np.stack([np.matmul(x1, dirs.T), np.matmul(x2, dirs.T)])
         # Buffers for this call alone (two workers reduce chunks at once),
         # reused by every slab: the slab, with one spare row for a joined
         # lone row, and the projections and their squares or magnitudes.
         height = min(rows + 1, size)
-        slab = np.zeros((height + 1, 2 * m))
+        slab = np.zeros((2, height + 1, m))
         proj = np.empty((2, height, k))
         spare = np.empty((2, height, k))
         start = 0
         for stop in stops + [size]:
             r = stop - start
-            body = slab[1:r + 1]
-            value = body[:, :m]
+            value = slab[0, 1:r + 1]
             if k == 1:
                 both = whole[:, start:stop]
             else:
@@ -553,12 +570,12 @@ def _cx_scan(dirs: np.ndarray, thresholds: np.ndarray, cfg: McConfig):
             np.abs(both, out=part)
             np.subtract(part[0], part[1], out=value[:, k:2 * k])
             np.copyto(value[:, 2 * k:].T, tail[:, start:stop])
-            np.square(value, out=body[:, m:])
-            slab[0] = slab[:r + 1].sum(axis=0)
+            np.square(value, out=slab[1, 1:r + 1])
+            slab[:, 0] = slab[:, :r + 1].sum(axis=1)
             start = stop
-        carried = slab[0].copy()
+        carried = slab[:, 0].copy()
         gaps = x1 - x2
-        return carried[:m], carried[m:], gaps.sum(axis=0), np.square(gaps, out=gaps).sum(axis=0)
+        return carried[0], carried[1], gaps.sum(axis=0), np.square(gaps, out=gaps).sum(axis=0)
 
     def finish(sums, squares, mean_sums, mean_squares):
         n = float(cfg.sample_count)
@@ -629,6 +646,7 @@ def coupled_pass(
         scans["cx"] = _cx_scan(dirs, np.quantile(pooled, _PAYOFF_QUANTILES), cfg)
     if corners is not None:
         scans["orthant"] = _orthant_scan(pts, cfg)
+    del pooled  # the pilot's draws are not held through the pass
     if not scans:
         return {}
     totals = _coupled_totals(d1, d2, cfg, *(reduce for reduce, _ in scans.values()))
@@ -665,12 +683,10 @@ def verify_cx(d1: LseDistribution, d2: LseDistribution, cfg: McConfig, direction
     and c = 3.
 
     Memory, per worker: besides the chunk's draws and their (chunk, n)
-    differences, about a dozen chunk-length rows for the row max and the
-    payoff sums, one slab of at most about ``_CX_SLAB_DOUBLES`` doubles
-    (2 MiB) and the projections of one slab, whatever the number of
-    directions; a lone direction is projected for the whole chunk at once.
-    At the default chunk, 25 directions at n = 5 take a tracemalloc peak of
-    about 29 MiB on two workers, the pilot included.
+    differences, four chunk-length rows for the row max and the payoff
+    sums, one slab of at most about ``_CX_SLAB_DOUBLES`` doubles (1 MiB)
+    and the projections of one slab, whatever the number of directions; a
+    lone direction is projected for the whole chunk at once.
     """
     return coupled_pass(d1, d2, cfg, directions=directions)["cx"]
 
