@@ -460,16 +460,15 @@ def stoploss_dominance(curve: SurvivalCurve, multiplier: float) -> DominanceResu
     )
 
 
-def _row_max(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _row_max(x: np.ndarray, out: np.ndarray) -> None:
     """``x.max(axis=1)`` into ``out``, taken column by column (exact in any
     order)."""
     np.copyto(out, x[:, 0])
     for j in range(1, x.shape[1]):
         np.maximum(out, x[:, j], out=out)
-    return out
 
 
-def _payoff_sums(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+def _payoff_sums(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray, part: np.ndarray) -> None:
     """``np.maximum(x - c, 0.0).sum(axis=1)`` for each threshold c, bit for
     bit, into the rows of ``out``; ``part`` is scratch of the same shape.
     numpy sums a row shorter than 8 in order, so there the columns of x are
@@ -478,11 +477,10 @@ def _payoff_sums(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray, part: n
     if x.shape[1] >= 8:
         for row, c in zip(out, thresholds):
             np.maximum(x - c, 0.0).sum(axis=1, out=row)
-        return out
+        return
     np.maximum(np.subtract(x[:, 0], thresholds[:, None], out=out), 0.0, out=out)
     for i in range(1, x.shape[1]):
         out += np.maximum(np.subtract(x[:, i], thresholds[:, None], out=part), 0.0, out=part)
-    return out
 
 
 def axis_pair_directions(n: int, signed: bool) -> np.ndarray:
@@ -540,11 +538,11 @@ def _cx_scan(dirs: np.ndarray, thresholds: np.ndarray, cfg: McConfig):
         scratch = np.empty((thresholds.size, block))
         for lo in range(0, size, block):
             hi = min(lo + block, size)
-            mine, theirs, part = tail[:, lo:hi], other[:, :hi - lo], scratch[:, :hi - lo]
+            mine, theirs, temp = tail[:, lo:hi], other[:, :hi - lo], scratch[:, :hi - lo]
             _row_max(x1[lo:hi], mine[0])
-            _payoff_sums(x1[lo:hi], thresholds, mine[1:], part)
+            _payoff_sums(x1[lo:hi], thresholds, mine[1:], temp)
             _row_max(x2[lo:hi], theirs[0])
-            _payoff_sums(x2[lo:hi], thresholds, theirs[1:], part)
+            _payoff_sums(x2[lo:hi], thresholds, theirs[1:], temp)
             mine -= theirs
         if k == 1:
             whole = np.stack([np.matmul(x1, dirs.T), np.matmul(x2, dirs.T)])
