@@ -10,16 +10,18 @@ where ``g`` is the family's scalar radial profile and
 
 The catalog below covers six classical profiles.  For the two heavy-tailed
 families (cauchy, student) the profile itself depends on the ambient dimension
-``n``, so every evaluation routine takes ``n`` explicitly.
+``n``, so every evaluation routine takes ``n`` explicitly.  The last two
+columns give the tail-ratio limit C defined below, for scales s1 > s2 and for
+s1 < s2, and the tail-ratio conditions that C meets.
 
-family               g(u), u >= 0                      parameters
--------------------  --------------------------------  -------------------
-cauchy               (1 + u)^(-(n+1)/2)                none
-exponential_power    exp(-(1/s) u^(s/2))               shape s > 1
-laplace              exp(-sqrt(u))                     none
-normal               exp(-u/2)                         none
-student              (1 + u/m)^(-(n+m)/2)              integer dof m >= 1
-logistic             e^(-u) (1 + e^(-u))^(-2)          none
+family             g(u), u >= 0               parameters          C: s1 > s2 | s1 < s2   meets
+-----------------  -------------------------  ------------------  ---------------------  -----
+cauchy             (1 + u)^(-(n+1)/2)         none                s2/s1 < 1 | > 1        A, B
+exponential_power  exp(-(1/s) u^(s/2))        shape s > 1         0 | inf                A, B
+laplace            exp(-sqrt(u))              none                0 | inf                A, B
+normal             exp(-u/2)                  none                0 | inf                A, B
+student            (1 + u/m)^(-(n+m)/2)       integer dof m >= 1  (s2/s1)^m < 1 | > 1    A, B
+logistic           e^(-u) (1 + e^(-u))^(-2)   none                0 | inf                A, B
 
 The two radial quantities the package needs, I_n and the second moment
 E(R^2) = I_{n+2} / I_n, are closed forms for all six families (gamma and beta
@@ -33,9 +35,9 @@ the Dirichlet eta function (eta(1) = ln 2), which ``_eta`` sums by
 Borwein's (2000) accelerated alternating series; the module needs numpy
 and nothing else.
 
-The module also classifies the tail-ratio behaviour used to gate necessity
-arguments in the ordering engine: for a univariate pair with scales
-sigma1 != sigma2, the limit
+The module also classifies the tail-ratio behaviour on which the ordering
+engine's necessity arguments for st, icx and uo rest: for a univariate pair
+with scales sigma1 != sigma2, the limit
 
     C = lim_{t -> +-inf} (sigma1/sigma2) * g(t2^2) / g(t1^2),
     t_i = (t - shift_i) / sigma_i,
@@ -44,7 +46,11 @@ exists for every catalog family and does not depend on the location shifts
 shift_i, so ``limit_ratio`` takes the scales alone.  Condition A
 ("assumption 1") asks that C exists in [0, inf] and differs from 1;
 condition B ("assumption 2") asks, for sigma1 > sigma2, that C lies in
-[0, 1).
+[0, 1).  The table's C column proves that every catalog profile meets
+both: m is an integer >= 1, so (s2/s1)^m is 1 only at equal scales, and
+below 1 exactly when s1 > s2.  The engine therefore evaluates those
+necessary conditions ungated, and reports the probes of
+``assumption_profile`` as evidence.
 """
 
 from __future__ import annotations
@@ -129,14 +135,13 @@ class DensityGenerator:
 class LimitRatioResult:
     """Outcome of the tail-ratio classification for one (sigma1, sigma2) pair.
 
-    ``c_value`` lies in [0, inf] (math.inf encodes divergence).  The two flags
-    report condition A (limit exists and differs from 1) and condition B
-    (limit lies in [0, 1); only meaningful when sigma1 > sigma2, otherwise
-    False).
+    ``c_value`` lies in [0, inf] (math.inf encodes divergence); the closed
+    form always exists.  The two flags report condition A (limit differs
+    from 1) and condition B (limit lies in [0, 1); only meaningful when
+    sigma1 > sigma2, otherwise False).
     """
 
     c_value: float
-    converged: bool
     satisfies_assumption1: bool
     satisfies_assumption2: bool
     sigma1: float
@@ -346,7 +351,6 @@ def limit_ratio(
         c = 0.0 if sigma1 > sigma2 else math.inf
     return LimitRatioResult(
         c_value=c,
-        converged=True,
         satisfies_assumption1=math.isinf(c) or abs(c - 1.0) > 1e-9,
         satisfies_assumption2=sigma1 > sigma2 and 0.0 <= c < 1.0 - 1e-12,
         sigma1=sigma1,
@@ -356,11 +360,13 @@ def limit_ratio(
 
 @lru_cache(maxsize=None)
 def assumption_profile(gen: DensityGenerator) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
-    """Family-level gate for the ordering engine's necessity arguments.
+    """The tail-ratio conditions of a profile, probed at the canonical scale
+    pairs (2, 1) and (1, 2).
 
-    Probes the tail ratio at canonical scale pairs (2, 1) and (1, 2).
     Returns (condition A holds in both orientations, condition B holds for
-    sigma1 > sigma2, the probe results).
+    sigma1 > sigma2, the probe results).  Both hold for every catalog
+    profile (see the module table); the ordering engine reports the probes
+    of st, icx and uo as evidence.
     """
     probe_hi = limit_ratio(gen, 2.0, 1.0)
     probe_lo = limit_ratio(gen, 1.0, 2.0)

@@ -13,17 +13,17 @@ share (generator, map, mixing):
   entry is a tag behind gates, and may name the entry to evaluate in its
   place where a gate fails.
 * A gate is a predicate on the pair with the ``SkipReason`` it reports:
-  the two tail-ratio gates (conditions A and B of the tail classification,
-  on which the necessity arguments for st/icx/uo rest), the equality premise
-  of the equal-mean orders' scale conditions, finite covariances, and uo's
-  same marginals.  The first gate that fails skips the clause; a skipped
-  clause has ``passed`` None, names the reason in ``Clause.skip`` and ends
-  its text with the reason's value.
+  the equality premise of the equal-mean orders' scale conditions, finite
+  covariances, and uo's same marginals.  The first gate that fails skips
+  the clause; a skipped clause has ``passed`` None, names the reason in
+  ``Clause.skip`` and ends its text with the reason's value.
 
 Sufficient Holds => Ordered; necessary Violated => NotOrdered; anything else
-is Inconclusive (the Monte Carlo module can probe the gap).  A necessary
-group with a tail-assumption skip reads AssumptionUnmet.  An order reports
-its tail-ratio probes exactly when one of its gates is a tail gate.
+is Inconclusive (the Monte Carlo module can probe the gap).  The necessity
+arguments for st, icx and uo rest on the tail-ratio conditions A and B,
+which every catalog profile meets in closed form (the table in
+``generators``); those orders report the two tail-ratio probes of
+``assumption_profile`` as evidence, and their projection orders copy them.
 
 The projection orders (plst, lcx, ilcx, iplcx) are decided from the pair
 alone: their sufficient clause is the parent's (st, cx, icx) sufficient
@@ -110,7 +110,6 @@ class NecessaryStatus(Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
     NOT_APPLICABLE = "not_applicable"
-    ASSUMPTION_UNMET = "assumption_unmet"
 
 
 class Verdict(Enum):
@@ -123,7 +122,6 @@ class SkipReason(Enum):
     """Why a necessary clause was not evaluated; the value is the suffix
     the clause text carries."""
 
-    ASSUMPTION = " [not evaluated: tail-ratio assumption unmet]"
     MOMENTS = " [not evaluated: required moments diverge]"
     PREMISE = " [not evaluated: neither location nor shift equality premise holds]"
     CONE = " [not evaluated: cone membership undecided]"
@@ -236,9 +234,6 @@ class _Pair:
         return _once(self.reports, order, _derived if order in _PARENT_OF else _direct,
                      order, self)
 
-    def profile(self) -> tuple[bool, bool, tuple[LimitRatioResult, ...]]:
-        return assumption_profile(self.d1.generator)
-
     # Each of these is read by several clauses and gates.
 
     @cached_property
@@ -309,21 +304,17 @@ class _Pair:
         """mu1 + b delta1 <= mu2 + b delta2 for every attainable b.
 
         Both sides are affine in b, so the closure endpoints of the beta
-        range decide it; an infinite endpoint contributes the order of the
-        shifts alone, and two infinite endpoints that of the locations too.
+        range decide it.  The lower end is finite, since beta is 0 or a
+        power of z on a positive support; an infinite upper end contributes
+        the order of the shifts alone.
         """
         lo, hi = beta_range(self.d1.mixing, self.d1.ab_map)
-        conditions = []
-        for b, shifts in ((lo, (self.delta2, self.delta1)), (hi, (self.delta1, self.delta2))):
-            if math.isinf(b):
-                conditions.append(vec_leq(*shifts))
-            else:
-                s1, s2 = b * self.delta1, b * self.delta2
-                conditions.append(vec_leq(self.mu1 + s1, self.mu2 + s2,
-                                          self.mu1, s1, self.mu2, s2))
-        if math.isinf(lo) and math.isinf(hi):
-            conditions.append(vec_leq(self.mu1, self.mu2))
-        return all(conditions)
+
+        def at(b: float) -> bool:
+            s1, s2 = b * self.delta1, b * self.delta2
+            return vec_leq(self.mu1 + s1, self.mu2 + s2, self.mu1, s1, self.mu2, s2)
+
+        return at(lo) and (vec_leq(self.delta1, self.delta2) if math.isinf(hi) else at(hi))
 
     @cached_property
     def diag(self) -> tuple[np.ndarray, np.ndarray]:
@@ -441,8 +432,6 @@ class _Gate(NamedTuple):
     reason: SkipReason
 
 
-_tail_one = _Gate(lambda p: p.profile()[0], SkipReason.ASSUMPTION)
-_tail_two = _Gate(lambda p: p.profile()[1], SkipReason.ASSUMPTION)
 _premise = _Gate(lambda p: p.mu_equal or p.delta_equal, SkipReason.PREMISE)
 _covariances = _Gate(lambda p: p.covariances_defined, SkipReason.MOMENTS)
 _marginals = _Gate(_Pair.same_marginals, SkipReason.MARGINALS)
@@ -489,24 +478,22 @@ def _equal_mean(*scale: _Necessary) -> _Spec:
 
 _ORDERS: dict[OrderKind, _Spec] = {
     # Usual stochastic order: an all-z location shift with equal scales;
-    # necessary behind the two-sided tail-ratio condition.
+    # necessary under the two-sided tail-ratio condition A.
     OrderKind.ST: _Spec(
         ("location-all-z", "scale-equal"),
-        (_Necessary("mean-ordering", (_tail_one,)),
-         _Necessary("scale-equal", (_tail_one,)))),
+        (_Necessary("mean-ordering"), _Necessary("scale-equal"))),
     # Convex order: an if-and-only-if once one of the equality premises
     # holds.  Where only Var(beta) diverges and the shifts are equal, the
     # variance ordering of the unskewed projections a'Y, a'delta = 0, still
     # holds and tests the scale difference on those directions.
     OrderKind.CX: _equal_mean(_Necessary(
         "psd-difference", otherwise=_Necessary("unskewed-psd-difference", (_unskewed,)))),
-    # Increasing convex order: necessary (behind the one-sided tail-ratio
-    # condition on nonnegative projections) is only the weaker copositive
+    # Increasing convex order: necessary (under the one-sided tail-ratio
+    # condition B on nonnegative projections) is only the weaker copositive
     # cone, so a copositive-but-not-PSD difference stays Inconclusive.
     OrderKind.ICX: _Spec(
         ("location-all-z", "psd-difference"),
-        (_Necessary("mean-ordering", (_tail_two,)),
-         _Necessary("copositive-difference", (_tail_two,)))),
+        (_Necessary("mean-ordering"), _Necessary("copositive-difference"))),
     # Directionally convex order: entrywise scale dominance at equal means.
     OrderKind.DCX: _equal_mean(_Necessary("entrywise-difference")),
     # Componentwise convex order: variances may grow, covariances must not move.
@@ -525,13 +512,12 @@ _ORDERS: dict[OrderKind, _Spec] = {
         (_Necessary("mean-equal"), _Necessary("diag-equal"),
          _Necessary("offdiag-ordering", (_covariances,)))),
     # Upper orthant order: mean ordering and equal diag are necessary
-    # through the component marginals (two-sided tail-ratio condition); for
-    # same-marginal pairs so is the off-diagonal ordering, through the
+    # through the component marginals (two-sided tail-ratio condition A);
+    # for same-marginal pairs so is the off-diagonal ordering, through the
     # bivariate supermodular equivalence.
     OrderKind.UO: _Spec(
         ("location-all-z", "diag-equal", "offdiag-ordering"),
-        (_Necessary("mean-ordering", (_tail_one,)),
-         _Necessary("diag-equal", (_tail_one,)),
+        (_Necessary("mean-ordering"), _Necessary("diag-equal"),
          _Necessary("offdiag-ordering", (_marginals, _covariances),
                     "sigma1_ij <= sigma2_ij for every i != j (same-marginal pairs)"))),
     # Order generated by functions with completely positive Hessians: the
@@ -542,6 +528,10 @@ _ORDERS: dict[OrderKind, _Spec] = {
     # scale difference must be completely positive.
     OrderKind.COP: _equal_mean(_Necessary("completely-positive-difference")),
 }
+
+#: The orders whose necessity arguments rest on the tail-ratio conditions;
+#: each reports the probes of ``assumption_profile``.
+_TAIL_PROBED = (OrderKind.ST, OrderKind.ICX, OrderKind.UO)
 
 #: Projection orders and the direct order each is derived from.
 _PARENT_OF = {
@@ -584,8 +574,6 @@ def _report(
         suff_status = SufficientStatus.NOT_APPLICABLE
     if any(c.passed is False for c in necessary):
         nec_status = NecessaryStatus.VIOLATED
-    elif any(c.skip is SkipReason.ASSUMPTION for c in necessary):
-        nec_status = NecessaryStatus.ASSUMPTION_UNMET
     elif any(c.passed is None for c in necessary):
         nec_status = NecessaryStatus.NOT_APPLICABLE
     else:
@@ -602,9 +590,7 @@ def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
         for tag in spec.sufficient
     ]
     necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
-    tail_gated = any(gate.reason is SkipReason.ASSUMPTION
-                     for entry in spec.necessary for gate in entry.gates)
-    probes = pair.profile()[2] if tail_gated else ()
+    probes = assumption_profile(pair.d1.generator)[2] if order in _TAIL_PROBED else ()
     return _report(order, sufficient, necessary, probes)
 
 

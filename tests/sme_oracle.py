@@ -19,9 +19,6 @@ from lsemix.orders import NecessaryStatus, OrderKind, SufficientStatus, Verdict
 #: Relative tolerance of parameter equalities, scaled by the larger magnitude.
 RELATIVE_TOL = 1e-9
 
-#: Marks a necessary condition skipped because a tail-ratio assumption fails.
-UNMET = "assumption unmet"
-
 
 def _tol(*arrays) -> float:
     return RELATIVE_TOL * max([1.0] + [float(np.abs(a).max()) for a in arrays
@@ -47,15 +44,13 @@ def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict
     if not (d1.is_sme and d2.is_sme):
         raise ValueError("the simplified criteria apply only to zero shift vectors")
     order = OrderKind(order)
-    tail_one, tail_two, _ = assumption_profile(d1.generator)
+    # The necessity rows of st, icx and uo rest on both tail-ratio conditions.
+    assert assumption_profile(d1.generator)[:2] == (True, True), d1.generator.describe()
     finite = d1.moments().covariance is not None and d2.moments().covariance is not None
     s1, s2 = d1.sigma, d2.sigma
     off = ~np.eye(d1.dim, dtype=bool)
     mu_leq, mu_eq = _leq(d1.mu, d2.mu), _equal(d1.mu, d2.mu)
     diag_eq = _equal(np.diag(s1), np.diag(s2))
-
-    def gated(assumption, value):
-        return value if assumption else UNMET
 
     def moment(value):
         return value if finite else None
@@ -63,15 +58,14 @@ def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict
     if order in (OrderKind.ST, OrderKind.PLST):
         scale_eq = _equal(s1, s2)
         sufficient = [mu_leq, scale_eq]
-        necessary = [gated(tail_one, mu_leq), gated(tail_one, scale_eq)]
+        necessary = [mu_leq, scale_eq]
     elif order in (OrderKind.ICX, OrderKind.IPLCX):
         sufficient = [mu_leq, _inside(is_psd(s2 - s1))]
-        necessary = [gated(tail_two, mu_leq), gated(tail_two, _inside(is_copositive(s2 - s1)))]
+        necessary = [mu_leq, _inside(is_copositive(s2 - s1))]
     elif order is OrderKind.UO:
         off_leq = _leq(s1[off], s2[off])
         sufficient = [mu_leq, diag_eq, off_leq]
-        necessary = [gated(tail_one, mu_leq), gated(tail_one, diag_eq),
-                     moment(off_leq) if mu_eq and diag_eq else None]
+        necessary = [mu_leq, diag_eq, moment(off_leq) if mu_eq and diag_eq else None]
     elif order is OrderKind.SM:
         off_leq = _leq(s1[off], s2[off])
         sufficient = [mu_eq, diag_eq, off_leq]
@@ -99,8 +93,6 @@ def sme_table(d1, d2, order) -> tuple[SufficientStatus, NecessaryStatus, Verdict
         suff = SufficientStatus.NOT_APPLICABLE
     if any(v is False for v in necessary):
         nec = NecessaryStatus.VIOLATED
-    elif UNMET in necessary:
-        nec = NecessaryStatus.ASSUMPTION_UNMET
     elif any(v is None for v in necessary):
         nec = NecessaryStatus.NOT_APPLICABLE
     else:

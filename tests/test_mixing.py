@@ -371,6 +371,19 @@ class TestBetaRange:
     def test_zero_beta(self):
         assert beta_range(BetaLambdaOne(1.0), AlphaBetaMap.plain()) == (0.0, 0.0)
 
+    def test_lower_end_is_finite(self):
+        # beta is 0 or a power of z on a positive support, so the infimum is
+        # a finite point: the order engine's all-z location test rests on it.
+        maps = [AlphaBetaMap(AlphaKind.ONE, kind) for kind in BetaKind if kind is not BetaKind.POWER]
+        maps += [AlphaBetaMap(AlphaKind.ONE, BetaKind.POWER, beta_power=b)
+                 for b in (-2.0, -0.5, 0.0, 0.5, 3.0)]
+        assert {ab.beta_kind for ab in maps} == set(BetaKind)
+        for mix in (Degenerate(0.3), BetaLambdaOne(1.5), GeneralizedInverseGaussian(1.0, 1.0, 1.0),
+                    DiscreteWeighted(((0.5, 0.4), (2.0, 0.6)))):
+            for ab in maps:
+                lo, hi = beta_range(mix, ab)
+                assert 0.0 <= lo < math.inf and lo <= hi, (mix, ab)
+
 
 class TestMapMoments:
     def test_skew_slash_lambda_three(self):

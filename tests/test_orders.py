@@ -194,30 +194,18 @@ def test_st_divergent_shift_equal_deltas_still_decided():
     assert r.verdict is Verdict.NOT_ORDERED
 
 
-def test_st_assumption_gate(monkeypatch):
-    monkeypatch.setattr(orders_module, "assumption_profile",
-                        lambda gen: (False, False, ()))
-    r = check_order(mk(0.0, [[1.0]]), mk(0.0, [[2.0]]), OrderKind.ST)
-    assert r.necessary is NecessaryStatus.ASSUMPTION_UNMET
-    assert r.verdict is Verdict.INCONCLUSIVE
-
-
-def test_assumption_skips_carry_over_to_projection_orders(monkeypatch):
-    monkeypatch.setattr(orders_module, "assumption_profile",
-                        lambda gen: (False, False, ()))
-    d1, d2 = mk([0.0, 0.0], np.eye(2)), mk([0.0, 0.0], 2.0 * np.eye(2))
-    for order in (OrderKind.PLST, OrderKind.IPLCX):
-        r = check_order(d1, d2, order)
-        assert r.necessary is NecessaryStatus.ASSUMPTION_UNMET
-        necessary = [c for c in r.clauses if c.tag.startswith("necessary/")]
-        assert len(necessary) == 2
-        assert all(c.skip is SkipReason.ASSUMPTION for c in necessary)
-
-
-def test_st_assumption_checks_recorded():
-    r = check_order(mk(0.0, [[1.0]]), mk(0.5, [[1.0]]), OrderKind.ST)
-    assert len(r.assumption_checks) == 2
-    assert all(p.satisfies_assumption1 for p in r.assumption_checks)
+@pytest.mark.parametrize("order", list(OrderKind))
+def test_assumption_checks_recorded(order):
+    # The necessity arguments of st, icx and uo rest on the tail-ratio
+    # conditions: they report both probes, and so do their projection
+    # orders plst and iplcx.  No other order reads them.
+    r = check_order(mk([0.0, 0.0], np.eye(2)), mk([0.5, 0.0], 2.0 * np.eye(2)), order)
+    probed = {OrderKind.ST, OrderKind.ICX, OrderKind.UO, OrderKind.PLST, OrderKind.IPLCX}
+    if order in probed:
+        assert [(p.sigma1, p.sigma2) for p in r.assumption_checks] == [(2.0, 1.0), (1.0, 2.0)]
+        assert all(p.satisfies_assumption1 for p in r.assumption_checks)
+    else:
+        assert r.assumption_checks == ()
 
 
 def test_st_unbounded_beta_range_requires_shift_ordering():
@@ -649,17 +637,6 @@ def test_projections_match_reference_under_divergent_mean():
         assert violated(reports[order]) == ["necessary/mean-equal"], order
 
 
-def test_projections_match_reference_with_tail_assumption_unmet(monkeypatch):
-    monkeypatch.setattr(orders_module, "assumption_profile",
-                        lambda gen: (False, False, ()))
-    d1, d2 = mk([0.0, 0.0], np.eye(2)), mk([0.1, -0.2], np.diag([2.0, 0.5]))
-    statuses = assert_projections_match(d1, d2)
-    for order in (OrderKind.PLST, OrderKind.IPLCX):
-        assert set(statuses[order]) == {NecessaryStatus.ASSUMPTION_UNMET}
-        assert check_order(d1, d2, order).necessary is NecessaryStatus.ASSUMPTION_UNMET
-    assert NecessaryStatus.VIOLATED in statuses[OrderKind.LCX]
-
-
 def test_projections_match_reference_along_adversarial_directions():
     # An indefinite, non-copositive scale difference: the signed orders add
     # the most-negative eigenvector, the others the copositivity witness.
@@ -742,7 +719,7 @@ def zero_projected_shift_pair():
     return d1, d2
 
 
-def test_unskewed_directions_test_the_scale_where_var_beta_diverges():
+def test_unskewed_directions_test_the_scale_where_var_beta_diverges(monkeypatch):
     d1, d2 = zero_projected_shift_pair()
     reports = compare(d1, d2)
     for order in (OrderKind.CX, OrderKind.LCX, OrderKind.ILCX):
@@ -761,6 +738,21 @@ def test_unskewed_directions_test_the_scale_where_var_beta_diverges():
                  (law(0.0, [[1.0]], [0.5]), law(0.0, [[0.5]], [0.5]))):
         clause = check_order(a, b, OrderKind.CX).clauses[-1]
         assert clause.tag == "necessary/psd-difference" and clause.skip is not None
+    # A PSD difference: the clause reads the full PSD test, which sufficiency
+    # has already run, and compresses nothing.
+    is_psd, psd_calls = orders_module.is_psd, []
+
+    def counted(a, *args, **kwargs):
+        psd_calls.append(a)
+        return is_psd(a, *args, **kwargs)
+
+    monkeypatch.setattr(orders_module, "is_psd", counted)
+    report = check_order(law([0.0, 0.0], np.eye(2), [0.3, 0.3]),
+                         law([0.0, 0.0], 2.0 * np.eye(2), [0.3, 0.3]), OrderKind.CX)
+    assert report.verdict is Verdict.ORDERED
+    assert (report.clauses[-1].tag, report.clauses[-1].passed) == (
+        "necessary/unskewed-psd-difference", True)
+    assert len(psd_calls) == 1
 
 
 def random_cone_pair(rng, n):

@@ -1,9 +1,12 @@
-"""The README's Quick start block runs as written against the current API."""
+"""The README's Quick start block runs as written against the current API,
+and its report paragraph names the current skip reasons."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+from lsemix.orders import SkipReason
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +21,9 @@ def test_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "Verdict.ORDERED"
     assert lines[-1].startswith("True ")
+
+
+def test_skip_reasons_named_exactly():
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"`Clause\.skip` says why[^.]*\.", text).group(0)
+    assert re.findall(r"`([A-Z]+)`", sentence) == [reason.name for reason in SkipReason]
