@@ -7,12 +7,12 @@ of the copositive cone under the trace inner product <A, B> = tr(A'B).
 
 Copositivity (x'Ax >= 0 for all x >= 0) is co-NP-hard in general.
 ``is_copositive`` answers nonnegative and PSD matrices by those rules at any
-n.  Otherwise it decides exactly for n <= 10 by solving the KKT systems of
-the supports of the simplex (quadratic programming over the simplex, Bomze
-1998), skipping every support that contains a face on which the restricted
-Hessian is indefinite, read from the inertia of its bordered matrix; above
-that cap it looks only for a witness on a 1x1 or 2x2 principal submatrix
-and is otherwise Unknown.
+n.  Otherwise it solves the KKT systems of the supports of the simplex
+(quadratic programming over the simplex, Bomze 1998), skipping every support
+that contains a face on which the restricted Hessian is indefinite, read
+from the inertia of its bordered matrix.  That search is exact for n <= 10;
+above that cap it stops after the supports of size 2, the 1x1 and 2x2
+principal submatrices, and without a witness there the answer is Unknown.
 Complete positivity is decided by a ladder of exact rules; when none of
 them applies the honest answer is Unknown rather than a guess (membership
 is NP-hard in general).
@@ -140,13 +140,19 @@ def is_psd(a, scale: float = 0.0) -> ConeVerdict:
 # Copositivity ---------------------------------------------------------------
 
 
+#: ``is_copositive`` enumerates every face of the simplex up to this n, and
+#: past it the faces of at most ``_CAPPED_SUPPORT`` indices.
+_EXACT_N = 10
+_CAPPED_SUPPORT = 2
+
+
 @lru_cache(maxsize=None)
-def _faces(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per support size k = 1..n: the supports of that size, one per row in
+def _faces(n: int, top: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per support size k = 1..top: the supports of that size, one per row in
     ``itertools.combinations`` order, and each support's k facets as rows of
     indices into the supports of size k - 1 (at k = 1, the empty support)."""
     levels, index = [], {(): 0}
-    for k in range(1, n + 1):
+    for k in range(1, top + 1):
         supports = list(itertools.combinations(range(n), k))
         facets = [[index[s[:j] + s[j + 1:]] for j in range(k)] for s in supports]
         index = {s: i for i, s in enumerate(supports)}
@@ -158,8 +164,9 @@ def _faces(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
-    """Test x'Ax >= 0 for all x >= 0: exactly for n <= 10, by two rules and
-    small witnesses at any n.
+    """Test x'Ax >= 0 for all x >= 0: exactly for n <= 10, by two rules at
+    any n, and past n = 10 by a search of the 1x1 and 2x2 principal
+    submatrices.
 
     Write b = band(n, max(scale, max|a_ij|)), as in ``is_psd``.  Matrices
     with every entry >= -b are Inside at once, and so are positive
@@ -167,13 +174,15 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     x'Ax >= lambda_min ||x||^2 >= -b on the simplex; neither rule gives a
     witness.  Both rules hold at any n.
 
-    Above n = 10 nothing else certifies Inside; see ``_small_witness`` for
-    the Outside witnesses of the 1x1 and 2x2 principal submatrices, and
-    without one the answer is Unknown.  A search never answers Inside.
-
-    At n <= 10 the test finds the minimum m of x'Ax over the simplex and
-    answers Outside iff m < -b; either way the witness is the minimising
-    simplex point, and m is x'Ax evaluated there.
+    Otherwise the test finds the minimum m of x'Ax over the faces of the
+    simplex with at most ``top`` indices, top = n at n <= 10 and 2 past it,
+    and answers Outside iff m < -b; the witness is the minimising simplex
+    point, and m is x'Ax evaluated there.
+    Every principal submatrix of a copositive matrix is copositive, so a
+    point of a face, zero-padded, at which x'Ax (on A itself) is below the
+    band is a witness for A.  At n <= 10 the faces are the whole simplex and
+    m >= -b answers Inside, with the same witness; past the cap it answers
+    Unknown with none.  A capped search never answers Inside.
 
     A minimiser x of minimal support S solves the bordered KKT system
     [[A_S, -1], [1', 0]] (x_S; m) = (0; 1), and that system is nonsingular:
@@ -181,14 +190,14 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     2 t mu along x + t v; both signs of t are feasible, so mu = 0, and moving
     until a coordinate of x + t v reaches zero gives a minimiser of smaller
     support.  Solving the nonsingular systems of the supports (batched by
-    size, each at most (n+1) x (n+1)), keeping the solutions with x_S >= 0
-    and evaluating x'Ax at each therefore finds the exact minimum; singular
-    faces, such as those on which the Horn matrix attains its zero minimum,
-    are skipped.  The symmetric system [[A_S, 1], [1', 0]] (x_S; -m) = (0; 1)
-    is the same one times the orthogonal diag(I, -1), so its eigenvalues
-    have the singular values of the first as their magnitudes, and one
-    batched eigendecomposition both flags the singular systems and solves
-    the rest.
+    size, each at most (top+1) x (top+1)), keeping the solutions with
+    x_S >= 0 and evaluating x'Ax at each therefore finds the exact minimum
+    over those faces; singular faces, such as those on which the Horn matrix
+    attains its zero minimum, are skipped.  The symmetric system
+    [[A_S, 1], [1', 0]] (x_S; -m) = (0; 1) is the same one times the
+    orthogonal diag(I, -1), so its eigenvalues have the singular values of
+    the first as their magnitudes, and one batched eigendecomposition both
+    flags the singular systems and solves the rest.
 
     The same eigenvalues prune the enumeration.  By the inertia theorem for
     KKT matrices (Gould 1985) the bordered matrix has the inertia of
@@ -213,12 +222,11 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     # Entrywise nonnegative and PSD matrices are copositive outright.
     if np.all(a >= -tol_abs) or np.linalg.eigvalsh(a)[0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
-    if n > 10:
-        return _small_witness(a, tol_abs)
+    top = n if n <= _EXACT_N else _CAPPED_SUPPORT
     unit = a / float(np.abs(a).max())  # on the scale of the border; same minimisers
     best_value, best_point = math.inf, None
     passed = np.ones(1, dtype=bool)  # the empty support, the facet of every vertex
-    for k, (supports, facets) in enumerate(_faces(n), start=1):
+    for k, (supports, facets) in enumerate(_faces(n, top), start=1):
         live = passed[facets].all(axis=1)
         if not live.any():
             break
@@ -247,40 +255,11 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
         i = int(np.argmin(values))
         if values[i] < best_value:
             best_value, best_point = float(values[i]), x[i]
-    status = ConeStatus.OUTSIDE if best_value < -tol_abs else ConeStatus.INSIDE
-    return ConeVerdict(status, CertificateKind.SIMPLEX_POINT, witness=best_point)
-
-
-def _small_witness(a: np.ndarray, tol_abs: float) -> ConeVerdict:
-    """Outside, with the lowest witness of a 1x1 or 2x2 principal submatrix
-    at which x'Ax < -tol_abs; Unknown when there is none.
-
-    Every principal submatrix of a copositive matrix is copositive, so a
-    simplex point of one, padded with zeros, at which x'Ax (evaluated on A
-    itself) is below the band is a witness for A.  The candidates are the
-    vertices e_i, which are witnesses when a_ii < 0, and on each edge (i, j)
-    with a_ij < 0 the minimiser t e_i + (1 - t) e_j of the edge's convex
-    quadratic, t = (a_jj - a_ij) / (a_ii + a_jj - 2 a_ij) clipped to [0, 1].
-    With a_ii, a_jj >= 0 its value is
-    (a_ii a_jj - a_ij^2) / (a_ii + a_jj - 2 a_ij), negative exactly when
-    a_ij < -sqrt(a_ii a_jj).
-    """
-    n = a.shape[0]
-    diag = np.diag(a)
-    i, j = np.nonzero(np.triu(a, 1) < 0.0)
-    curvature = diag[i] + diag[j] - 2.0 * a[i, j]
-    convex = curvature > 0.0
-    i, j, curvature = i[convex], j[convex], curvature[convex]
-    t = np.clip((diag[j] - a[i, j]) / curvature, 0.0, 1.0)
-    points = np.vstack([np.eye(n), np.zeros((len(i), n))])
-    edges = n + np.arange(len(i))
-    points[edges, i] = t
-    points[edges, j] = 1.0 - t
-    values = np.einsum("mi,ij,mj->m", points, a, points)
-    k = int(np.argmin(values))
-    if values[k] < -tol_abs:
-        return ConeVerdict(ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=points[k])
-    return ConeVerdict(ConeStatus.UNKNOWN)
+    if best_value < -tol_abs:
+        return ConeVerdict(ConeStatus.OUTSIDE, CertificateKind.SIMPLEX_POINT, witness=best_point)
+    if top < n:
+        return ConeVerdict(ConeStatus.UNKNOWN)
+    return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SIMPLEX_POINT, witness=best_point)
 
 
 # Complete positivity ---------------------------------------------------------

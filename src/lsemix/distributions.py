@@ -499,7 +499,7 @@ def _radial_table(gen: DensityGenerator, n: int):
     # Peak near r = sqrt(n) for light tails; expand until the log density has
     # dropped 60 units, then tabulate.
     center = max(math.sqrt(n), 1.0)
-    lo, hi = expand_log_bounds(log_density_scalar, center, drop=60.0, step=0.5)
+    lo, hi = expand_log_bounds(log_density_scalar, center, step=0.5)
     return build_inverse_cdf_table(log_density, max(lo, 0.0), hi)
 
 

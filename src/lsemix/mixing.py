@@ -37,13 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonIntegrableError, ParameterError
-from .numerics import (
-    CDF_TABLE_SIZE,
-    QUAD_NODES,
-    build_inverse_cdf_table,
-    expand_log_bounds,
-    gauss_legendre,
-)
+from .numerics import build_inverse_cdf_table, expand_log_bounds, gauss_legendre
 
 __all__ = [
     "MixingDistribution",
@@ -66,9 +60,6 @@ __all__ = [
 #: The exp-map quadrature for BetaLambdaOne integrates over x = lambda * u on
 #: [0, X_MAX]; the truncated mass is exp(-X_MAX).
 _BETA_X_MAX = 90.0
-
-#: Log-density drop used to bracket GIG integration and table intervals.
-_GIG_LOG_DROP = 60.0
 
 #: Step scale, step cap and truncation depth of ``_log_kve``'s trapezoid
 #: rule, set against mpmath at 30 digits (see there).
@@ -163,7 +154,7 @@ class BetaLambdaOne(MixingDistribution):
         # [0, inf), truncated at _BETA_X_MAX.  Gauss-Legendre resolves the
         # exponential to machine precision, including the z^p integrands with
         # p > -lambda needed for the catalog maps.
-        x, w = gauss_legendre(0.0, _BETA_X_MAX, QUAD_NODES)
+        x, w = gauss_legendre(0.0, _BETA_X_MAX)
         return np.exp(-x / self.lam), w * np.exp(-x)
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +290,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
             mode = chi / (2.0 * -lam)
         if not 0.0 < mode < math.inf:
             raise ParameterError(f"{self.describe()}: the mode {mode} is not a positive finite double")
-        return expand_log_bounds(self._log_mass, math.log(mode), drop=_GIG_LOG_DROP)
+        return expand_log_bounds(self._log_mass, math.log(mode))
 
     @cached_property
     def _omega(self) -> float:
@@ -342,7 +333,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._log_bounds
-        v, w = gauss_legendre(lo, hi, QUAD_NODES)
+        v, w = gauss_legendre(lo, hi)
         weights = w * np.exp(self._log_normalizer + self._log_mass(v))
         return np.exp(v), weights
 
@@ -372,7 +363,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
     @cached_property
     def _inverse_cdf(self):
         lo, hi = self._log_bounds
-        return build_inverse_cdf_table(self._log_mass, lo, hi, CDF_TABLE_SIZE)
+        return build_inverse_cdf_table(self._log_mass, lo, hi)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.exp(self._inverse_cdf(rng.random(count)))

@@ -38,11 +38,17 @@ __all__ = [
     "InverseCdfTable",
 ]
 
-#: Default node count for fixed quadrature rules.
+#: Node count of the Gauss-Legendre rule.
 QUAD_NODES = 256
 
-#: Default resolution of tabulated inverse CDFs.
+#: Resolution of tabulated inverse CDFs.
 CDF_TABLE_SIZE = 4096
+
+#: ``expand_log_bounds`` widens its interval until the log density has
+#: dropped this much below its value at the center, in at most
+#: ``BOUND_MAX_STEPS`` steps each way.
+BOUND_LOG_DROP = 60.0
+BOUND_MAX_STEPS = 4000
 
 #: OpenBLAS computes a matrix product of at most this many multiply-adds on
 #: the calling thread, and larger ones on its own threads.
@@ -50,18 +56,19 @@ BLAS_SERIAL_MULTIPLY_ADDS = 2 ** 18
 
 
 @functools.cache
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     # leggauss(256) takes about 16 ms, and every Beta and GIG law maps the
     # same rule; the arrays are shared, so they are read-only.
-    x, w = leggauss(n)
+    x, w = leggauss(QUAD_NODES)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def gauss_legendre(a: float, b: float, n: int = QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [a, b]."""
-    x, w = _legendre_rule(n)
+def gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``QUAD_NODES``-point Gauss-Legendre nodes and weights mapped from
+    [-1, 1] to [a, b]."""
+    x, w = _legendre_rule()
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
 
@@ -228,14 +235,14 @@ def build_inverse_cdf_table(
     log_density: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    size: int = CDF_TABLE_SIZE,
 ) -> InverseCdfTable:
     """Tabulate the inverse CDF of an (unnormalised) log density on [lo, hi].
 
-    Uses a uniform grid with trapezoidal accumulation; the resulting table is
-    monotone by construction because the density is positive on the interior.
+    Uses a uniform grid of ``CDF_TABLE_SIZE`` steps with trapezoidal
+    accumulation; the resulting table is monotone by construction because
+    the density is positive on the interior.
     """
-    grid = np.linspace(lo, hi, size + 1)
+    grid = np.linspace(lo, hi, CDF_TABLE_SIZE + 1)
     logd = np.asarray(log_density(grid), dtype=float)
     dens = np.exp(logd - logd[np.isfinite(logd)].max())
     dens[~np.isfinite(dens)] = 0.0
@@ -256,25 +263,23 @@ def expand_log_bounds(
     log_f: Callable[[float], float],
     center: float,
     *,
-    drop: float = 60.0,
     step: float = 1.0,
-    max_steps: int = 4000,
 ) -> tuple[float, float]:
     """Find an interval around ``center`` outside which ``log_f`` has dropped
-    by at least ``drop`` relative to its value at the center."""
-    ref = log_f(center)
+    by at least ``BOUND_LOG_DROP`` relative to its value at the center."""
+    floor = log_f(center) - BOUND_LOG_DROP
     lo = center - step
     n = 0
-    while log_f(lo) > ref - drop:
+    while log_f(lo) > floor:
         lo -= step
         n += 1
-        if n > max_steps:
+        if n > BOUND_MAX_STEPS:
             raise NonIntegrableError("lower integration bound search did not terminate")
     hi = center + step
     n = 0
-    while log_f(hi) > ref - drop:
+    while log_f(hi) > floor:
         hi += step
         n += 1
-        if n > max_steps:
+        if n > BOUND_MAX_STEPS:
             raise NonIntegrableError("upper integration bound search did not terminate")
     return lo, hi

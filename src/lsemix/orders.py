@@ -628,11 +628,12 @@ def check_collective_risk(
     weights,
     order: OrderKind,
 ) -> OrderReport:
-    """Compare weighted portfolio sums S_i = w' Y_i under st or icx.
+    """Compare weighted portfolio sums S_i = w' Y_i under st or icx: the
+    report of the projected univariate pair (w'Y1, w'Y2).
 
-    When the multivariate sufficient conditions of the parent theorem hold,
-    the portfolio conclusion follows with no univariate work; otherwise the
-    projected univariate pair is checked directly.
+    The family is closed under affine maps, and with w >= 0 the multivariate
+    sufficient conditions of st and icx imply those of the projected pair,
+    so the projection loses no ``ordered`` verdict.
     """
     if order not in (OrderKind.ST, OrderKind.ICX):
         raise UsageError("collective risk comparison supports only st and icx")
@@ -647,13 +648,7 @@ def check_collective_risk(
         raise UsageError("portfolio weights must be nonnegative")
     if not np.any(weights > 0.0):
         raise UsageError("portfolio weights must not all be zero")
-    pair = _validate_pair(d1, d2)
-    location, scale = _ORDERS[order].sufficient
-    if all(pair.condition(tag) for tag in (location, scale)):
-        text = (f"all-z location ordering and {_CONDITIONS[scale].text} imply the "
-                f"{order.value} ordering of the weighted sums")
-        clause = Clause("sufficient/portfolio-aggregate", text, True)
-        return _report(order, [clause], [])
+    _validate_pair(d1, d2)
     return _validate_pair(
         d1.linear_functional(weights), d2.linear_functional(weights)).report(order)
 

@@ -7,6 +7,7 @@ KKT systems.  Closed-form examples (Horn matrix, 2x2 criteria, cycle
 matrices with known eigenvalues) pin the exact boundary behaviour.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from simplex_oracle import cp_trap_matrices, simplex_minimum
 
+from lsemix import cones
 from lsemix.cones import (
     HORN_MATRIX,
     CertificateKind,
@@ -310,25 +312,89 @@ def test_copositive_rules_hold_past_the_exact_cap():
         assert verdict.witness is None
 
 
+def capped_matrices():
+    """One matrix per n = 11..20, family and scale 1, 1e-6, 1e8: symmetric
+    Gaussian, a nonnegative matrix shifted by -tJ, I + 0.1 J with one
+    negative edge, a scaled and permuted Horn matrix padded with I (shifted
+    by -tJ half the time), and a rank 1-3 Gram matrix minus cI."""
+    def gaussian(rng, n):
+        return random_symmetric(rng, n)
+
+    def shifted_nonnegative(rng, n):
+        return np.abs(random_symmetric(rng, n)) - rng.uniform(0.0, 0.3) * np.ones((n, n))
+
+    def negative_edge(rng, n):
+        a = np.eye(n) + 0.1 * np.ones((n, n))
+        i, j = rng.choice(n, 2, replace=False)
+        a[i, j] = a[j, i] = -rng.uniform(0.0, 2.0)
+        return a
+
+    def horn_padded(rng, n):
+        a = np.eye(n)
+        a[:5, :5] = HORN_MATRIX
+        d = rng.uniform(0.5, 2.0, n)
+        a = d[:, None] * a * d[None, :]
+        if rng.random() < 0.5:
+            a -= rng.uniform(0.0, 0.2) * np.ones((n, n))
+        p = rng.permutation(n)
+        return a[np.ix_(p, p)]
+
+    def low_rank_minus_ci(rng, n):
+        b = rng.normal(size=(n, int(rng.integers(1, 4))))
+        return b @ b.T - rng.uniform(0.0, 1.0) * np.eye(n)
+
+    rng = np.random.default_rng(30)
+    for n in range(11, 21):
+        for family in (gaussian, shifted_nonnegative, negative_edge, horn_padded,
+                       low_rank_minus_ci):
+            for scale in (1.0, 1e-6, 1e8):
+                yield scale * family(rng, n)
+
+
+def assert_exact_witness(a, verdict):
+    """The witness is a simplex point at which x'Ax < 0 in exact arithmetic."""
+    assert verdict.status is ConeStatus.OUTSIDE
+    assert verdict.certificate_kind is CertificateKind.SIMPLEX_POINT
+    x = verdict.witness
+    assert np.all(x >= 0.0) and math.isclose(x.sum(), 1.0)
+    support = np.flatnonzero(x)
+    exact = {i: Fraction(float(x[i])) for i in support}
+    value = sum(exact[i] * Fraction(float(a[i, j])) * exact[j]
+                for i in support for j in support)
+    assert value < 0
+    return support.tolist()
+
+
 def test_copositive_size_cap():
     # n = 12: a_33 < 0 is a 1x1 witness; a 2x2 submatrix with
     # a_ij < -sqrt(a_ii a_jj) gives an edge point.  Each is a simplex point
-    # of A itself, zero-padded, and x'Ax < 0 holds in exact arithmetic.
+    # of A itself, zero-padded.
     vertex = np.eye(12)
     vertex[3, 3] = -1.0
     edge = np.eye(12) + 0.1 * np.ones((12, 12))
     edge[2, 7] = edge[7, 2] = -2.0
     for a, support in ((vertex, [3]), (edge, [2, 7])):
+        assert assert_exact_witness(a, is_copositive(a)) == support
+    # Past the cap: Outside exactly when a 2x2 principal submatrix has an
+    # oracle minimum below the band, Unknown otherwise, unless a rule
+    # answers Inside.  A submatrix with no negative entry has a nonnegative
+    # minimum, so the oracle reads only the others.
+    statuses = set()
+    for a in capped_matrices():
+        n = a.shape[0]
         verdict = is_copositive(a)
-        assert verdict.status is ConeStatus.OUTSIDE
-        assert verdict.certificate_kind is CertificateKind.SIMPLEX_POINT
-        x = verdict.witness
-        assert np.flatnonzero(x).tolist() == support
-        assert np.all(x >= 0.0) and math.isclose(x.sum(), 1.0)
-        exact = [Fraction(float(v)) for v in x]
-        value = sum(exact[i] * Fraction(float(a[i, j])) * exact[j]
-                    for i in range(12) for j in range(12))
-        assert value < 0
+        statuses.add(verdict.status)
+        b = cones.band(n, float(np.abs(a).max()))
+        submatrices = (a[np.ix_(p, p)] for p in itertools.combinations(range(n), 2))
+        outside = any(simplex_minimum(sub)[0] < -b for sub in submatrices if sub.min() < 0.0)
+        if verdict.status is ConeStatus.INSIDE:
+            assert verdict.certificate_kind is CertificateKind.SUFFICIENT_RULE
+            assert not outside
+        elif outside:
+            assert_exact_witness(a, verdict)
+        else:
+            assert verdict.status is ConeStatus.UNKNOWN and verdict.witness is None
+    assert statuses == set(ConeStatus)
     # Horn's matrix padded with I is copositive but neither PSD nor
     # nonnegative, and no 1x1 or 2x2 submatrix is outside: Unknown, never
     # Inside from a search.

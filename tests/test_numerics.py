@@ -251,7 +251,7 @@ def test_legendre_rule_is_computed_once_and_read_only(monkeypatch):
             half = 0.5 * (b - a)
             assert nodes.tobytes() == (half * (x + 1.0) + a).tobytes()
             assert weights.tobytes() == (half * w).tobytes()
-        cached = numerics._legendre_rule(numerics.QUAD_NODES)
+        cached = numerics._legendre_rule()
         assert calls == [numerics.QUAD_NODES]
         for arr, fresh in zip(cached, (x, w)):
             assert arr.tobytes() == fresh.tobytes()

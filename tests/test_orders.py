@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from simplex_oracle import cp_trap_matrices
 from sme_oracle import sme_table
+from test_acceptance import random_battery_pair
 
 import lsemix.orders as orders_module
 from lsemix.cli import parse_scenario
@@ -1038,12 +1039,38 @@ def test_lsemix_loads_no_scipy(tmp_path):
 # --- collective risk -------------------------------------------------------------------
 
 
-def test_collective_risk_parent_shortcut():
+def test_collective_risk_is_the_projected_report():
+    # The multivariate st conditions hold; the report is the projected
+    # pair's, with both tail-ratio probes.
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.2, 0.3], np.eye(2))
-    r = check_collective_risk(d1, d2, [0.5, 0.5], OrderKind.ST)
+    weights = [0.5, 0.5]
+    r = check_collective_risk(d1, d2, weights, OrderKind.ST)
     assert r.verdict is Verdict.ORDERED
-    assert r.clauses[0].tag == "sufficient/portfolio-aggregate"
+    assert [(p.sigma1, p.sigma2) for p in r.assumption_checks] == [(2.0, 1.0), (1.0, 2.0)]
+    projected = compare(d1.linear_functional(weights), d2.linear_functional(weights),
+                        [OrderKind.ST])
+    assert r == projected[OrderKind.ST]
+
+
+def test_collective_risk_keeps_every_multivariate_sufficient_verdict():
+    # With w >= 0 the multivariate st and icx sufficient conditions imply
+    # those of (w'Y1, w'Y2), so the projection loses no ordered verdict.
+    rng = np.random.default_rng(7)
+    weight_rng = np.random.default_rng(8)
+    held = 0
+    for _ in range(150):
+        d1, d2 = random_battery_pair(rng)
+        reports = compare(d1, d2, [OrderKind.ST, OrderKind.ICX])
+        weights = weight_rng.exponential(size=d1.dim) * (weight_rng.random(d1.dim) < 0.8)
+        weights[weight_rng.integers(d1.dim)] += 0.5
+        for order, report in reports.items():
+            if report.sufficient is SufficientStatus.HOLDS:
+                held += 1
+                r = check_collective_risk(d1, d2, weights, order)
+                assert r.verdict is Verdict.ORDERED, (d1, d2, weights, order)
+                assert len(r.assumption_checks) == 2
+    assert held > 50
 
 
 def test_collective_risk_icx_psd_shortcut():
@@ -1076,13 +1103,13 @@ def test_collective_risk_validations():
         check_collective_risk(d, d, [0.5, 0.5], OrderKind.CX)
     with pytest.raises(UsageError):
         check_collective_risk(d, d, [0.5], OrderKind.ST)
-    # an order name is read as the order, on the sufficient path and the projected one
+    # an order name is read as the order
     projected = mk([0.0, 0.0], np.array([[1.0, 0.5], [0.5, 1.0]]))
     for d1, d2 in ((d, d), (d, projected)):
         for order in (OrderKind.ST, OrderKind.ICX):
             assert (check_collective_risk(d1, d2, [0.5, 0.5], order.value)
                     == check_collective_risk(d1, d2, [0.5, 0.5], order))
-    # weights that are not finite or all zero fail alike on both paths
+    # weights that are not finite or all zero fail alike on every pair
     for d1, d2 in ((d, d), (d, projected)):
         for weights in ([np.nan, 0.5], [0.5, np.inf], [0.0, 0.0]):
             with pytest.raises(UsageError, match="portfolio weights"):

@@ -1,5 +1,6 @@
 """The README's Quick start block runs as written against the current API,
-and its report paragraph names the current skip reasons."""
+its report paragraph names the current skip reasons, and its Scripts
+section names every script under ``scripts/``."""
 
 from __future__ import annotations
 
@@ -27,3 +28,9 @@ def test_skip_reasons_named_exactly():
     text = " ".join(README.read_text().split())
     sentence = re.search(r"`Clause\.skip` says why[^.]*\.", text).group(0)
     assert re.findall(r"`([A-Z]+)`", sentence) == [reason.name for reason in SkipReason]
+
+
+def test_scripts_section_names_every_script():
+    section = README.read_text().split("## Scripts", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`scripts/(\w+\.py)`", section))
+    assert named == {path.name for path in (README.parent / "scripts").glob("*.py")}

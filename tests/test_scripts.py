@@ -6,8 +6,6 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from lsemix.cli import CSV_HEADER
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,16 +20,6 @@ def test_run_order_battery(capsys):
     battery = load_script("run_order_battery")
     assert battery.main(["--pairs", "10", "--max-dim", "2"]) == 0
     assert capsys.readouterr().out.startswith("10 random pairs, seed 7, n <= 2\n")
-
-
-def test_make_curves(tmp_path, capsys):
-    curves = load_script("make_curves")
-    out = tmp_path / "curves.csv"
-    assert curves.main(["--samples", "10000", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) > 1
-    assert f"curves written to {out}" in capsys.readouterr().out
 
 
 def test_verdict_moves_on_one_tree_moves_nothing(capsys):
