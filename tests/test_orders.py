@@ -1073,7 +1073,7 @@ def test_collective_risk_keeps_every_multivariate_sufficient_verdict():
     assert held > 50
 
 
-def test_collective_risk_icx_psd_shortcut():
+def test_collective_risk_icx_psd_difference():
     d1 = mk([0.0, 0.0], np.eye(2))
     d2 = mk([0.2, 0.3], np.eye(2) + 0.5 * np.ones((2, 2)))
     r = check_collective_risk(d1, d2, [1.0, 2.0], OrderKind.ICX)
