@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cones import dual_pairing, is_completely_positive, is_copositive, is_psd
+from .cones import Prepared, dual_pairing, is_completely_positive, is_copositive, is_psd
 from .distributions import LseDistribution
 from .empirical import (
     DominanceResult, McConfig, SurvivalCurve, axis_pair_directions, coupled_pass,
@@ -613,10 +613,11 @@ def _cmd_cones(args: argparse.Namespace) -> int:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: not a numeric matrix: {exc}") from exc
-    # Every test validates the matrix, so all run before anything is printed.
-    psd = is_psd(matrix)
-    copositive = is_copositive(matrix)
-    completely_positive = is_completely_positive(matrix)
+    # Validated once, and every test runs, before anything is printed.
+    prepared = Prepared(matrix)
+    psd = is_psd(prepared)
+    copositive = is_copositive(prepared)
+    completely_positive = is_completely_positive(prepared)
     print(f"matrix: {matrix.shape[0]} x {matrix.shape[1]}")
     print(_verdict_line("psd", psd))
     print(_verdict_line("copositive", copositive))

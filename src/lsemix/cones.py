@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "CertificateKind",
     "ConeVerdict",
     "HORN_MATRIX",
+    "Prepared",
     "ULPS",
     "band",
     "is_psd",
@@ -107,17 +108,34 @@ class ConeVerdict:
             object.__setattr__(self, "witness", w)
 
 
-def _prepare(a, scale: float) -> tuple[np.ndarray, float]:
-    """Validate; return (symmetrized copy, band(n, max(scale, max|a_ij|)))."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise UsageError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise UsageError("matrix entries must be finite")
-    if not nearly_symmetric(a):
-        raise UsageError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    return a, band(a.shape[0], max(scale, float(np.abs(a).max())))
+class Prepared:
+    """A matrix validated, symmetrized and banded once, with one eigendecomposition
+    made on first use: given it in place of the matrix (and then ignoring
+    ``scale``), the three tests below validate and decompose it once between
+    them, and is_copositive's PSD rule reads the eigenvalues is_psd reads."""
+
+    def __init__(self, a, scale: float = 0.0) -> None:
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise UsageError(f"expected a nonempty square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise UsageError("matrix entries must be finite")
+        if not nearly_symmetric(a):
+            raise UsageError("matrix must be symmetric")
+        self.matrix = 0.5 * (a + a.T)
+        self.matrix.setflags(write=False)
+        self.band = band(a.shape[0], max(scale, float(np.abs(self.matrix).max())))
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.matrix)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+
+def _prepare(a, scale: float) -> Prepared:
+    return a if isinstance(a, Prepared) else Prepared(a, scale)
 
 
 def is_psd(a, scale: float = 0.0) -> ConeVerdict:
@@ -128,9 +146,9 @@ def is_psd(a, scale: float = 0.0) -> ConeVerdict:
     from, so that the band covers their rounding; Outside carries the
     offending eigenvector.  The other two tests read the same band.
     """
-    a, tol_abs = _prepare(a, scale)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    if eigenvalues[0] >= -tol_abs:
+    a = _prepare(a, scale)
+    eigenvalues, eigenvectors = a.eigh
+    if eigenvalues[0] >= -a.band:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EIGEN)
     return ConeVerdict(
         ConeStatus.OUTSIDE, CertificateKind.EIGEN, witness=eigenvectors[:, 0]
@@ -217,10 +235,10 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     recomputed a rounding lower from a pruned face, of which it is a
     boundary point.
     """
-    a, tol_abs = _prepare(a, scale)
-    n = a.shape[0]
+    prepared = _prepare(a, scale)
+    a, tol_abs, n = prepared.matrix, prepared.band, len(prepared.matrix)
     # Entrywise nonnegative and PSD matrices are copositive outright.
-    if np.all(a >= -tol_abs) or np.linalg.eigvalsh(a)[0] >= -tol_abs:
+    if np.all(a >= -tol_abs) or prepared.eigh[0][0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
     top = n if n <= _EXACT_N else _CAPPED_SUPPORT
     unit = a / float(np.abs(a).max())  # on the scale of the border; same minimisers
@@ -311,8 +329,8 @@ def is_completely_positive(a, scale: float = 0.0) -> ConeVerdict:
     dominant as given or after a positive diagonal scaling -> Inside with an
     explicit factor; otherwise Unknown.
     """
-    a, tol_abs = _prepare(a, scale)
-    n = a.shape[0]
+    prepared = _prepare(a, scale)
+    a, tol_abs, n = prepared.matrix, prepared.band, len(prepared.matrix)
     negative = np.argwhere(a < -tol_abs)
     if negative.size:
         i, j = negative[0]
@@ -321,8 +339,8 @@ def is_completely_positive(a, scale: float = 0.0) -> ConeVerdict:
         return ConeVerdict(
             ConeStatus.OUTSIDE, CertificateKind.SUFFICIENT_RULE, witness=certificate
         )
-    # One eigendecomposition serves the PSD step (is_psd's test) and rank one.
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    # The one eigendecomposition serves the PSD step (is_psd's test) and rank one.
+    eigenvalues, eigenvectors = prepared.eigh
     if eigenvalues[0] < -tol_abs:
         # vv' for the negative-eigenvalue direction is a PSD (hence copositive)
         # matrix with <A, vv'> < 0: a dual separation certificate.

@@ -33,11 +33,12 @@ except some mean tests where E(beta) diverges.
 
 Each compare() builds one ``_Pair`` and asks it for each order's report;
 check_order is a one-order compare().  Everything the orders have in common
-is computed once per pair and kept on it: each cone test of Sigma2 - Sigma1,
-each condition of ``_CONDITIONS`` (read by every clause that names its tag)
-and each order's report (a projection order reads its parent's, so the
-parent's necessary clauses are the very same objects).  Nothing is kept
-between calls: the pair is dropped when compare() returns.
+is computed once per pair and kept on it: Sigma2 - Sigma1, prepared once
+for the three cone tests (``cones.Prepared``), each condition of
+``_CONDITIONS`` and each order's report (a projection order reads its
+parent's).  The pair is dropped when compare() returns.  Clause values are
+immutable, built from the tables at import and shared by every report;
+nothing else is kept between calls.
 
 Means use E(Y) = mu + E(beta) * delta; where two shifts are equal the mean
 difference is mu_2 - mu_1 even when E(beta) diverges, and along a direction
@@ -61,6 +62,7 @@ import numpy as np
 from .cones import (
     ConeStatus,
     ConeVerdict,
+    Prepared,
     band,
     is_completely_positive,
     is_copositive,
@@ -219,7 +221,6 @@ class _Pair:
         self.mu1, self.mu2 = d1.mu, d2.mu
         self.delta1, self.delta2 = d1.effective_delta(), d2.effective_delta()
         self.sigma1, self.sigma2 = d1.sigma, d2.sigma
-        self.sigma_diff = self.sigma2 - self.sigma1
         self.sigma_scale = float(max(np.abs(d1.sigma).max(), np.abs(d2.sigma).max()))
         # Filled on first use, so each piece of work runs once per pair.
         self.conditions: dict[str, bool | None] = {}
@@ -330,8 +331,10 @@ class _Pair:
 
     # cone tests of Sigma2 - Sigma1, each read through its one condition -----
 
-    def psd(self) -> bool:
-        return _inside(is_psd(self.sigma_diff, self.sigma_scale))
+    @cached_property
+    def difference(self) -> Prepared:
+        """Sigma2 - Sigma1, validated once and decomposed once for all three tests."""
+        return Prepared(self.sigma2 - self.sigma1, self.sigma_scale)
 
     def unskewed_psd(self) -> bool:
         """a'(Sigma2 - Sigma1) a >= 0 wherever a'delta1 = 0: Sigma2 - Sigma1
@@ -340,13 +343,7 @@ class _Pair:
         if self.condition("psd-difference"):
             return True
         complement = np.linalg.svd(self.delta1[None, :])[2][1:]
-        return _inside(is_psd(complement @ self.sigma_diff @ complement.T, self.sigma_scale))
-
-    def copositive(self) -> bool | None:
-        return _inside(is_copositive(self.sigma_diff, self.sigma_scale))
-
-    def completely_positive(self) -> bool | None:
-        return _inside(is_completely_positive(self.sigma_diff, self.sigma_scale))
+        return _inside(is_psd(complement @ self.difference.matrix @ complement.T, self.sigma_scale))
 
 
 def _once(memo: dict, key, compute: Callable, *args):
@@ -402,14 +399,16 @@ _CONDITIONS: dict[str, _Condition] = {
     "mean-equal": _Condition(
         "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal, across=True), SkipReason.MOMENTS),
     "scale-equal": _Condition("Sigma1 = Sigma2", lambda p: vec_equal(p.sigma1, p.sigma2)),
-    "psd-difference": _Condition("Sigma2 - Sigma1 is positive semi-definite", _Pair.psd),
+    "psd-difference": _Condition(
+        "Sigma2 - Sigma1 is positive semi-definite", lambda p: _inside(is_psd(p.difference))),
     "unskewed-psd-difference": _Condition(
         "a'(Sigma2 - Sigma1) a >= 0 for every a with a'delta = 0", _Pair.unskewed_psd),
     "copositive-difference": _Condition(
-        "Sigma2 - Sigma1 is copositive", _Pair.copositive, SkipReason.CONE),
-    "completely-positive-difference": _Condition(
-        "Sigma2 - Sigma1 is completely positive", _Pair.completely_positive,
+        "Sigma2 - Sigma1 is copositive", lambda p: _inside(is_copositive(p.difference)),
         SkipReason.CONE),
+    "completely-positive-difference": _Condition(
+        "Sigma2 - Sigma1 is completely positive",
+        lambda p: _inside(is_completely_positive(p.difference)), SkipReason.CONE),
     "entrywise-difference": _Condition(
         "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.sigma1, p.sigma2)),
     "diag-equal": _Condition(
@@ -542,22 +541,36 @@ _PARENT_OF = {
 }
 
 
+def _outcomes(tag: str, text: str) -> dict:
+    """The clauses of one table entry, by outcome: True, False, None or a SkipReason."""
+    return ({passed: Clause(tag, text, passed) for passed in (True, False, None)}
+            | {reason: Clause(tag, text + reason.value, None, reason) for reason in SkipReason})
+
+
+#: Every clause the tables can give, built once and shared by every report:
+#: by sufficient tag, by necessary entry (tag, text) and by projection order.
+_SUFFICIENT = {tag: _outcomes("sufficient/" + tag, _CONDITIONS[tag].text)
+               for spec in _ORDERS.values() for tag in spec.sufficient}
+_NECESSARY = {(e.tag, e.text): _outcomes("necessary/" + e.tag, e.text or _CONDITIONS[e.tag].text)
+              for spec in _ORDERS.values()
+              for entry in spec.necessary for e in (entry, entry.otherwise) if e}
+_PARENT_CLAUSES = {order: _outcomes(
+    "sufficient/parent-order", f"the {parent.value} sufficient conditions hold (implies {order.value})")
+    for order, parent in _PARENT_OF.items()}
+
+
 # --- the interpreter ---------------------------------------------------------
 
 
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
-    condition = _CONDITIONS[entry.tag]
-    tag = "necessary/" + entry.tag
-    text = condition.text if entry.text is None else entry.text
+    clauses = _NECESSARY[entry.tag, entry.text]
     for gate in entry.gates:
         if not gate.holds(pair):
             if entry.otherwise and all(g.holds(pair) for g in entry.otherwise.gates):
                 return _necessary_clause(pair, entry.otherwise)
-            return Clause(tag, text + gate.reason.value, None, gate.reason)
+            return clauses[gate.reason]
     passed = pair.condition(entry.tag)
-    if passed is None:
-        return Clause(tag, text + condition.undecided.value, None, condition.undecided)
-    return Clause(tag, text, passed)
+    return clauses[_CONDITIONS[entry.tag].undecided if passed is None else passed]
 
 
 def _report(
@@ -585,10 +598,7 @@ def _report(
 
 def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     spec = _ORDERS[order]
-    sufficient = [
-        Clause("sufficient/" + tag, _CONDITIONS[tag].text, pair.condition(tag))
-        for tag in spec.sufficient
-    ]
+    sufficient = [_SUFFICIENT[tag][pair.condition(tag)] for tag in spec.sufficient]
     necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
     probes = assumption_profile(pair.d1.generator)[2] if order in _TAIL_PROBED else ()
     return _report(order, sufficient, necessary, probes)
@@ -611,13 +621,8 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     by polarization over e_i and e_i + e_j.  For iplcx,
     a'(Sigma2 - Sigma1) a >= 0 for every a >= 0 is copositivity.
     """
-    parent_kind = _PARENT_OF[order]
-    parent = pair.report(parent_kind)
-    sufficient = [Clause(
-        "sufficient/parent-order",
-        f"the {parent_kind.value} sufficient conditions hold (implies {order.value})",
-        parent.sufficient is SufficientStatus.HOLDS,
-    )]
+    parent = pair.report(_PARENT_OF[order])
+    sufficient = [_PARENT_CLAUSES[order][parent.sufficient is SufficientStatus.HOLDS]]
     necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
     return _report(order, sufficient, necessary, parent.assumption_checks)
 

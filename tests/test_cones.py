@@ -292,6 +292,46 @@ def test_copositive_invariant_under_permutation_and_rescaling(n):
             assert is_copositive(d[:, None] * a * d[None, :]).status is status
 
 
+def prepared_cases():
+    """Matrices, each with a scale, that reach every rule of the three tests."""
+    rng = np.random.default_rng(31)
+    cases = [(HORN_MATRIX, 0.0), (0.5 * HORN_MATRIX + np.eye(5), 0.0), (np.zeros((1, 1)), 0.0),
+             (-np.eye(2), 0.0), (np.ones((6, 6)), 0.0), (np.eye(7) + 0.1, 0.0)]
+    cases += [(a, 0.0) for a in cp_trap_matrices()]
+    for n in (1, 2, 3, 5, 8, 11):
+        b = rng.normal(size=(n, n))
+        cases += [(random_symmetric(rng, n), 0.0), (b @ b.T, 0.0), (np.abs(b + b.T), 0.0),
+                  (b[:1].T @ b[:1], 1e3), (random_symmetric(rng, n, 1e-8), 1.0)]
+    return cases
+
+
+def test_prepared_value_gives_the_answers_of_its_matrix():
+    # Status, certificate and witness bytes; the prepared value's own scale
+    # is used, whatever is passed with it.
+    for a, scale in prepared_cases():
+        prepared = cones.Prepared(a, scale)
+        for test in (is_psd, is_copositive, is_completely_positive):
+            expected = test(a, scale)
+            for got in (test(prepared), test(prepared, 1e12)):
+                assert got.status is expected.status, (test.__name__, a)
+                assert got.certificate_kind is expected.certificate_kind
+                assert (got.witness is None) is (expected.witness is None)
+                if got.witness is not None:
+                    assert got.witness.tobytes() == expected.witness.tobytes()
+
+
+def test_prepared_value_is_its_symmetrized_matrix():
+    a = np.array([[1.0, 2.0], [2.0 + 1e-16, -1.0]])
+    prepared = cones.Prepared(a)
+    assert np.asarray(prepared).tobytes() == (0.5 * (a + a.T)).tobytes()
+    assert np.shape(prepared) == (2, 2)
+    with pytest.raises(ValueError):
+        np.asarray(prepared)[0, 0] = 5.0  # the eigendecomposition is computed from it
+    assert prepared.band == cones.band(2, 2.0)
+    with pytest.raises(UsageError, match="symmetric"):
+        cones.Prepared(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 def test_copositive_psd_implies_copositive():
     rng = np.random.default_rng(7)
     for _ in range(50):

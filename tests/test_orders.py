@@ -25,6 +25,7 @@ from simplex_oracle import cp_trap_matrices
 from sme_oracle import sme_table
 from test_acceptance import random_battery_pair
 
+import lsemix.cones as cones_module
 import lsemix.orders as orders_module
 from lsemix.cli import parse_scenario
 from lsemix.cones import HORN_MATRIX, ConeStatus, is_copositive
@@ -851,6 +852,60 @@ def test_one_compare_runs_each_cone_test_once(monkeypatch):
     assert calls == {"is_psd": 1, "is_copositive": 1, "is_completely_positive": 1}
     compare(d1, d2)  # each call builds its own pair
     assert calls == {"is_psd": 2, "is_copositive": 2, "is_completely_positive": 2}
+
+
+def count_cone_work(monkeypatch) -> dict[str, int]:
+    """Count the Prepared values built, and the eigh and eigvalsh calls that
+    lsemix.cones makes on one matrix (the batched KKT systems of the
+    copositivity search, a stack of matrices, are not counted)."""
+    counts = {"prepared": 0, "eigh": 0, "eigvalsh": 0}
+    init = cones_module.Prepared.__init__
+
+    def prepared(self, *args, **kwargs):
+        counts["prepared"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cones_module.Prepared, "__init__", prepared)
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "lsemix.cones" and np.ndim(a) == 2:
+                counts[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("sigmas", [
+    (3.0 * np.eye(5), 3.0 * np.eye(5) + 0.5 * HORN_MATRIX),  # copositive_gap
+    ([[1.0]], [[2.5]]),
+], ids=["copositive_gap", "n1"])
+def test_one_compare_prepares_and_decomposes_the_difference_once(monkeypatch, sigmas):
+    d1, d2 = (mk(np.zeros(len(s)), s) for s in sigmas)
+    counts = count_cone_work(monkeypatch)
+    compare(d1, d2)
+    assert counts == {"prepared": 1, "eigh": 1, "eigvalsh": 0}
+    compare(d1, d2)  # each call prepares its own
+    assert counts == {"prepared": 2, "eigh": 2, "eigvalsh": 0}
+
+
+def test_clauses_are_table_values_with_exact_types():
+    # Clause values are looked up by ``passed``; np.bool_ hashes as bool does,
+    # so a condition must give exactly a bool or None.
+    table = {id(clause) for outcomes in (orders_module._SUFFICIENT, orders_module._NECESSARY,
+                                         orders_module._PARENT_CLAUSES)
+             for by_outcome in outcomes.values() for clause in by_outcome.values()}
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        d1, d2 = random_battery_pair(rng)
+        pair = orders_module._Pair(d1, d2)
+        reports = {order: pair.report(order) for order in OrderKind}
+        assert all(v is None or type(v) is bool for v in pair.conditions.values()), pair.conditions
+        for report in reports.values():
+            for clause in report.clauses:
+                assert clause.passed is None or type(clause.passed) is bool, clause
+                assert id(clause) in table, clause
+        assert compare(d1, d2) == reports
 
 
 def fresh(a, b):

@@ -4,6 +4,7 @@ runs on small arguments and exits 0."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -16,12 +17,6 @@ def load_script(name: str):
     return module
 
 
-def test_run_order_battery(capsys):
-    battery = load_script("run_order_battery")
-    assert battery.main(["--pairs", "10", "--max-dim", "2"]) == 0
-    assert capsys.readouterr().out.startswith("10 random pairs, seed 7, n <= 2\n")
-
-
 def test_verdict_moves_on_one_tree_moves_nothing(capsys):
     moves = load_script("verdict_moves")
     tree = str(SCRIPTS.parent)
@@ -29,3 +24,16 @@ def test_verdict_moves_on_one_tree_moves_nothing(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith(" reports, 0 moved") and not out[0].startswith("0 ")
     assert len(out) == 1
+
+
+def test_ab_on_one_tree_agrees_and_restores_the_modules(capsys):
+    import lsemix.orders
+
+    ab = load_script("ab")
+    tree = str(SCRIPTS.parent)
+    assert ab.main([tree, tree, "--workload", "decide", "--seed", "1", "--rounds", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("decide seed 1, ") and " operations, 2 rounds: median operation " in out[0]
+    assert out[1].startswith("change/parent per round: median ")
+    assert len(out) == 2
+    assert sys.modules["lsemix.orders"] is lsemix.orders
