@@ -329,7 +329,7 @@ class _Pair:
     def same_marginals(self) -> bool:
         return self.mu_equal and self.delta_equal and vec_equal(*self.diag)
 
-    # cone tests of Sigma2 - Sigma1, each read through its one condition -----
+    # Sigma2 - Sigma1 for the cone tests, each read through its one condition
 
     @cached_property
     def difference(self) -> Prepared:
@@ -339,7 +339,7 @@ class _Pair:
     def unskewed_psd(self) -> bool:
         """a'(Sigma2 - Sigma1) a >= 0 wherever a'delta1 = 0: Sigma2 - Sigma1
         compressed to the complement of delta1 is PSD.  Read only with equal
-        nonzero shifts, at n >= 2; implied by ``psd``, which it reads first."""
+        nonzero shifts, at n >= 2; implied by psd-difference, which it reads first."""
         if self.condition("psd-difference"):
             return True
         complement = np.linalg.svd(self.delta1[None, :])[2][1:]
@@ -554,8 +554,9 @@ _SUFFICIENT = {tag: _outcomes("sufficient/" + tag, _CONDITIONS[tag].text)
 _NECESSARY = {(e.tag, e.text): _outcomes("necessary/" + e.tag, e.text or _CONDITIONS[e.tag].text)
               for spec in _ORDERS.values()
               for entry in spec.necessary for e in (entry, entry.otherwise) if e}
-_PARENT_CLAUSES = {order: _outcomes(
-    "sufficient/parent-order", f"the {parent.value} sufficient conditions hold (implies {order.value})")
+_PARENT_CLAUSES = {
+    order: _outcomes("sufficient/parent-order",
+                     f"the {parent.value} sufficient conditions hold (implies {order.value})")
     for order, parent in _PARENT_OF.items()}
 
 

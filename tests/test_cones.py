@@ -321,13 +321,14 @@ def test_prepared_value_gives_the_answers_of_its_matrix():
 
 
 def test_prepared_value_is_its_symmetrized_matrix():
-    a = np.array([[1.0, 2.0], [2.0 + 1e-16, -1.0]])
+    a = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), -1.0]])
     prepared = cones.Prepared(a)
-    assert np.asarray(prepared).tobytes() == (0.5 * (a + a.T)).tobytes()
+    symmetrized = 0.5 * (a + a.T)
+    assert np.asarray(prepared).tobytes() == symmetrized.tobytes()
     assert np.shape(prepared) == (2, 2)
     with pytest.raises(ValueError):
         np.asarray(prepared)[0, 0] = 5.0  # the eigendecomposition is computed from it
-    assert prepared.band == cones.band(2, 2.0)
+    assert prepared.band == cones.band(2, float(symmetrized.max()))
     with pytest.raises(UsageError, match="symmetric"):
         cones.Prepared(np.array([[1.0, 2.0], [0.0, 1.0]]))
 

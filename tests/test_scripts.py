@@ -33,7 +33,8 @@ def test_ab_on_one_tree_agrees_and_restores_the_modules(capsys):
     tree = str(SCRIPTS.parent)
     assert ab.main([tree, tree, "--workload", "decide", "--seed", "1", "--rounds", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("decide seed 1, ") and " operations, 2 rounds: median operation " in out[0]
+    assert out[0].startswith("decide seed 1, ")
+    assert " operations, 2 rounds: median operation " in out[0]
     assert out[1].startswith("change/parent per round: median ")
     assert len(out) == 2
     assert sys.modules["lsemix.orders"] is lsemix.orders
