@@ -3,20 +3,19 @@
 
     python scripts/ab.py ../parent . --workload decide --seed 31002 --rounds 200
 
-Builds the workload with each tree's own src and bench, checks that both
-trees give each operation the same output signature, then times rounds of
-every operation on each tree, alternating which goes first.  Prints each
-tree's median operation time and the per-round ratio change/parent of the
-median operation times, with its 10th and 90th percentiles.
+Builds the workload with each tree's own src and bench, checks that the trees
+give every operation the same output signature, then times rounds of every
+operation on each, alternating which goes first.  Prints each tree's median
+operation time and the per-round change/parent ratio with its q10 and q90.
 """
 
 import argparse
-import os
 import statistics
 import sys
 import time
+from pathlib import Path
 
-OWN = ("lsemix", "workloads", "simplex", "oracles", "spans")
+OWN = {"lsemix"}  # and, once main() has read the trees, every module of their bench/
 
 
 def _swap(modules: dict) -> dict:
@@ -28,9 +27,8 @@ def _swap(modules: dict) -> dict:
     return own
 
 
-def run(side, op, timed: bool = False):
+def run(workload, modules: dict, op, timed: bool = False):
     """One operation on one tree: its wall time, or its output's signature."""
-    workload, modules = side
     _swap(modules)  # for imports made while running
     start = time.perf_counter()
     output = workload.run(op)
@@ -44,22 +42,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=100)
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    OWN.update(path.stem for tree in args.trees for path in Path(tree, "bench").glob("*.py"))
     saved = _swap({})
     try:
         sides = []
-        for tree in map(os.path.abspath, args.trees):  # each imported from its own src and bench
-            sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
+        for tree in (Path(t).resolve() for t in args.trees):  # each from its own src and bench
+            sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
             import workloads
             built = workloads.WORKLOADS[args.workload](args.seed, None)
             built.warm()
             sides.append((built, _swap({})))
             del sys.path[:2]
         pairs = list(zip(sides[0][0].ops, sides[1][0].ops, strict=True))
-        differ = [a.label for a, b in pairs if run(sides[0], a) != run(sides[1], b)]
+        differ = [a.label for a, b in pairs if run(*sides[0], a) != run(*sides[1], b)]
         medians = ([], [])
         for r in range(args.rounds if not differ else 0):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
-                medians[i].append(statistics.median(run(sides[i], ops[i], True) for ops in pairs))
+                medians[i].append(statistics.median(run(*sides[i], ops[i], True) for ops in pairs))
     finally:
         _swap(saved)
     if differ:
@@ -70,8 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parent, change = (1000.0 * statistics.median(m) for m in medians)
     print(f"{args.workload} seed {args.seed}, {len(pairs)} operations, {args.rounds} rounds: "
           f"median operation {parent:.4f} ms (parent), {change:.4f} ms (change)")
-    print(f"change/parent per round: median {statistics.median(ratios):.4f} "
-          f"(q10 {q[0]:.4f}, q90 {q[8]:.4f})")
+    print(f"change/parent per round: median {q[4]:.4f} (q10 {q[0]:.4f}, q90 {q[8]:.4f})")
     return 0
 
 

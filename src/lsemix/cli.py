@@ -613,13 +613,11 @@ def _cmd_cones(args: argparse.Namespace) -> int:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: not a numeric matrix: {exc}") from exc
-    # Validated once, and every test runs, before anything is printed.
-    prepared = Prepared(matrix)
-    psd = is_psd(prepared)
+    prepared = Prepared(matrix)  # validated once, before anything is printed
     copositive = is_copositive(prepared)
     completely_positive = is_completely_positive(prepared)
     print(f"matrix: {matrix.shape[0]} x {matrix.shape[1]}")
-    print(_verdict_line("psd", psd))
+    print(_verdict_line("psd", is_psd(prepared)))
     print(_verdict_line("copositive", copositive))
     print(_verdict_line("completely_positive", completely_positive))
     if copositive.witness is not None and copositive.status.value == "outside":

@@ -109,12 +109,9 @@ class ConeVerdict:
 
 
 class Prepared:
-    """A matrix validated, symmetrized and banded once, with one eigendecomposition
-    made on first use: given it in place of the matrix (and then ignoring
-    ``scale``), the three tests below validate and decompose it once between
-    them, and is_copositive's PSD rule reads the eigenvalues is_psd reads."""
+    """A validated, symmetrized matrix, whose one lazy ``eigh`` the three tests share."""
 
-    def __init__(self, a, scale: float = 0.0) -> None:
+    def __init__(self, a) -> None:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise UsageError(f"expected a nonempty square matrix, got shape {a.shape}")
@@ -124,7 +121,7 @@ class Prepared:
             raise UsageError("matrix must be symmetric")
         self.matrix = 0.5 * (a + a.T)
         self.matrix.setflags(write=False)
-        self.band = band(a.shape[0], max(scale, float(np.abs(self.matrix).max())))
+        self.scale = float(np.abs(self.matrix).max())
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +131,9 @@ class Prepared:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def _prepare(a, scale: float) -> Prepared:
-    return a if isinstance(a, Prepared) else Prepared(a, scale)
+def _prepare(a, scale: float) -> tuple[Prepared, float]:
+    a = a if isinstance(a, Prepared) else Prepared(a)
+    return a, band(len(a.matrix), max(scale, a.scale))
 
 
 def is_psd(a, scale: float = 0.0) -> ConeVerdict:
@@ -146,9 +144,9 @@ def is_psd(a, scale: float = 0.0) -> ConeVerdict:
     from, so that the band covers their rounding; Outside carries the
     offending eigenvector.  The other two tests read the same band.
     """
-    a = _prepare(a, scale)
+    a, tol_abs = _prepare(a, scale)
     eigenvalues, eigenvectors = a.eigh
-    if eigenvalues[0] >= -a.band:
+    if eigenvalues[0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.EIGEN)
     return ConeVerdict(
         ConeStatus.OUTSIDE, CertificateKind.EIGEN, witness=eigenvectors[:, 0]
@@ -235,8 +233,8 @@ def is_copositive(a, scale: float = 0.0) -> ConeVerdict:
     recomputed a rounding lower from a pruned face, of which it is a
     boundary point.
     """
-    prepared = _prepare(a, scale)
-    a, tol_abs, n = prepared.matrix, prepared.band, len(prepared.matrix)
+    prepared, tol_abs = _prepare(a, scale)
+    a, n = prepared.matrix, len(prepared.matrix)
     # Entrywise nonnegative and PSD matrices are copositive outright.
     if np.all(a >= -tol_abs) or prepared.eigh[0][0] >= -tol_abs:
         return ConeVerdict(ConeStatus.INSIDE, CertificateKind.SUFFICIENT_RULE)
@@ -329,8 +327,8 @@ def is_completely_positive(a, scale: float = 0.0) -> ConeVerdict:
     dominant as given or after a positive diagonal scaling -> Inside with an
     explicit factor; otherwise Unknown.
     """
-    prepared = _prepare(a, scale)
-    a, tol_abs, n = prepared.matrix, prepared.band, len(prepared.matrix)
+    prepared, tol_abs = _prepare(a, scale)
+    a, n = prepared.matrix, len(prepared.matrix)
     negative = np.argwhere(a < -tol_abs)
     if negative.size:
         i, j = negative[0]
@@ -339,7 +337,6 @@ def is_completely_positive(a, scale: float = 0.0) -> ConeVerdict:
         return ConeVerdict(
             ConeStatus.OUTSIDE, CertificateKind.SUFFICIENT_RULE, witness=certificate
         )
-    # The one eigendecomposition serves the PSD step (is_psd's test) and rank one.
     eigenvalues, eigenvectors = prepared.eigh
     if eigenvalues[0] < -tol_abs:
         # vv' for the negative-eigenvalue direction is a PSD (hence copositive)

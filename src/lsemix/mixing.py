@@ -285,9 +285,7 @@ class GeneralizedInverseGaussian(MixingDistribution):
     def _log_bounds(self) -> tuple[float, float]:
         lam, chi, tau = self.lam, self.chi, self.tau
         if tau > 0.0:
-            # The same mode rationalised where lam + root would cancel (lam < 0).
-            root = math.sqrt(lam * lam + chi * tau)
-            mode = chi / (root - lam) if lam < 0.0 and chi * tau < lam * lam else (lam + root) / tau
+            mode = (lam + math.sqrt(lam * lam + chi * tau)) / tau
         else:
             mode = chi / (2.0 * -lam)
         if not 0.0 < mode < math.inf:

@@ -37,8 +37,7 @@ is computed once per pair and kept on it: Sigma2 - Sigma1, prepared once
 for the three cone tests (``cones.Prepared``), each condition of
 ``_CONDITIONS`` and each order's report (a projection order reads its
 parent's).  The pair is dropped when compare() returns.  Clause values are
-immutable, built from the tables at import and shared by every report;
-nothing else is kept between calls.
+immutable, each built once (``_clause``) and shared; nothing else is kept.
 
 Means use E(Y) = mu + E(beta) * delta; where two shifts are equal the mean
 difference is mu_2 - mu_1 even when E(beta) diverges, and along a direction
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -334,7 +333,10 @@ class _Pair:
     @cached_property
     def difference(self) -> Prepared:
         """Sigma2 - Sigma1, validated once and decomposed once for all three tests."""
-        return Prepared(self.sigma2 - self.sigma1, self.sigma_scale)
+        return Prepared(self.sigma2 - self.sigma1)
+
+    def cone(self, test: Callable[..., ConeVerdict]) -> bool | None:
+        return _inside(test(self.difference, self.sigma_scale))
 
     def unskewed_psd(self) -> bool:
         """a'(Sigma2 - Sigma1) a >= 0 wherever a'delta1 = 0: Sigma2 - Sigma1
@@ -399,16 +401,14 @@ _CONDITIONS: dict[str, _Condition] = {
     "mean-equal": _Condition(
         "E(Y1) = E(Y2)", lambda p: p.mean_test(vec_equal, across=True), SkipReason.MOMENTS),
     "scale-equal": _Condition("Sigma1 = Sigma2", lambda p: vec_equal(p.sigma1, p.sigma2)),
-    "psd-difference": _Condition(
-        "Sigma2 - Sigma1 is positive semi-definite", lambda p: _inside(is_psd(p.difference))),
+    "psd-difference": _Condition("Sigma2 - Sigma1 is positive semi-definite", lambda p: p.cone(is_psd)),
     "unskewed-psd-difference": _Condition(
         "a'(Sigma2 - Sigma1) a >= 0 for every a with a'delta = 0", _Pair.unskewed_psd),
     "copositive-difference": _Condition(
-        "Sigma2 - Sigma1 is copositive", lambda p: _inside(is_copositive(p.difference)),
-        SkipReason.CONE),
+        "Sigma2 - Sigma1 is copositive", lambda p: p.cone(is_copositive), SkipReason.CONE),
     "completely-positive-difference": _Condition(
-        "Sigma2 - Sigma1 is completely positive",
-        lambda p: _inside(is_completely_positive(p.difference)), SkipReason.CONE),
+        "Sigma2 - Sigma1 is completely positive", lambda p: p.cone(is_completely_positive),
+        SkipReason.CONE),
     "entrywise-difference": _Condition(
         "Sigma2 >= Sigma1 entrywise", lambda p: vec_leq(p.sigma1, p.sigma2)),
     "diag-equal": _Condition(
@@ -540,38 +540,25 @@ _PARENT_OF = {
     OrderKind.IPLCX: OrderKind.ICX,
 }
 
-
-def _outcomes(tag: str, text: str) -> dict:
-    """The clauses of one table entry, by outcome: True, False, None or a SkipReason."""
-    return ({passed: Clause(tag, text, passed) for passed in (True, False, None)}
-            | {reason: Clause(tag, text + reason.value, None, reason) for reason in SkipReason})
-
-
-#: Every clause the tables can give, built once and shared by every report:
-#: by sufficient tag, by necessary entry (tag, text) and by projection order.
-_SUFFICIENT = {tag: _outcomes("sufficient/" + tag, _CONDITIONS[tag].text)
-               for spec in _ORDERS.values() for tag in spec.sufficient}
-_NECESSARY = {(e.tag, e.text): _outcomes("necessary/" + e.tag, e.text or _CONDITIONS[e.tag].text)
-              for spec in _ORDERS.values()
-              for entry in spec.necessary for e in (entry, entry.otherwise) if e}
-_PARENT_CLAUSES = {
-    order: _outcomes("sufficient/parent-order",
-                     f"the {parent.value} sufficient conditions hold (implies {order.value})")
-    for order, parent in _PARENT_OF.items()}
+_clause = lru_cache(maxsize=None)(Clause)  # each distinct clause is built once
 
 
 # --- the interpreter ---------------------------------------------------------
 
 
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
-    clauses = _NECESSARY[entry.tag, entry.text]
+    condition = _CONDITIONS[entry.tag]
+    tag = "necessary/" + entry.tag
+    text = condition.text if entry.text is None else entry.text
     for gate in entry.gates:
         if not gate.holds(pair):
             if entry.otherwise and all(g.holds(pair) for g in entry.otherwise.gates):
                 return _necessary_clause(pair, entry.otherwise)
-            return clauses[gate.reason]
+            return _clause(tag, text + gate.reason.value, None, gate.reason)
     passed = pair.condition(entry.tag)
-    return clauses[_CONDITIONS[entry.tag].undecided if passed is None else passed]
+    if passed is None:
+        return _clause(tag, text + condition.undecided.value, None, condition.undecided)
+    return _clause(tag, text, passed)
 
 
 def _report(
@@ -599,7 +586,10 @@ def _report(
 
 def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     spec = _ORDERS[order]
-    sufficient = [_SUFFICIENT[tag][pair.condition(tag)] for tag in spec.sufficient]
+    sufficient = [
+        _clause("sufficient/" + tag, _CONDITIONS[tag].text, pair.condition(tag))
+        for tag in spec.sufficient
+    ]
     necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
     probes = assumption_profile(pair.d1.generator)[2] if order in _TAIL_PROBED else ()
     return _report(order, sufficient, necessary, probes)
@@ -622,8 +612,13 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     by polarization over e_i and e_i + e_j.  For iplcx,
     a'(Sigma2 - Sigma1) a >= 0 for every a >= 0 is copositivity.
     """
-    parent = pair.report(_PARENT_OF[order])
-    sufficient = [_PARENT_CLAUSES[order][parent.sufficient is SufficientStatus.HOLDS]]
+    parent_kind = _PARENT_OF[order]
+    parent = pair.report(parent_kind)
+    sufficient = [_clause(
+        "sufficient/parent-order",
+        f"the {parent_kind.value} sufficient conditions hold (implies {order.value})",
+        parent.sufficient is SufficientStatus.HOLDS,
+    )]
     necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
     return _report(order, sufficient, necessary, parent.assumption_checks)
 

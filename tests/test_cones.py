@@ -292,11 +292,25 @@ def test_copositive_invariant_under_permutation_and_rescaling(n):
             assert is_copositive(d[:, None] * a * d[None, :]).status is status
 
 
+def band_edge_gram() -> np.ndarray:
+    """A rank-deficient Gram matrix (n = 12) shifted by about one band below
+    PSD, where LAPACK's eigh and eigvalsh read its smallest eigenvalue on
+    opposite sides of the band.  When is_copositive's PSD rule read eigvalsh
+    it answered Unknown, while is_psd (eigh) answered Inside."""
+    rng = np.random.default_rng(2549)
+    b = rng.standard_normal((int(rng.integers(1, 12)), 12))
+    a = b.T @ b
+    a -= rng.uniform(0.5, 2.0) * cones.band(12, float(np.abs(a).max())) * np.eye(12)
+    a *= 1e-3
+    return 0.5 * (a + a.T)
+
+
 def prepared_cases():
     """Matrices, each with a scale, that reach every rule of the three tests."""
     rng = np.random.default_rng(31)
     cases = [(HORN_MATRIX, 0.0), (0.5 * HORN_MATRIX + np.eye(5), 0.0), (np.zeros((1, 1)), 0.0),
-             (-np.eye(2), 0.0), (np.ones((6, 6)), 0.0), (np.eye(7) + 0.1, 0.0)]
+             (-np.eye(2), 0.0), (np.ones((6, 6)), 0.0), (np.eye(7) + 0.1, 0.0),
+             (band_edge_gram(), 0.0)]
     cases += [(a, 0.0) for a in cp_trap_matrices()]
     for n in (1, 2, 3, 5, 8, 11):
         b = rng.normal(size=(n, n))
@@ -306,18 +320,19 @@ def prepared_cases():
 
 
 def test_prepared_value_gives_the_answers_of_its_matrix():
-    # Status, certificate and witness bytes; the prepared value's own scale
-    # is used, whatever is passed with it.
+    # Status, certificate and witness bytes, with the scale passed to the
+    # test either way; and the nesting PSD => copositive holds on each.
     for a, scale in prepared_cases():
-        prepared = cones.Prepared(a, scale)
+        prepared = cones.Prepared(a)
         for test in (is_psd, is_copositive, is_completely_positive):
-            expected = test(a, scale)
-            for got in (test(prepared), test(prepared, 1e12)):
-                assert got.status is expected.status, (test.__name__, a)
-                assert got.certificate_kind is expected.certificate_kind
-                assert (got.witness is None) is (expected.witness is None)
-                if got.witness is not None:
-                    assert got.witness.tobytes() == expected.witness.tobytes()
+            expected, got = test(a, scale), test(prepared, scale)
+            assert got.status is expected.status, (test.__name__, a)
+            assert got.certificate_kind is expected.certificate_kind
+            assert (got.witness is None) is (expected.witness is None)
+            if got.witness is not None:
+                assert got.witness.tobytes() == expected.witness.tobytes()
+        if is_psd(prepared, scale).status is ConeStatus.INSIDE:
+            assert is_copositive(prepared, scale).status is ConeStatus.INSIDE, a
 
 
 def test_prepared_value_is_its_symmetrized_matrix():
@@ -328,9 +343,17 @@ def test_prepared_value_is_its_symmetrized_matrix():
     assert np.shape(prepared) == (2, 2)
     with pytest.raises(ValueError):
         np.asarray(prepared)[0, 0] = 5.0  # the eigendecomposition is computed from it
-    assert prepared.band == cones.band(2, float(symmetrized.max()))
+    assert prepared.scale == float(symmetrized.max())
     with pytest.raises(UsageError, match="symmetric"):
         cones.Prepared(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_scale_widens_the_band_of_a_prepared_value():
+    # -1e-12 is below zero by more than the matrix's own band, and within
+    # the band of operands of magnitude 1e6 that it could be the difference of.
+    prepared = cones.Prepared(np.array([[-1e-12]]))
+    assert is_psd(prepared).status is ConeStatus.OUTSIDE
+    assert is_psd(prepared, 1e6).status is ConeStatus.INSIDE
 
 
 def test_copositive_psd_implies_copositive():

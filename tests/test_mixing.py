@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from lsemix import mixing as mixing_module
 from lsemix.errors import DomainError, NonIntegrableError, ParameterError
 from lsemix.mixing import (
     AlphaBetaMap,
@@ -37,7 +36,6 @@ from lsemix.mixing import (
     gig_density,
     gig_log_normalizer,
 )
-from lsemix.numerics import expand_log_bounds
 
 GIG_GRID = [
     (-0.5, 1.0, 1.0),
@@ -242,25 +240,15 @@ class TestLogScaleBessel:
             gig_log_normalizer(1e13, 1.0, 1.0)
 
     @pytest.mark.parametrize("lam,chi", [(-1e6, 1e-6), (-1e10, 1e-10)])
-    def test_mode_of_a_far_negative_lam_does_not_cancel(self, monkeypatch, lam, chi):
-        # (lam + sqrt(lam^2 + chi tau)) / tau cancels to 0 at these laws; the
-        # mode is chi / (2 |lam|) within a relative chi tau / (4 lam^2).
-        centers = []
-
-        def bounds(log_f, center, **kwargs):
-            centers.append(center)
-            return expand_log_bounds(log_f, center, **kwargs)
-
-        monkeypatch.setattr(mixing_module, "expand_log_bounds", bounds)
-        nodes, weights = GeneralizedInverseGaussian(lam, chi, 1.0).quadrature()
-        assert math.exp(centers[0]) == pytest.approx(chi / (2.0 * -lam), rel=1e-12)
-        assert np.all(nodes > 0.0) and np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
-
-    def test_mode_where_nothing_cancels_is_unchanged(self):
-        # chi tau > lam^2: the mode keeps (lam + sqrt(lam^2 + chi tau)) / tau,
-        # bit for bit, and with it every node of the benchmark's GIG law.
-        bounds = GeneralizedInverseGaussian(-0.5, 1.0, 1.0)._log_bounds
-        assert bounds == (-5.481211825059603, 5.518788174940397)
+    def test_mode_that_cancels_to_zero_raises(self, lam, chi):
+        # (lam + sqrt(lam^2 + chi tau)) / tau cancels to 0.  The true mode,
+        # about chi / (2 |lam|), is a peak about |lam|^(-1/2) wide in log z,
+        # too narrow for the quadrature, so the law stays rejected.
+        mix = GeneralizedInverseGaussian(lam, chi, 1.0)
+        with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the mode 0.0")):
+            mix.quadrature()
+        with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the mode 0.0")):
+            mix.sample(np.random.default_rng(0), 10)
 
 
 class TestGeneralizedInverseGaussian:

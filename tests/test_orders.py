@@ -889,23 +889,25 @@ def test_one_compare_prepares_and_decomposes_the_difference_once(monkeypatch, si
     assert counts == {"prepared": 2, "eigh": 2, "eigvalsh": 0}
 
 
-def test_clauses_are_table_values_with_exact_types():
-    # Clause values are looked up by ``passed``; np.bool_ hashes as bool does,
-    # so a condition must give exactly a bool or None.
-    table = {id(clause) for outcomes in (orders_module._SUFFICIENT, orders_module._NECESSARY,
-                                         orders_module._PARENT_CLAUSES)
-             for by_outcome in outcomes.values() for clause in by_outcome.values()}
+def test_clauses_are_shared_values_with_exact_types():
+    # Clause values are looked up by their fields; np.bool_ hashes as bool
+    # does, so a condition must give exactly a bool or None.
     rng = np.random.default_rng(7)
     for _ in range(300):
         d1, d2 = random_battery_pair(rng)
         pair = orders_module._Pair(d1, d2)
         reports = {order: pair.report(order) for order in OrderKind}
         assert all(v is None or type(v) is bool for v in pair.conditions.values()), pair.conditions
-        for report in reports.values():
-            for clause in report.clauses:
+        again = compare(d1, d2)
+        assert again == reports
+        for order, report in reports.items():
+            for clause, same in zip(report.clauses, again[order].clauses, strict=True):
                 assert clause.passed is None or type(clause.passed) is bool, clause
-                assert id(clause) in table, clause
-        assert compare(d1, d2) == reports
+                assert clause is same, clause
+    # Bounded by the tables: each (tag, text) of the sufficient, necessary
+    # and parent-order clauses, by outcome (True, False, None or a skip
+    # reason), gives 203 clauses.
+    assert orders_module._clause.cache_info().currsize <= 203
 
 
 def fresh(a, b):
