@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -38,3 +40,5 @@ def test_ab_on_one_tree_agrees_and_restores_the_modules(capsys):
     assert out[1].startswith("change/parent per round: median ")
     assert len(out) == 2
     assert sys.modules["lsemix.orders"] is lsemix.orders
+    with pytest.raises(SystemExit):
+        ab.main([tree, tree, "--rounds", "0"])  # no round to take a median of
