@@ -6,10 +6,13 @@
 Builds the workload with each tree's own src and bench, checks that the trees
 give every operation the same output signature, then times rounds of every
 operation on each, alternating which goes first.  Prints each tree's median
-operation time and the per-round change/parent ratio with its q10 and q90.
+operation time, the per-round change/parent ratio with its q10 and q90, the
+number of rounds in which the change was faster and, for decide, the median
+ratio for each dimension n (read from the operation labels, "...n5-...").
 """
 
 import argparse
+import re
 import statistics
 import sys
 import time
@@ -57,21 +60,35 @@ def main(argv: list[str] | None = None) -> int:
             del sys.path[:2]
         pairs = list(zip(sides[0][0].ops, sides[1][0].ops, strict=True))
         differ = [a.label for a, b in pairs if run(*sides[0], a) != run(*sides[1], b)]
-        medians = ([], [])
+        times = ([], [])  # by tree, by round: each operation's wall time
         for r in range(args.rounds if not differ else 0):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
-                medians[i].append(statistics.median(run(*sides[i], ops[i], True) for ops in pairs))
+                times[i].append([run(*sides[i], ops[i], True) for ops in pairs])
     finally:
         _swap(saved)
     if differ:
         print(f"outputs differ on {', '.join(differ)}")
         return 1
-    ratios = [change / parent for parent, change in zip(*medians)]
-    q = statistics.quantiles(ratios, n=10) if len(ratios) > 1 else ratios * 9
-    parent, change = (1000.0 * statistics.median(m) for m in medians)
+
+    def ratios(ops) -> list[float]:
+        """Per round, change/parent of the median time of these operations."""
+        return [statistics.median(c[j] for j in ops) / statistics.median(p[j] for j in ops)
+                for p, c in zip(*times)]
+
+    every = ratios(range(len(pairs)))
+    q = statistics.quantiles(every, n=10) if len(every) > 1 else every * 9
+    parent, change = (1000.0 * statistics.median(statistics.median(r) for r in t) for t in times)
     print(f"{args.workload} seed {args.seed}, {len(pairs)} operations, {args.rounds} rounds: "
           f"median operation {parent:.4f} ms (parent), {change:.4f} ms (change)")
     print(f"change/parent per round: median {q[4]:.4f} (q10 {q[0]:.4f}, q90 {q[8]:.4f})")
+    print(f"change faster in {sum(r < 1.0 for r in every)} of {len(every)} rounds")
+    if args.workload == "decide":
+        by_n = {}
+        for j, (op, _) in enumerate(pairs):
+            by_n.setdefault(int(re.search(r"(?:^|:)n(\d+)-", op.label)[1]), []).append(j)
+        print("median change/parent by dimension: " + ", ".join(
+            f"n{n} {statistics.median(ratios(ops)):.4f} ({len(ops)} ops)"
+            for n, ops in sorted(by_n.items())))
     return 0
 
 

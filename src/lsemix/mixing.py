@@ -335,6 +335,11 @@ class GeneralizedInverseGaussian(MixingDistribution):
         lo, hi = self._log_bounds
         v, w = gauss_legendre(lo, hi)
         weights = w * np.exp(self._log_normalizer + self._log_mass(v))
+        # Past |lam| of about 1e4 the peak, about |lam|^(-1/2) wide in v,
+        # falls between the nodes; the law is rejected, as a lost mode is.
+        mass = float(weights.sum())
+        if not abs(mass - 1.0) <= 1e-9:
+            raise ParameterError(f"{self.describe()}: the quadrature holds {mass} of the mass")
         return np.exp(v), weights
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:

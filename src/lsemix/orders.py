@@ -36,8 +36,14 @@ check_order is a one-order compare().  Everything the orders have in common
 is computed once per pair and kept on it: Sigma2 - Sigma1, prepared once
 for the three cone tests (``cones.Prepared``), each condition of
 ``_CONDITIONS`` and each order's report (a projection order reads its
-parent's).  The pair is dropped when compare() returns.  Clause values are
-immutable, each built once (``_clause``) and shared; nothing else is kept.
+parent's).  The pair is dropped when compare() returns.
+
+Clauses and reports are interned: each distinct value is built, and a
+report checked, once per process and shared by every pair that reaches it
+(``_clause``; ``_report``, keyed by order, clauses and probes; ``_derived``,
+by order and parent report).  The order tables bound them for each set of
+probes.  No interned value holds a number of one pair: evidence of a pair (a
+witness, a gap) goes beside the shared report, never into it or its key.
 
 Means use E(Y) = mu + E(beta) * delta; where two shifts are equal the mean
 difference is mu_2 - mu_1 even when E(beta) diverges, and along a direction
@@ -143,6 +149,17 @@ class Clause:
     passed: bool | None
     skip: SkipReason | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.tag, self.text, self.passed, self.skip)))
+
+    # The hash of the fields, taken once: clauses key the report caches.
+    # Pickled by its fields, so a loaded value hashes as its process does.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Clause, (self.tag, self.text, self.passed, self.skip)
+
 
 @dataclass(frozen=True)
 class OrderReport:
@@ -156,6 +173,7 @@ class OrderReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(self.clauses))
         object.__setattr__(self, "assumption_checks", tuple(self.assumption_checks))
+        object.__setattr__(self, "_hash", hash(self._fields()))
         if (
             self.sufficient is SufficientStatus.HOLDS
             and self.necessary is NecessaryStatus.VIOLATED
@@ -170,6 +188,17 @@ class OrderReport:
                 f"verdict {self.verdict} inconsistent with "
                 f"(sufficient={self.sufficient}, necessary={self.necessary})"
             )
+
+    def _fields(self) -> tuple:
+        return (self.order, self.sufficient, self.necessary, self.verdict, self.clauses,
+                self.assumption_checks)
+
+    # As for Clause: a projection report's cache is keyed by its parent's.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return OrderReport, self._fields()
 
 
 def _verdict_of(sufficient: SufficientStatus, necessary: NecessaryStatus) -> Verdict:
@@ -227,12 +256,17 @@ class _Pair:
 
     def condition(self, tag: str) -> bool | None:
         """The ``_CONDITIONS`` predicate of ``tag`` on this pair, evaluated once."""
-        return _once(self.conditions, tag, _CONDITIONS[tag].test, self)
+        if tag not in self.conditions:
+            self.conditions[tag] = _CONDITIONS[tag].test(self)
+        return self.conditions[tag]
 
     def report(self, order: OrderKind) -> OrderReport:
-        """The report of ``order`` on this pair, built once."""
-        return _once(self.reports, order, _derived if order in _PARENT_OF else _direct,
-                     order, self)
+        """The report of ``order`` on this pair, looked up once."""
+        if order not in self.reports:
+            parent = _PARENT_OF.get(order)
+            self.reports[order] = (_derived(order, self.report(parent)) if parent
+                                   else _direct(order, self))
+        return self.reports[order]
 
     # Each of these is read by several clauses and gates.
 
@@ -346,13 +380,6 @@ class _Pair:
             return True
         complement = np.linalg.svd(self.delta1[None, :])[2][1:]
         return _inside(is_psd(complement @ self.difference.matrix @ complement.T, self.sigma_scale))
-
-
-def _once(memo: dict, key, compute: Callable, *args):
-    """memo[key], set to compute(*args) on first use."""
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
 
 
 def _inside(verdict: ConeVerdict) -> bool | None:
@@ -540,33 +567,34 @@ _PARENT_OF = {
     OrderKind.IPLCX: OrderKind.ICX,
 }
 
-_clause = lru_cache(maxsize=None)(Clause)  # each distinct clause is built once
-
-
 # --- the interpreter ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _clause(side: str, tag: str, text: str, passed: bool | None,
+            skip: SkipReason | None = None) -> Clause:
+    """The clause of condition ``tag`` on ``side`` of an order ("sufficient"
+    or "necessary"), built once: its tag and skip text are formed here."""
+    return Clause(f"{side}/{tag}", text if skip is None else text + skip.value, passed, skip)
 
 
 def _necessary_clause(pair: _Pair, entry: _Necessary) -> Clause:
     condition = _CONDITIONS[entry.tag]
-    tag = "necessary/" + entry.tag
     text = condition.text if entry.text is None else entry.text
     for gate in entry.gates:
         if not gate.holds(pair):
             if entry.otherwise and all(g.holds(pair) for g in entry.otherwise.gates):
                 return _necessary_clause(pair, entry.otherwise)
-            return _clause(tag, text + gate.reason.value, None, gate.reason)
+            return _clause("necessary", entry.tag, text, None, gate.reason)
     passed = pair.condition(entry.tag)
-    if passed is None:
-        return _clause(tag, text + condition.undecided.value, None, condition.undecided)
-    return _clause(tag, text, passed)
+    return _clause("necessary", entry.tag, text, passed,
+                   condition.undecided if passed is None else None)
 
 
-def _report(
-    order: OrderKind,
-    sufficient: list[Clause],
-    necessary: list[Clause],
-    assumption_checks: tuple[LimitRatioResult, ...] = (),
-) -> OrderReport:
+@lru_cache(maxsize=None)
+def _report(order: OrderKind, sufficient: tuple[Clause, ...], necessary: tuple[Clause, ...],
+            assumption_checks: tuple[LimitRatioResult, ...] = ()) -> OrderReport:
+    """The report of ``order`` with these clauses, built and checked once."""
     if all(c.passed is True for c in sufficient):
         suff_status = SufficientStatus.HOLDS
     elif any(c.passed is False for c in sufficient):
@@ -581,22 +609,22 @@ def _report(
         nec_status = NecessaryStatus.HOLDS
     verdict = _verdict_of(suff_status, nec_status)
     return OrderReport(order, suff_status, nec_status, verdict,
-                       tuple(sufficient + necessary), assumption_checks)
+                       sufficient + necessary, assumption_checks)
 
 
 def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     spec = _ORDERS[order]
-    sufficient = [
-        _clause("sufficient/" + tag, _CONDITIONS[tag].text, pair.condition(tag))
-        for tag in spec.sufficient
-    ]
-    necessary = [_necessary_clause(pair, entry) for entry in spec.necessary]
+    sufficient = tuple(_clause("sufficient", tag, _CONDITIONS[tag].text, pair.condition(tag))
+                       for tag in spec.sufficient)
+    necessary = tuple(_necessary_clause(pair, entry) for entry in spec.necessary)
     probes = assumption_profile(pair.d1.generator)[2] if order in _TAIL_PROBED else ()
     return _report(order, sufficient, necessary, probes)
 
 
-def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
-    """Orders defined through univariate projections (plst, lcx, ilcx, iplcx).
+@lru_cache(maxsize=None)
+def _derived(order: OrderKind, parent: OrderReport) -> OrderReport:
+    """Orders defined through univariate projections (plst, lcx, ilcx, iplcx),
+    as a function of the parent's report, built once for each.
 
     Each parent (st, cx, icx) implies its projection order, so sufficiency
     is inherited.  The parent's necessary clauses are necessary for the
@@ -612,15 +640,13 @@ def _derived(order: OrderKind, pair: _Pair) -> OrderReport:
     by polarization over e_i and e_i + e_j.  For iplcx,
     a'(Sigma2 - Sigma1) a >= 0 for every a >= 0 is copositivity.
     """
-    parent_kind = _PARENT_OF[order]
-    parent = pair.report(parent_kind)
-    sufficient = [_clause(
-        "sufficient/parent-order",
-        f"the {parent_kind.value} sufficient conditions hold (implies {order.value})",
-        parent.sufficient is SufficientStatus.HOLDS,
-    )]
-    necessary = [c for c in parent.clauses if c.tag.startswith("necessary/")]
-    return _report(order, sufficient, necessary, parent.assumption_checks)
+    sufficient = (_clause(
+        "sufficient", "parent-order",
+        f"the {parent.order.value} sufficient conditions hold (implies {order.value})",
+        parent.sufficient is SufficientStatus.HOLDS),)
+    necessary = tuple(c for c in parent.clauses if c.tag.startswith("necessary/"))
+    # Not through _report's cache, which holds the direct reports.
+    return _report.__wrapped__(order, sufficient, necessary, parent.assumption_checks)
 
 
 def check_collective_risk(

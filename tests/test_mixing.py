@@ -250,6 +250,19 @@ class TestLogScaleBessel:
         with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the mode 0.0")):
             mix.sample(np.random.default_rng(0), 10)
 
+    @pytest.mark.parametrize("chi,tau", [(1.0, 1.0), (0.5, 2.0), (1e-3, 1e3)])
+    def test_quadrature_that_misses_mass_raises(self, chi, tau):
+        # The 256 nodes miss 3.8e-6 of the mass at lam = +-1e4, 2.5e-2 at
+        # -3e4 and 0.53 at -1e5; at +-3e3 the sum is within 6e-12 of 1.
+        for lam in (-1e5, -3e4, -1e4, 1e4):
+            mix = GeneralizedInverseGaussian(lam, chi, tau)
+            with pytest.raises(ParameterError, match=re.escape(f"{mix.describe()}: the quadrature holds")):
+                mix.quadrature()
+        for lam in (-3e3, 3e3):
+            mix = GeneralizedInverseGaussian(lam, chi, tau)
+            assert abs(mix.quadrature()[1].sum() - 1.0) < 1e-11
+            assert expectation(mix, lambda z: z) == pytest.approx(mix.power_moment(1.0), rel=1e-10)
+
 
 class TestGeneralizedInverseGaussian:
     @pytest.mark.parametrize("lam,chi,tau", GIG_GRID)

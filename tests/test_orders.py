@@ -7,10 +7,12 @@ with a necessary violation — is asserted inside OrderReport itself, so the
 random batteries here both exercise and rely on that check.
 """
 
+import dataclasses
 import gc
 import gzip
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -908,6 +910,62 @@ def test_clauses_are_shared_values_with_exact_types():
     # and parent-order clauses, by outcome (True, False, None or a skip
     # reason), gives 203 clauses.
     assert orders_module._clause.cache_info().currsize <= 203
+
+
+def test_pairs_with_the_same_clause_outcomes_share_each_report():
+    # Different numbers, the same outcome of every clause: a location shift
+    # up at equal scales, in one dimension and in two.
+    for first, second in (((mk(0.0, [[1.0]]), mk(0.5, [[1.0]])),
+                           (mk(-3.0, [[4.0]]), mk(7.0, [[4.0]]))),
+                          ((mk([0.0, 0.0], np.eye(2)), mk([0.1, 0.2], np.eye(2))),
+                           (mk([5.0, -1.0], [[2.0, 0.5], [0.5, 1.0]]),
+                            mk([5.5, 0.0], [[2.0, 0.5], [0.5, 1.0]])))):
+        a, b = compare(*first), compare(*second)
+        assert all(a[order] is b[order] for order in OrderKind)
+        assert a[OrderKind.ST].verdict is Verdict.ORDERED
+
+
+def test_reports_and_clauses_compare_and_hash_by_their_fields():
+    clause = Clause("necessary/mean-equal", "E(Y1) = E(Y2)", True)
+    twin = Clause("necessary/mean-equal", "E(Y1) = E(Y2)", True)
+    assert clause is not twin and clause == twin
+    assert hash(clause) == hash(twin) == hash(("necessary/mean-equal", "E(Y1) = E(Y2)", True, None))
+    assert clause != Clause("necessary/mean-equal", "E(Y1) = E(Y2)", False)
+    report = compare(mk([0.0, 0.0], np.eye(2)), mk([0.1, 0.2], np.eye(2)))[OrderKind.ICX]
+    fields = tuple(getattr(report, f) for f in
+                   ("order", "sufficient", "necessary", "verdict", "clauses", "assumption_checks"))
+    built = OrderReport(*fields)
+    assert built is not report and built == report and hash(built) == hash(report) == hash(fields)
+    assert built != OrderReport(OrderKind.IPLCX, *fields[1:])
+    assert {report: 1}[built] == 1
+    # Loaded values and replaced ones are built again, hash and all.
+    for value in (clause, report):
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == value and hash(loaded) == hash(value)
+    moved = dataclasses.replace(clause, passed=None, skip=SkipReason.MOMENTS)
+    assert hash(moved) == hash((clause.tag, clause.text, None, SkipReason.MOMENTS))
+    with pytest.raises(AssertionError):
+        dataclasses.replace(report, verdict=Verdict.NOT_ORDERED)
+
+
+def test_a_second_pass_over_the_battery_builds_no_report():
+    rng = np.random.default_rng(7)
+    pairs = [random_battery_pair(rng) for _ in range(300)]
+    caches = (orders_module._report, orders_module._derived)
+    for cache in caches:
+        cache.cache_clear()
+
+    def sizes():
+        for d1, d2 in pairs:
+            compare(d1, d2)
+            compare(d2, d1)
+        return [cache.cache_info().currsize for cache in caches]
+
+    first = sizes()
+    assert sizes() == first
+    # 7 800 reports, of which 209 distinct direct and 81 distinct
+    # projection reports: bounded by the clause outcomes, not the pairs.
+    assert first[0] <= 250 and first[1] <= 100, first
 
 
 def fresh(a, b):

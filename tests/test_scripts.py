@@ -4,6 +4,7 @@ runs on small arguments and exits 0."""
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +39,13 @@ def test_ab_on_one_tree_agrees_and_restores_the_modules(capsys):
     assert out[0].startswith("decide seed 1, ")
     assert " operations, 2 rounds: median operation " in out[0]
     assert out[1].startswith("change/parent per round: median ")
-    assert len(out) == 2
+    assert re.fullmatch(r"change faster in [012] of 2 rounds", out[2])
+    # Every dimension of the decide battery, n read from the labels.
+    assert re.fullmatch(r"median change/parent by dimension: "
+                        r"n1 [\d.]+ \(\d+ ops\)(, n\d+ [\d.]+ \(\d+ ops\))+", out[3]), out[3]
+    dims = [int(n) for n in re.findall(r"n(\d+) ", out[3])]
+    assert dims == sorted(set(dims))
+    assert len(out) == 4
     assert sys.modules["lsemix.orders"] is lsemix.orders
     with pytest.raises(SystemExit):
         ab.main([tree, tree, "--rounds", "0"])  # no round to take a median of
